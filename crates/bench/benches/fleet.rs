@@ -120,8 +120,8 @@ fn main() {
     );
     entries.push(BenchEntry {
         name: "fleet/campaign_wallclock_3_workers".to_string(),
-        scalar_ns_per_eval: one_ns,
-        batch_ns_per_eval: three_ns,
+        baseline_ns: one_ns,
+        candidate_ns: three_ns,
     });
 
     group("fleet_warm_federation");
@@ -162,8 +162,8 @@ fn main() {
     assert_eq!(warm_evals, 0, "a warm federated rerun must not evaluate");
     entries.push(BenchEntry {
         name: "fleet/warm_rerun_federation".to_string(),
-        scalar_ns_per_eval: cold_ns,
-        batch_ns_per_eval: warm_ns,
+        baseline_ns: cold_ns,
+        candidate_ns: warm_ns,
     });
 
     drop(source);

@@ -156,8 +156,8 @@ fn main() {
     );
     entries.push(BenchEntry {
         name: "optd/step_throughput_4_tenants".to_string(),
-        scalar_ns_per_eval: offline_ns,
-        batch_ns_per_eval: daemon_ns,
+        baseline_ns: offline_ns,
+        candidate_ns: daemon_ns,
     });
 
     group("optd_best_query_latency");
@@ -219,8 +219,8 @@ fn main() {
     );
     entries.push(BenchEntry {
         name: "optd/best_query_under_4_tenants".to_string(),
-        scalar_ns_per_eval: idle_ns,
-        batch_ns_per_eval: loaded_ns,
+        baseline_ns: idle_ns,
+        candidate_ns: loaded_ns,
     });
 
     // The long campaigns never converge by design; shutting the daemon

@@ -7,12 +7,14 @@
 //! `OPTASSIGN_BENCH_WINDOW_MS` to shrink the measurement window for
 //! smoke runs.
 
+use optassign::model::Unbatched;
 use optassign::sampling::random_assignment;
 use optassign::study::SampleStudy;
 use optassign::{Parallelism, Topology};
 use optassign_bench::microbench::{bench, bench_report_json, group, BenchEntry};
 use optassign_bench::{case_study_model_small, BenchArgs};
 use optassign_netapps::Benchmark;
+use optassign_obs::Obs;
 
 fn json_path() -> Option<String> {
     let mut args = std::env::args().skip(1);
@@ -46,20 +48,21 @@ fn main() {
 
     group("sampling_parallel");
     // Throughput of the deterministic parallel engine on a real
-    // simulator-backed study, on the per-item path (batch disabled) and
-    // the batched hot path (the default). Results are bit-identical in
-    // all four cells, so the only question is speed.
+    // simulator-backed study, on the per-item path (the unbatched model,
+    // one item per chunk) and the batched hot path (the default). Results
+    // are bit-identical in all four cells, so the only question is speed.
     let model = case_study_model_small(Benchmark::IpFwdL1, 2);
+    let scalar_model = Unbatched(model.clone());
     let n = 48;
     let mut entries = Vec::new();
     for &workers in &[1usize, 4] {
-        let scalar_par = Parallelism::new(workers).with_batch(0);
+        let scalar_par = Parallelism::new(workers).with_batch(1);
         let scalar_ns = bench(&format!("sample_study/{n}x{workers}w/scalar"), || {
-            SampleStudy::run_with(&model, n, 7, scalar_par).unwrap()
+            SampleStudy::run_with(&scalar_model, n, 7, scalar_par, &Obs::disabled(), None).unwrap()
         }) / n as f64;
         let batched_par = Parallelism::new(workers);
         let batch_ns = bench(&format!("sample_study/{n}x{workers}w/batched"), || {
-            SampleStudy::run_with(&model, n, 7, batched_par).unwrap()
+            SampleStudy::run_with(&model, n, 7, batched_par, &Obs::disabled(), None).unwrap()
         }) / n as f64;
         println!(
             "  └ batch{} speedup at {workers} workers: {:.2}x",
@@ -68,8 +71,8 @@ fn main() {
         );
         entries.push(BenchEntry {
             name: format!("sample_study/{n}x{workers}w"),
-            scalar_ns_per_eval: scalar_ns,
-            batch_ns_per_eval: batch_ns,
+            baseline_ns: scalar_ns,
+            candidate_ns: batch_ns,
         });
     }
 

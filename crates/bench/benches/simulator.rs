@@ -52,8 +52,8 @@ fn main() {
         println!("  └ batch{BATCH} speedup: {:.2}x", scalar_ns / batch_ns);
         entries.push(BenchEntry {
             name: format!("simulate/{}", bm.name()),
-            scalar_ns_per_eval: scalar_ns,
-            batch_ns_per_eval: batch_ns,
+            baseline_ns: scalar_ns,
+            candidate_ns: batch_ns,
         });
     }
 

@@ -7,15 +7,16 @@
 //!            [--floor 1.0] [--strict]
 //! ```
 //!
-//! Two checks, both over the scalar-vs-batch entries a bench run emits:
+//! Two checks, both over the baseline-vs-candidate entries a bench run
+//! emits (scalar vs batched path, offline vs service, ...):
 //!
-//! 1. **Floor** — every entry's batch/scalar speedup must be at least
-//!    `--floor` (default 1.0): the batched path may never be slower than
-//!    the scalar path it replaces. The speedup is measured within one
-//!    process, so it is meaningful even on noisy or throttled hosts.
+//! 1. **Floor** — every entry's baseline/candidate speedup must be at
+//!    least `--floor` (default 1.0): the batched path may never be slower
+//!    than the scalar path it replaces. The speedup is measured within
+//!    one process, so it is meaningful even on noisy or throttled hosts.
 //! 2. **Trajectory** (with a baseline) — every entry's speedup must not
 //!    regress more than `--threshold` (default 0.10, i.e. 10%) below the
-//!    committed baseline's. With `--strict`, the raw `batch_ns_per_eval`
+//!    committed baseline's. With `--strict`, the raw `candidate_ns`
 //!    medians are held to the same threshold too; raw nanoseconds only
 //!    compare meaningfully on the machine that produced the baseline, so
 //!    strict mode is opt-in.
@@ -27,7 +28,7 @@ use std::process::ExitCode;
 
 struct Entry {
     name: String,
-    batch_ns: f64,
+    candidate_ns: f64,
     speedup: f64,
 }
 
@@ -52,7 +53,7 @@ fn load(path: &str) -> Result<Vec<Entry>, String> {
                     .and_then(Json::as_str)
                     .ok_or_else(|| format!("{path}: entry missing \"name\""))?
                     .to_string(),
-                batch_ns: field("batch_ns_per_eval")?,
+                candidate_ns: field("candidate_ns")?,
                 speedup: field("speedup")?,
             })
         })
@@ -127,13 +128,13 @@ fn main() -> ExitCode {
                     b.speedup
                 ));
             }
-            if strict && cur.batch_ns > b.batch_ns * (1.0 + threshold) {
+            if strict && cur.candidate_ns > b.candidate_ns * (1.0 + threshold) {
                 violations.push(format!(
-                    "{}: batch {:.1} ns/eval regressed >{:.0}% from baseline {:.1} ns/eval",
+                    "{}: candidate {:.1} ns regressed >{:.0}% from baseline {:.1} ns",
                     cur.name,
-                    cur.batch_ns,
+                    cur.candidate_ns,
                     threshold * 100.0,
-                    b.batch_ns
+                    b.candidate_ns
                 ));
             }
         }

@@ -128,7 +128,7 @@ fn main() {
     std::fs::create_dir_all(&baseline_dir).expect("creating baseline dir");
     let store = CampaignStore::open_with(&baseline_dir, Arc::new(RealIo), &obs)
         .expect("baseline store opens");
-    let baseline = SampleStudy::run_persistent_with_obs(&model, scale.n, seed, par, &store, &obs)
+    let baseline = SampleStudy::run_with(&model, scale.n, seed, par, &obs, Some(&store))
         .expect("baseline campaign runs");
     drop(store);
     let baseline_bits: Vec<u64> = baseline
@@ -154,9 +154,8 @@ fn main() {
             Ok(store) => {
                 // Storage faults are swallowed and counted by the store;
                 // the campaign itself must still complete.
-                let study =
-                    SampleStudy::run_persistent_with_obs(&model, scale.n, seed, par, &store, &obs)
-                        .expect("campaign survives storage faults");
+                let study = SampleStudy::run_with(&model, scale.n, seed, par, &obs, Some(&store))
+                    .expect("campaign survives storage faults");
                 assert_eq!(
                     study
                         .performances()
@@ -197,7 +196,7 @@ fn main() {
     // one interior bit, and check fsck moves exactly that damage aside.
     let store =
         CampaignStore::open_with(&chaos_dir, Arc::new(RealIo), &obs).expect("repaired store opens");
-    SampleStudy::run_persistent_with_obs(&model, scale.n, seed, par, &store, &obs)
+    SampleStudy::run_with(&model, scale.n, seed, par, &obs, Some(&store))
         .expect("clean fill-in run");
     drop(store);
     assert!(
@@ -214,7 +213,7 @@ fn main() {
 
     let store =
         CampaignStore::open_with(&chaos_dir, Arc::new(RealIo), &obs).expect("final store opens");
-    let resumed = SampleStudy::run_persistent_with_obs(&model, scale.n, seed, par, &store, &obs)
+    let resumed = SampleStudy::run_with(&model, scale.n, seed, par, &obs, Some(&store))
         .expect("final resume");
     drop(store);
     let resumed_bits: Vec<u64> = resumed.performances().iter().map(|p| p.to_bits()).collect();
@@ -290,7 +289,7 @@ fn main() {
 
     let store =
         CampaignStore::open_with(&ab_dir, Arc::new(RealIo), &obs).expect("merged store opens");
-    let merged = SampleStudy::run_persistent_with_obs(&model, scale.n, seed, par, &store, &obs)
+    let merged = SampleStudy::run_with(&model, scale.n, seed, par, &obs, Some(&store))
         .expect("replay from merged store");
     drop(store);
     let merged_bits: Vec<u64> = merged.performances().iter().map(|p| p.to_bits()).collect();

@@ -33,6 +33,7 @@ use optassign_bench::{
 use optassign_evt::pot::PotConfig;
 use optassign_evt::resilient::{FallbackPolicy, ResilientConfig};
 use optassign_netapps::Benchmark;
+use optassign_obs::Obs;
 
 const MAX_RETRIES: usize = 3;
 
@@ -57,7 +58,8 @@ fn main() {
         let seed = BASE_SEED ^ seed_tag(bench);
         eprintln!("[robustness] {}: clean reference…", bench.name());
         let model = case_study_model(bench);
-        let clean = SampleStudy::run_with(&model, n, seed, par).expect("case-study workloads fit");
+        let clean = SampleStudy::run_with(&model, n, seed, par, &Obs::disabled(), None)
+            .expect("case-study workloads fit");
         let clean_upb = clean
             .estimate_optimal(&PotConfig::default())
             .map(|a| a.upb.point)
@@ -74,18 +76,20 @@ fn main() {
                 &format!("robustness-{}-{fault_name}", bench.name()),
                 &stderr_obs(),
             );
-            let campaign = match &store {
-                Some(store) => SampleStudy::run_resilient_persistent_with_obs(
-                    &faulty,
-                    n,
-                    seed,
-                    MAX_RETRIES,
-                    par,
-                    store,
-                    &stderr_obs(),
-                ),
-                None => SampleStudy::run_resilient_with(&faulty, n, seed, MAX_RETRIES, par),
+            let obs = if store.is_some() {
+                stderr_obs()
+            } else {
+                Obs::disabled()
             };
+            let campaign = SampleStudy::run_resilient_with(
+                &faulty,
+                n,
+                seed,
+                MAX_RETRIES,
+                par,
+                &obs,
+                store.as_ref(),
+            );
             if let Some(store) = &store {
                 report_store(store);
             }

@@ -329,45 +329,17 @@ pub fn case_study_model_small(bench: Benchmark, instances: usize) -> SimModel {
 /// Returns [`CoreError::Infeasible`] when the case-study workload does
 /// not fit the machine (a build misconfiguration, not a runtime hazard).
 pub fn measured_pool(bench: Benchmark, n: usize) -> Result<SampleStudy, CoreError> {
-    measured_pool_with(bench, n, Parallelism::max_available())
+    measured_pool_persistent(bench, n, Parallelism::max_available(), None, &stderr_obs())
 }
 
-/// [`measured_pool`] with an explicit worker policy.
-///
-/// # Errors
-///
-/// As [`measured_pool`].
-pub fn measured_pool_with(
-    bench: Benchmark,
-    n: usize,
-    parallelism: Parallelism,
-) -> Result<SampleStudy, CoreError> {
-    measured_pool_obs(bench, n, parallelism, &stderr_obs())
-}
-
-/// [`measured_pool`] reporting through an explicit observability handle:
-/// progress events replace the old ad-hoc stderr prints, pool wall time
-/// lands in the `pool_ns` histogram, and the underlying campaign runs
-/// through [`SampleStudy::run_with_obs`]. The pool itself is
-/// bit-identical however it is observed.
-///
-/// # Errors
-///
-/// As [`measured_pool`].
-pub fn measured_pool_obs(
-    bench: Benchmark,
-    n: usize,
-    parallelism: Parallelism,
-    obs: &Obs,
-) -> Result<SampleStudy, CoreError> {
-    measured_pool_persistent(bench, n, parallelism, None, obs)
-}
-
-/// [`measured_pool_obs`] journaled through a durable [`CampaignStore`]
-/// when one is given: measurements append to the store's write-ahead log,
-/// an interrupted pool resumes bit-identically, and a repeated pool
-/// replays without touching the simulator. `store: None` is exactly
-/// [`measured_pool_obs`].
+/// [`measured_pool`] with an explicit worker policy and observability
+/// handle, journaled through a durable [`CampaignStore`] when one is
+/// given. Progress events go to `obs`, pool wall time lands in the
+/// `pool_ns` histogram, and the underlying campaign runs through
+/// [`SampleStudy::run_with`]. With a store, measurements append to its
+/// write-ahead log, an interrupted pool resumes bit-identically, and a
+/// repeated pool replays without touching the simulator. The pool itself
+/// is bit-identical however it is observed or stored.
 ///
 /// # Errors
 ///
@@ -393,12 +365,7 @@ pub fn measured_pool_persistent(
     });
     let span = obs.span("pool_ns");
     let seed = BASE_SEED ^ seed_tag(bench);
-    let study = match store {
-        Some(store) => {
-            SampleStudy::run_persistent_with_obs(&model, n, seed, parallelism, store, obs)?
-        }
-        None => SampleStudy::run_with_obs(&model, n, seed, parallelism, obs)?,
-    };
+    let study = SampleStudy::run_with(&model, n, seed, parallelism, obs, store)?;
     let elapsed = span.finish();
     obs.emit(|| {
         progress(
@@ -463,7 +430,7 @@ pub fn sample_size_analysis(
         .iter()
         .max()
         .ok_or_else(|| CoreError::Domain("sample_size_analysis needs at least one size".into()))?;
-    let pool = measured_pool_obs(bench, max, parallelism, obs)?;
+    let pool = measured_pool_persistent(bench, max, parallelism, None, obs)?;
     sizes
         .iter()
         .map(|&n| {

@@ -38,8 +38,9 @@ fn batch_count() -> usize {
 /// median per-iteration time in nanoseconds.
 ///
 /// The harness first calibrates how many iterations fit in one batch, then
-/// times [`BATCHES`] batches and reports the median batch's per-iteration
-/// time, with the min/max batch spread as a dispersion hint.
+/// times 10 batches (`OPTASSIGN_BENCH_BATCHES` overrides) and reports the
+/// median batch's per-iteration time, with the min/max batch spread as a
+/// dispersion hint.
 pub fn bench<R, F: FnMut() -> R>(name: &str, mut f: F) -> f64 {
     // Calibration: grow the batch size until one batch fills 1/BATCHES of
     // the target window (or the batch is already enormous).
@@ -82,7 +83,7 @@ pub fn bench<R, F: FnMut() -> R>(name: &str, mut f: F) -> f64 {
     median
 }
 
-/// Like [`bench`], but also reports throughput for `bytes` of input
+/// Like [`bench()`], but also reports throughput for `bytes` of input
 /// processed per iteration.
 pub fn bench_throughput<R, F: FnMut() -> R>(name: &str, bytes: u64, f: F) {
     let median_nanos = bench(name, f);
@@ -97,25 +98,27 @@ pub fn group(title: &str) {
     println!("\n== {title} ==");
 }
 
-/// One scalar-vs-batch comparison row of a bench report.
+/// One baseline-vs-candidate comparison row of a bench report: the
+/// scalar vs the batched path, an offline vs a served campaign, one vs
+/// three workers — whatever the bench compares, in one unit.
 #[derive(Debug, Clone)]
 pub struct BenchEntry {
     /// Benchmark name (stable across runs; the gate matches on it).
     pub name: String,
-    /// Median scalar-path cost, ns per evaluation.
-    pub scalar_ns_per_eval: f64,
-    /// Median batched-path cost, ns per evaluation.
-    pub batch_ns_per_eval: f64,
+    /// Median cost of the reference side, ns per unit of work.
+    pub baseline_ns: f64,
+    /// Median cost of the side under test, ns per unit of work.
+    pub candidate_ns: f64,
 }
 
 impl BenchEntry {
-    /// Scalar-over-batch speedup (> 1 means the batched path is faster).
+    /// Baseline-over-candidate speedup (> 1 means the candidate is faster).
     /// This ratio is measured within one process on one machine, so —
     /// unlike the raw nanosecond medians — it transfers across hosts and
     /// is what the perf gate primarily enforces.
     #[must_use]
     pub fn speedup(&self) -> f64 {
-        self.scalar_ns_per_eval / self.batch_ns_per_eval.max(1e-9)
+        self.baseline_ns / self.candidate_ns.max(1e-9)
     }
 }
 
@@ -131,10 +134,10 @@ pub fn bench_report_json(bench: &str, batch: usize, entries: &[BenchEntry]) -> S
     for (i, e) in entries.iter().enumerate() {
         let comma = if i + 1 < entries.len() { "," } else { "" };
         out.push_str(&format!(
-            "    {{\"name\": \"{}\", \"scalar_ns_per_eval\": {:.1}, \"batch_ns_per_eval\": {:.1}, \"speedup\": {:.3}}}{comma}\n",
+            "    {{\"name\": \"{}\", \"baseline_ns\": {:.1}, \"candidate_ns\": {:.1}, \"speedup\": {:.3}}}{comma}\n",
             e.name,
-            e.scalar_ns_per_eval,
-            e.batch_ns_per_eval,
+            e.baseline_ns,
+            e.candidate_ns,
             e.speedup(),
         ));
     }

@@ -26,6 +26,7 @@
 //! * every such departure from the clean path is recorded as a
 //!   [`DegradationEvent`] in the result.
 
+use crate::measure::{measure_slots, Journal, Ladder, Measure};
 use crate::model::{MeasureError, PerformanceModel};
 use crate::persist;
 use crate::sampling::random_assignment;
@@ -33,14 +34,13 @@ use crate::study::SampleStudy;
 use crate::{Assignment, CoreError};
 use optassign_evt::pot::PotConfig;
 use optassign_evt::resilient::{EstimateReport, FallbackPolicy, ResilientConfig};
-use optassign_exec::{
-    split_seed, try_parallel_map_batched, try_parallel_map_cached, try_parallel_map_obs,
-    Parallelism,
-};
-use optassign_obs::{Event, Obs};
+use optassign_exec::{split_seed, Parallelism};
+use optassign_obs::{fleet_counters, Event, Obs};
 use optassign_sim::Topology;
 use optassign_stats::rng::{Rng, StdRng};
 use optassign_store::CampaignStore;
+
+pub use crate::measure::{LeaseResolution, NoPeers, PeerCache, SlotOutcome};
 
 /// Salt deriving each round's batch stream from the campaign seed.
 const BATCH_SALT: u64 = 0x4954_4552_4241_5443;
@@ -278,21 +278,6 @@ struct Batch {
     budget_exhausted: bool,
 }
 
-/// Outcome of one slot of a measurement batch: either a measured
-/// assignment or an abandoned slot, plus the attempts it consumed.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SlotOutcome {
-    /// The measured assignment and its performance; `None` when every
-    /// draw exhausted its retry budget and the slot was abandoned.
-    pub measured: Option<(Assignment, f64)>,
-    /// Measurement attempts the slot consumed (successes and failures).
-    pub attempts: usize,
-    /// Retries among those attempts.
-    pub retries: usize,
-    /// Primary/replacement assignments abandoned and redrawn.
-    pub redrawn: usize,
-}
-
 /// One batch of slot measurements as handed to a [`BatchBackend`]: the
 /// deterministic inputs that make each slot a pure function of
 /// `(batch_salt, slot)`, independent of where it executes.
@@ -340,64 +325,9 @@ pub trait BatchBackend {
     ) -> Result<Vec<SlotOutcome>, CoreError>;
 }
 
-/// Measures one batch slot. The slot's primary assignment gets
-/// `1 + max_retries` keyed attempts; an exhausted assignment is replaced
-/// from the slot's private redraw stream, up to `draw_cap` draws. The
-/// whole slot is a pure function of `(batch_salt, slot)` — independent
-/// of every other slot and of scheduling order.
-/// `first`, when supplied, is the precomputed outcome of the slot's
-/// first attempt (key 0 on the primary) from the batched prefetch —
-/// bit-identical to the keyed call it replaces.
-#[allow(clippy::too_many_arguments)]
-fn measure_batch_slot<M: PerformanceModel>(
-    model: &M,
-    primary: &Assignment,
-    batch_salt: u64,
-    slot: usize,
-    max_retries: usize,
-    draw_cap: usize,
-    first: Option<Result<f64, MeasureError>>,
-) -> Result<SlotOutcome, CoreError> {
-    let stream = split_seed(batch_salt, slot as u64);
-    let mut redraw_rng: Option<StdRng> = None;
-    let mut current = primary.clone();
-    let mut out = SlotOutcome {
-        measured: None,
-        attempts: 0,
-        retries: 0,
-        redrawn: 0,
-    };
-    // Consumed by the first iteration (draw 0, attempt 0) — the attempt
-    // the prefetch covered.
-    let mut prefetched = first;
-    for draw in 0..draw_cap {
-        for attempt in 0..=max_retries {
-            out.attempts += 1;
-            let key = (draw * (max_retries + 1) + attempt) as u32;
-            let outcome = match prefetched.take() {
-                Some(r) => r,
-                None => model.try_evaluate_at(&current, stream, key),
-            };
-            if let Ok(v) = outcome {
-                out.retries += attempt;
-                out.measured = Some((current, v));
-                return Ok(out);
-            }
-        }
-        out.redrawn += 1;
-        if draw + 1 < draw_cap {
-            let r = redraw_rng.get_or_insert_with(|| {
-                StdRng::seed_from_u64(split_seed(batch_salt ^ BATCH_REDRAW_SALT, slot as u64))
-            });
-            current = random_assignment(model.tasks(), model.topology(), r)?;
-        }
-    }
-    Ok(out)
-}
-
 /// The in-process [`BatchBackend`]: slots evaluate against a model on
-/// this node's threads, optionally journaling through a campaign store
-/// — verbatim the pre-fabric measurement path.
+/// this node's threads, optionally journaling through a campaign store,
+/// on the one slot-measurement path every campaign kind shares.
 struct LocalBackend<'a, M> {
     model: &'a M,
     parallelism: Parallelism,
@@ -418,138 +348,41 @@ impl<M: PerformanceModel + Sync> BatchBackend for LocalBackend<'_, M> {
         request: &BatchRequest<'_>,
         obs: &Obs,
     ) -> Result<Vec<SlotOutcome>, CoreError> {
-        let model = self.model;
-        let parallelism = self.parallelism;
-        let primaries = request.primaries;
-        let want = primaries.len();
-        let batch_salt = request.batch_salt;
-        let max_retries = request.max_retries;
-        let draw_cap = request.draw_cap;
-        // Batched hot path: prefetch every chunk slot's first attempt
-        // through the model's keyed batch entry point, then finish each
-        // slot's retry/redraw ladder on the scalar keyed path (see
-        // `SampleStudy::run_resilient_*` for the identical pattern).
-        let measure_chunk = |idxs: &[usize]| -> Vec<Result<SlotOutcome, CoreError>> {
-            let chunk: Vec<Assignment> = idxs.iter().map(|&i| primaries[i].clone()).collect();
-            let keys: Vec<(u64, u32)> = idxs
-                .iter()
-                .map(|&i| (split_seed(batch_salt, i as u64), 0))
-                .collect();
-            let first = model.try_evaluate_batch_at(&chunk, &keys);
-            idxs.iter()
-                .zip(first)
-                .map(|(&i, f)| {
-                    measure_batch_slot(
-                        model,
-                        &primaries[i],
-                        batch_salt,
-                        i,
-                        max_retries,
-                        draw_cap,
-                        Some(f),
-                    )
-                })
-                .collect()
-        };
-        match self.persist {
-            None => {
-                if parallelism.batch == 0 {
-                    try_parallel_map_obs(parallelism, want, obs, |i| {
-                        measure_batch_slot(
-                            model,
-                            &primaries[i],
-                            batch_salt,
-                            i,
-                            max_retries,
-                            draw_cap,
-                            None,
-                        )
-                    })
-                } else {
-                    let fresh: Vec<Option<SlotOutcome>> = (0..want).map(|_| None).collect();
-                    try_parallel_map_batched(parallelism, fresh, obs, measure_chunk)
-                }
-            }
-            Some((store, campaign)) => {
-                let sequence = request.sequence;
-                // Resolve before the parallel region: journal replay
-                // first, then the evaluation cache. Cache entries become
-                // visible only at batch boundaries (end_batch), so what
-                // a slot sees is independent of worker scheduling.
-                let mut replayed = vec![false; want];
-                let mut resolved: Vec<Option<SlotOutcome>> = Vec::with_capacity(want);
-                for (i, primary) in primaries.iter().enumerate() {
-                    let journaled =
-                        store
-                            .lookup_slot(campaign, sequence, i as u64)
-                            .and_then(|rec| {
-                                persist::assignment_from_record(&rec, model.topology()).map(|a| {
-                                    SlotOutcome {
-                                        measured: Some((a, rec.value)),
-                                        attempts: rec.attempts as usize,
-                                        retries: rec.retries as usize,
-                                        redrawn: rec.redrawn as usize,
-                                    }
-                                })
-                            });
-                    if journaled.is_some() {
-                        replayed[i] = true;
-                        resolved.push(journaled);
-                    } else if let Some(v) = store.cache_lookup(primary.canonical_hash()) {
-                        // Cache hit: value known, zero attempts consumed,
-                        // fault stream never touched.
-                        resolved.push(Some(SlotOutcome {
-                            measured: Some((primary.clone(), v)),
-                            attempts: 0,
-                            retries: 0,
-                            redrawn: 0,
-                        }));
-                    } else {
-                        resolved.push(None);
-                    }
-                }
-                let slots = if parallelism.batch == 0 {
-                    try_parallel_map_cached(parallelism, resolved, obs, |i| {
-                        measure_batch_slot(
-                            model,
-                            &primaries[i],
-                            batch_salt,
-                            i,
-                            max_retries,
-                            draw_cap,
-                            None,
-                        )
-                    })?
-                } else {
-                    try_parallel_map_batched(parallelism, resolved, obs, measure_chunk)?
-                };
-                // Journal every freshly resolved, measured slot —
-                // including ones the budget reduction may truncate;
-                // replaying a truncated slot re-applies the same
-                // reduction. Abandoned slots (no measurement) are not
-                // journaled: they re-measure deterministically on
-                // resume.
-                for (i, slot) in slots.iter().enumerate() {
-                    if replayed[i] {
-                        continue;
-                    }
-                    if let Some((a, v)) = &slot.measured {
-                        store.append_measurement(&persist::slot_record(
-                            campaign,
-                            sequence,
-                            i,
-                            a,
-                            *v,
-                            slot.attempts,
-                            slot.retries,
-                            slot.redrawn,
-                        ));
-                    }
-                }
-                store.end_batch(campaign, sequence, want as u64);
-                Ok(slots)
-            }
-        }
+        let want = request.primaries.len();
+        let journal = self.persist.map(|(store, campaign)| Journal {
+            store,
+            campaign,
+            sequence: request.sequence,
+            width: want as u64,
+        });
+        let slots: Vec<u64> = (0..want as u64).collect();
+        let measured = measure_slots(
+            self.model,
+            &slots,
+            request.primaries,
+            journal,
+            &NoPeers,
+            Measure::Ladder(batch_ladder(
+                request.batch_salt,
+                request.max_retries,
+                request.draw_cap,
+            )),
+            self.parallelism,
+            obs,
+        )?;
+        Ok(measured.into_iter().map(|(outcome, _)| outcome).collect())
+    }
+}
+
+/// The retry/redraw ladder of one iterative batch: slot streams derive
+/// from the batch salt, and a slot whose every draw fails is abandoned.
+fn batch_ladder(batch_salt: u64, max_retries: usize, draw_cap: usize) -> Ladder {
+    Ladder {
+        stream_salt: batch_salt,
+        redraw_salt: batch_salt ^ BATCH_REDRAW_SALT,
+        max_retries,
+        draw_cap,
+        exhausted_is_error: false,
     }
 }
 
@@ -629,28 +462,6 @@ fn measure_with_backend<B: BatchBackend + ?Sized, R: Rng + ?Sized>(
     Ok(b)
 }
 
-/// A read-only source of already-measured values keyed by canonical
-/// assignment hash — the federation interface a fleet worker consults
-/// before spending model evaluations on a leased slot. Lookup order is
-/// fixed (own journal, own cache, peers), so for a given peer
-/// configuration the journaled bytes are deterministic; with no peers
-/// (or none that answer) the worker journals exactly what a single node
-/// would.
-pub trait PeerCache {
-    /// The measured value for a canonical assignment hash, if any peer
-    /// knows it. Must be cheap to call serially per miss slot.
-    fn lookup(&self, key: u64) -> Option<f64>;
-}
-
-/// The empty federation: every lookup misses.
-pub struct NoPeers;
-
-impl PeerCache for NoPeers {
-    fn lookup(&self, _key: u64) -> Option<f64> {
-        None
-    }
-}
-
 /// One slot of a lease: its global batch index and the primary
 /// assignment the coordinator drew for it from the campaign stream.
 #[derive(Debug, Clone, PartialEq)]
@@ -684,35 +495,6 @@ pub struct LeaseRequest {
     pub slots: Vec<LeasedSlot>,
 }
 
-/// How a leased slot was resolved.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum LeaseResolution {
-    /// Already journaled in this worker's shard; replayed, not re-run.
-    Replayed,
-    /// Served from this worker's own evaluation cache at zero attempts.
-    CacheHit,
-    /// Served from a federated peer cache at zero attempts.
-    PeerHit,
-    /// Evaluated against the model through the retry/redraw ladder.
-    Evaluated,
-    /// Evaluated, but every draw failed; nothing was journaled.
-    Abandoned,
-}
-
-impl LeaseResolution {
-    /// Stable snake_case name for wire formats and journals.
-    #[must_use]
-    pub fn name(self) -> &'static str {
-        match self {
-            LeaseResolution::Replayed => "replayed",
-            LeaseResolution::CacheHit => "cache_hit",
-            LeaseResolution::PeerHit => "peer_hit",
-            LeaseResolution::Evaluated => "evaluated",
-            LeaseResolution::Abandoned => "abandoned",
-        }
-    }
-}
-
 /// Outcome of one leased slot.
 #[derive(Debug, Clone, PartialEq)]
 pub struct LeaseOutcome {
@@ -737,6 +519,12 @@ pub struct LeaseOutcome {
 /// the *full* batch width, so independently leased shards of one batch
 /// merge into exactly the single-node journal.
 ///
+/// The lease is timed into the `fleet_lease_measure_ns` histogram. Under
+/// a remote trace parent (`remote_parent != 0`, the worker-side server
+/// span of the coordinator's `/v1/lease` call) it is also journaled as a
+/// `fleet_lease_measure_ns` span with that parent; `0` means untraced.
+/// Either way the measurement itself never observes the observer.
+///
 /// Metrics: `fleet_slot_evals_total` counts slots that reached the
 /// model, `fleet_peer_hits_total` peer-cache resolutions,
 /// `fleet_replayed_total` journal replays.
@@ -745,18 +533,7 @@ pub struct LeaseOutcome {
 ///
 /// As [`run_iterative`] for measurement failures; store I/O failures
 /// are counted on the store handle, never raised.
-/// [`measure_leased_slots`] under a remote trace parent: the whole lease
-/// measurement is journaled as a `fleet_lease_measure_ns` span whose
-/// parent is `remote_parent` — the worker-side server span of the
-/// coordinator's `/v1/lease` call — and timed into the histogram of the
-/// same name. With `remote_parent == 0` (untraced lease) behavior is
-/// identical to [`measure_leased_slots`]; either way the measurement
-/// itself never observes the observer.
-///
-/// # Errors
-///
-/// As [`measure_leased_slots`].
-pub fn measure_leased_slots_traced<M: PerformanceModel + Sync>(
+pub fn measure_leased_slots<M: PerformanceModel + Sync>(
     model: &M,
     lease: &LeaseRequest,
     store: &CampaignStore,
@@ -766,7 +543,43 @@ pub fn measure_leased_slots_traced<M: PerformanceModel + Sync>(
     remote_parent: u64,
 ) -> Result<Vec<LeaseOutcome>, CoreError> {
     let start_ns = obs.now_ns();
-    let outcomes = measure_leased_slots(model, lease, store, peers, parallelism, obs)?;
+    let slots: Vec<u64> = lease.slots.iter().map(|s| s.slot).collect();
+    let primaries: Vec<Assignment> = lease.slots.iter().map(|s| s.primary.clone()).collect();
+    let journal = Journal {
+        store,
+        campaign: lease.campaign,
+        sequence: lease.sequence,
+        width: lease.want,
+    };
+    let measured = measure_slots(
+        model,
+        &slots,
+        &primaries,
+        Some(journal),
+        peers,
+        Measure::Ladder(batch_ladder(
+            lease.batch_salt,
+            lease.max_retries,
+            lease.draw_cap,
+        )),
+        parallelism,
+        obs,
+    )?;
+    let count =
+        |what: &[LeaseResolution]| measured.iter().filter(|(_, r)| what.contains(r)).count() as u64;
+    obs.counter_add(
+        fleet_counters::SLOT_EVALS,
+        count(&[LeaseResolution::Evaluated, LeaseResolution::Abandoned]),
+    );
+    obs.counter_add(
+        fleet_counters::PEER_HITS,
+        count(&[LeaseResolution::PeerHit]),
+    );
+    obs.counter_add(
+        fleet_counters::REPLAYED,
+        count(&[LeaseResolution::Replayed]),
+    );
+
     let end_ns = obs.now_ns();
     obs.observe("fleet_lease_measure_ns", end_ns.saturating_sub(start_ns));
     if remote_parent != 0 {
@@ -781,144 +594,11 @@ pub fn measure_leased_slots_traced<M: PerformanceModel + Sync>(
             end_ns,
         );
     }
-    Ok(outcomes)
-}
-
-pub fn measure_leased_slots<M: PerformanceModel + Sync>(
-    model: &M,
-    lease: &LeaseRequest,
-    store: &CampaignStore,
-    peers: &dyn PeerCache,
-    parallelism: Parallelism,
-    obs: &Obs,
-) -> Result<Vec<LeaseOutcome>, CoreError> {
-    let n = lease.slots.len();
-    let mut resolutions = vec![LeaseResolution::Evaluated; n];
-    let mut replayed = vec![false; n];
-    let mut resolved: Vec<Option<SlotOutcome>> = Vec::with_capacity(n);
-    for (i, leased) in lease.slots.iter().enumerate() {
-        let journaled = store
-            .lookup_slot(lease.campaign, lease.sequence, leased.slot)
-            .and_then(|rec| {
-                persist::assignment_from_record(&rec, model.topology()).map(|a| SlotOutcome {
-                    measured: Some((a, rec.value)),
-                    attempts: rec.attempts as usize,
-                    retries: rec.retries as usize,
-                    redrawn: rec.redrawn as usize,
-                })
-            });
-        if journaled.is_some() {
-            replayed[i] = true;
-            resolutions[i] = LeaseResolution::Replayed;
-            resolved.push(journaled);
-            continue;
-        }
-        let key = leased.primary.canonical_hash();
-        if let Some(v) = store.cache_lookup(key) {
-            resolutions[i] = LeaseResolution::CacheHit;
-            resolved.push(Some(SlotOutcome {
-                measured: Some((leased.primary.clone(), v)),
-                attempts: 0,
-                retries: 0,
-                redrawn: 0,
-            }));
-        } else if let Some(v) = peers.lookup(key) {
-            resolutions[i] = LeaseResolution::PeerHit;
-            resolved.push(Some(SlotOutcome {
-                measured: Some((leased.primary.clone(), v)),
-                attempts: 0,
-                retries: 0,
-                redrawn: 0,
-            }));
-        } else {
-            resolved.push(None);
-        }
-    }
-    let evals = resolved.iter().filter(|s| s.is_none()).count() as u64;
-    obs.counter_add(optassign_obs::fleet_counters::SLOT_EVALS, evals);
-    obs.counter_add(
-        optassign_obs::fleet_counters::PEER_HITS,
-        resolutions
-            .iter()
-            .filter(|r| **r == LeaseResolution::PeerHit)
-            .count() as u64,
-    );
-    obs.counter_add(
-        optassign_obs::fleet_counters::REPLAYED,
-        replayed.iter().filter(|r| **r).count() as u64,
-    );
-
-    let measure_chunk = |idxs: &[usize]| -> Vec<Result<SlotOutcome, CoreError>> {
-        let chunk: Vec<Assignment> = idxs
-            .iter()
-            .map(|&i| lease.slots[i].primary.clone())
-            .collect();
-        let keys: Vec<(u64, u32)> = idxs
-            .iter()
-            .map(|&i| (split_seed(lease.batch_salt, lease.slots[i].slot), 0))
-            .collect();
-        let first = model.try_evaluate_batch_at(&chunk, &keys);
-        idxs.iter()
-            .zip(first)
-            .map(|(&i, f)| {
-                measure_batch_slot(
-                    model,
-                    &lease.slots[i].primary,
-                    lease.batch_salt,
-                    lease.slots[i].slot as usize,
-                    lease.max_retries,
-                    lease.draw_cap,
-                    Some(f),
-                )
-            })
-            .collect()
-    };
-    let outcomes = if parallelism.batch == 0 {
-        try_parallel_map_cached(parallelism, resolved, obs, |i| {
-            measure_batch_slot(
-                model,
-                &lease.slots[i].primary,
-                lease.batch_salt,
-                lease.slots[i].slot as usize,
-                lease.max_retries,
-                lease.draw_cap,
-                None,
-            )
-        })?
-    } else {
-        try_parallel_map_batched(parallelism, resolved, obs, measure_chunk)?
-    };
-
-    // Journal freshly measured slots in lease order, then the batch
-    // marker at full width; replays are never re-journaled, and
-    // abandoned slots re-measure deterministically if re-leased.
-    for (i, slot) in outcomes.iter().enumerate() {
-        if replayed[i] {
-            continue;
-        }
-        match &slot.measured {
-            Some((a, v)) => {
-                store.append_measurement(&persist::slot_record(
-                    lease.campaign,
-                    lease.sequence,
-                    lease.slots[i].slot as usize,
-                    a,
-                    *v,
-                    slot.attempts,
-                    slot.retries,
-                    slot.redrawn,
-                ));
-            }
-            None => resolutions[i] = LeaseResolution::Abandoned,
-        }
-    }
-    store.end_batch(lease.campaign, lease.sequence, lease.want);
-    Ok(outcomes
+    Ok(measured
         .into_iter()
-        .zip(resolutions)
-        .enumerate()
-        .map(|(i, (outcome, resolution))| LeaseOutcome {
-            slot: lease.slots[i].slot,
+        .zip(slots)
+        .map(|((outcome, resolution), slot)| LeaseOutcome {
+            slot,
             outcome,
             resolution,
         })
@@ -1940,6 +1620,7 @@ mod tests {
                 &NoPeers,
                 Parallelism::default(),
                 &Obs::disabled(),
+                0,
             )
             .unwrap();
             assert_eq!(out.len(), part.len());
@@ -1995,8 +1676,8 @@ mod tests {
             slots,
         };
         let obs = Obs::metrics_only();
-        let out =
-            measure_leased_slots(&m, &lease, &store, &peers, Parallelism::default(), &obs).unwrap();
+        let out = measure_leased_slots(&m, &lease, &store, &peers, Parallelism::default(), &obs, 0)
+            .unwrap();
         assert!(out.iter().all(|o| o.resolution == LeaseResolution::PeerHit));
         assert!(out.iter().all(|o| o.outcome.attempts == 0));
         assert_eq!(obs.metrics().counter("fleet_slot_evals_total"), 0);

@@ -49,6 +49,7 @@
 pub mod assignment;
 pub mod fault;
 pub mod iterative;
+mod measure;
 pub mod model;
 pub mod persist;
 pub mod probability;

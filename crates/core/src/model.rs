@@ -142,13 +142,6 @@ pub trait PerformanceModel {
         assignments.iter().map(|a| self.evaluate(a)).collect()
     }
 
-    /// Fallible [`PerformanceModel::evaluate_batch`]: per-slot results,
-    /// bit-identical (values *and* errors) to calling
-    /// [`PerformanceModel::try_evaluate`] per assignment in order.
-    fn try_evaluate_batch(&self, assignments: &[Assignment]) -> Vec<Result<f64, MeasureError>> {
-        assignments.iter().map(|a| self.try_evaluate(a)).collect()
-    }
-
     /// Keyed fallible batch evaluation: slot `i` is evaluated under key
     /// `keys[i] = (stream, attempt)`, bit-identical to calling
     /// [`PerformanceModel::try_evaluate_at`] per slot in order. Because
@@ -265,22 +258,6 @@ impl PerformanceModel for SimModel {
             .collect()
     }
 
-    fn try_evaluate_batch(&self, assignments: &[Assignment]) -> Vec<Result<f64, MeasureError>> {
-        // The scalar `try_evaluate` wraps `evaluate`, which panics on an
-        // incompatible assignment — so the batched path must too, and the
-        // only per-slot error left is a non-finite reading.
-        self.evaluate_batch(assignments)
-            .into_iter()
-            .map(|v| {
-                if v.is_finite() {
-                    Ok(v)
-                } else {
-                    Err(MeasureError::NonFinite(v))
-                }
-            })
-            .collect()
-    }
-
     fn try_evaluate_batch_at(
         &self,
         assignments: &[Assignment],
@@ -292,8 +269,55 @@ impl PerformanceModel for SimModel {
             "one (stream, attempt) key per assignment"
         );
         // Deterministic model: the key is irrelevant, as in
-        // `try_evaluate_at`'s default.
-        self.try_evaluate_batch(assignments)
+        // `try_evaluate_at`'s default. The scalar `try_evaluate` wraps
+        // `evaluate`, which panics on an incompatible assignment — so the
+        // batched path does too, and the only per-slot error left is a
+        // non-finite reading.
+        self.evaluate_batch(assignments)
+            .into_iter()
+            .map(|v| {
+                if v.is_finite() {
+                    Ok(v)
+                } else {
+                    Err(MeasureError::NonFinite(v))
+                }
+            })
+            .collect()
+    }
+}
+
+/// The scalar reference of any model: forwards only the scalar trait
+/// methods, so the trait's scalar-loop batch defaults run instead of the
+/// wrapped model's batched overrides. Batch parity tests and benches
+/// compare a model against `Unbatched(model)`; by the batch contract the
+/// two are bit-identical at every batch size.
+#[derive(Debug, Clone)]
+pub struct Unbatched<M>(pub M);
+
+impl<M: PerformanceModel> PerformanceModel for Unbatched<M> {
+    fn tasks(&self) -> usize {
+        self.0.tasks()
+    }
+
+    fn topology(&self) -> Topology {
+        self.0.topology()
+    }
+
+    fn evaluate(&self, assignment: &Assignment) -> f64 {
+        self.0.evaluate(assignment)
+    }
+
+    fn try_evaluate(&self, assignment: &Assignment) -> Result<f64, MeasureError> {
+        self.0.try_evaluate(assignment)
+    }
+
+    fn try_evaluate_at(
+        &self,
+        assignment: &Assignment,
+        stream: u64,
+        attempt: u32,
+    ) -> Result<f64, MeasureError> {
+        self.0.try_evaluate_at(assignment, stream, attempt)
     }
 }
 
@@ -628,6 +652,53 @@ mod tests {
         let a = random_assignment(3, model.topology(), &mut rng).unwrap();
         assert_eq!(model.evaluate(&a), model.evaluate(&a));
         assert!(model.evaluate(&a) > 0.0);
+    }
+
+    #[test]
+    fn unbatched_runs_the_scalar_defaults_not_the_overrides() {
+        /// A model whose batched overrides must never be reached.
+        struct BatchPanics(SyntheticModel);
+        impl PerformanceModel for BatchPanics {
+            fn tasks(&self) -> usize {
+                self.0.tasks()
+            }
+            fn topology(&self) -> Topology {
+                self.0.topology()
+            }
+            fn evaluate(&self, assignment: &Assignment) -> f64 {
+                self.0.evaluate(assignment)
+            }
+            fn evaluate_batch(&self, _: &[Assignment]) -> Vec<f64> {
+                panic!("batched override reached")
+            }
+            fn try_evaluate_batch_at(
+                &self,
+                _: &[Assignment],
+                _: &[(u64, u32)],
+            ) -> Vec<Result<f64, MeasureError>> {
+                panic!("keyed batched override reached")
+            }
+        }
+        let inner = SyntheticModel::new(Topology::ultrasparc_t2(), 5, 1.0e6);
+        let model = Unbatched(BatchPanics(inner.clone()));
+        let mut rng = optassign_stats::rng::StdRng::seed_from_u64(8);
+        let xs: Vec<Assignment> = (0..7)
+            .map(|_| random_assignment(5, model.topology(), &mut rng).unwrap())
+            .collect();
+        let scalar: Vec<u64> = xs.iter().map(|a| inner.evaluate(a).to_bits()).collect();
+        let batched: Vec<u64> = model
+            .evaluate_batch(&xs)
+            .into_iter()
+            .map(f64::to_bits)
+            .collect();
+        assert_eq!(batched, scalar);
+        let keys: Vec<(u64, u32)> = (0..7).map(|i| (i, 0)).collect();
+        let keyed: Vec<u64> = model
+            .try_evaluate_batch_at(&xs, &keys)
+            .into_iter()
+            .map(|r| r.unwrap().to_bits())
+            .collect();
+        assert_eq!(keyed, scalar);
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Campaign identity and record plumbing for the durable store.
 //!
-//! The `_persistent` entry points in [`crate::study`] and
+//! The store-taking entry points in [`crate::study`] and
 //! [`crate::iterative`] journal every measurement into an
 //! [`optassign_store::CampaignStore`] and resume interrupted campaigns by
 //! deterministic replay: the algorithm re-runs from its seed, and any
@@ -45,15 +45,15 @@ fn topology_parts(topo: Topology) -> [u64; 3] {
     ]
 }
 
-/// Campaign identity of [`crate::study::SampleStudy::run_persistent`].
+/// Campaign identity of a persistent [`crate::study::SampleStudy::run_with`].
 #[must_use]
 pub fn study_campaign_id(seed: u64, n: usize, tasks: usize, topo: Topology) -> u64 {
     let t = topology_parts(topo);
     fingerprint(&[STUDY_SALT, seed, n as u64, tasks as u64, t[0], t[1], t[2]])
 }
 
-/// Campaign identity of
-/// [`crate::study::SampleStudy::run_resilient_persistent`].
+/// Campaign identity of a persistent
+/// [`crate::study::SampleStudy::run_resilient_with`].
 #[must_use]
 pub fn resilient_campaign_id(
     seed: u64,

@@ -8,18 +8,16 @@
 //! re-measuring.
 
 use crate::assignment::Assignment;
+use crate::measure::{measure_slots, Journal, Ladder, Measure, NoPeers};
 use crate::model::{MeasureError, PerformanceModel};
 use crate::persist;
-use crate::sampling::{random_assignment, sample_assignments};
+use crate::sampling::sample_assignments;
 use crate::CoreError;
 use optassign_evt::pot::{PotAnalysis, PotConfig};
 use optassign_evt::resilient::{
     estimate_resilient, estimate_resilient_obs, EstimateReport, ResilientConfig,
 };
-use optassign_exec::{
-    parallel_map_batched, parallel_map_cached, parallel_map_obs, split_seed,
-    try_parallel_map_batched, try_parallel_map_cached, try_parallel_map_obs, Parallelism,
-};
+use optassign_exec::Parallelism;
 use optassign_obs::{Event, Obs};
 use optassign_stats::rng::StdRng;
 use optassign_store::CampaignStore;
@@ -60,6 +58,11 @@ pub struct SampleStudy {
     performances: Vec<f64>,
 }
 
+/// The slot ids `0..n` of a single-batch campaign.
+fn slot_ids(n: usize) -> Vec<u64> {
+    (0..n as u64).collect()
+}
+
 impl SampleStudy {
     /// Draws `n` iid random assignments (seeded) and measures each one.
     ///
@@ -84,57 +87,37 @@ impl SampleStudy {
         n: usize,
         seed: u64,
     ) -> Result<Self, CoreError> {
-        Self::run_with(model, n, seed, Parallelism::default())
+        Self::run_with(
+            model,
+            n,
+            seed,
+            Parallelism::default(),
+            &Obs::disabled(),
+            None,
+        )
     }
 
-    /// [`SampleStudy::run`] with an explicit worker count.
+    /// [`SampleStudy::run`] with an explicit worker count, observability,
+    /// and optionally a durable store.
     ///
     /// The assignments are drawn from the same sequential stream as the
     /// serial path and each slot's measurement is a pure function of its
     /// assignment, so the result is **bit-identical for every worker
-    /// count** — parallelism is purely a throughput knob.
+    /// count and batch size** — parallelism is purely a throughput knob.
+    /// The measurement fan-out reports per-task latency and worker
+    /// utilization through `obs` (see [`optassign_exec::parallel_map`]),
+    /// the campaign is bracketed by `study_start`/`study_done` events, and
+    /// the total measurement count lands in `study_measurements_total`.
+    /// Results are bit-identical to the unobserved run.
     ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError::Infeasible`] when the model's workload does not
-    /// fit its machine.
-    pub fn run_with<M: PerformanceModel + Sync>(
-        model: &M,
-        n: usize,
-        seed: u64,
-        parallelism: Parallelism,
-    ) -> Result<Self, CoreError> {
-        Self::run_with_obs(model, n, seed, parallelism, &Obs::disabled())
-    }
-
-    /// [`SampleStudy::run_with`] with observability: the measurement
-    /// fan-out reports per-task latency and worker utilization through
-    /// `obs` (see [`optassign_exec::parallel_map_obs`]), the campaign is
-    /// bracketed by `study_start`/`study_done` events, and the total
-    /// measurement count lands in `study_measurements_total`. Results
-    /// are bit-identical to the unobserved run.
-    ///
-    /// # Errors
-    ///
-    /// As [`SampleStudy::run_with`].
-    pub fn run_with_obs<M: PerformanceModel + Sync>(
-        model: &M,
-        n: usize,
-        seed: u64,
-        parallelism: Parallelism,
-        obs: &Obs,
-    ) -> Result<Self, CoreError> {
-        Self::run_study_impl(model, n, seed, parallelism, obs, None)
-    }
-
-    /// [`SampleStudy::run`] journaled through a durable
-    /// [`CampaignStore`]: every measurement is written to the store's
-    /// write-ahead log as it completes, and a study whose records are
-    /// already (partially) journaled — an interrupted run, or the same
-    /// call repeated — replays them instead of re-measuring. Slots with
-    /// no journal record consult the store's content-addressed
-    /// evaluation cache (keyed by [`Assignment::canonical_hash`]) before
-    /// evaluating the model.
+    /// With a `store`, every measurement is written to the store's
+    /// write-ahead log, and a study whose records are already (partially)
+    /// journaled — an interrupted run, or the same call repeated —
+    /// replays them instead of re-measuring. Slots with no journal record
+    /// consult the store's content-addressed evaluation cache (keyed by
+    /// [`Assignment::canonical_hash`]) before evaluating the model; hits
+    /// and misses land in `exec_cache_hits_total` /
+    /// `exec_cache_misses_total`.
     ///
     /// **Resume contract:** a run killed at any point and re-invoked with
     /// the same arguments produces the study an uninterrupted run would
@@ -148,47 +131,13 @@ impl SampleStudy {
     /// As [`SampleStudy::run`]. Store I/O failures never fail the study —
     /// they are counted on the store handle
     /// ([`CampaignStore::io_errors`]).
-    pub fn run_persistent<M: PerformanceModel + Sync>(
-        model: &M,
-        n: usize,
-        seed: u64,
-        store: &CampaignStore,
-    ) -> Result<Self, CoreError> {
-        Self::run_persistent_with_obs(
-            model,
-            n,
-            seed,
-            Parallelism::default(),
-            store,
-            &Obs::disabled(),
-        )
-    }
-
-    /// [`SampleStudy::run_persistent`] with an explicit worker count and
-    /// observability. Cache hits and misses land in the
-    /// `exec_cache_hits_total` / `exec_cache_misses_total` counters.
-    ///
-    /// # Errors
-    ///
-    /// As [`SampleStudy::run_persistent`].
-    pub fn run_persistent_with_obs<M: PerformanceModel + Sync>(
-        model: &M,
-        n: usize,
-        seed: u64,
-        parallelism: Parallelism,
-        store: &CampaignStore,
-        obs: &Obs,
-    ) -> Result<Self, CoreError> {
-        Self::run_study_impl(model, n, seed, parallelism, obs, Some(store))
-    }
-
-    fn run_study_impl<M: PerformanceModel + Sync>(
+    pub fn run_with<M: PerformanceModel + Sync>(
         model: &M,
         n: usize,
         seed: u64,
         parallelism: Parallelism,
         obs: &Obs,
-        persist: Option<&CampaignStore>,
+        store: Option<&CampaignStore>,
     ) -> Result<Self, CoreError> {
         let span = obs.span("study_run_ns");
         obs.emit(|| {
@@ -198,79 +147,27 @@ impl SampleStudy {
                 .with("workers", parallelism.workers)
         });
         let mut rng = StdRng::seed_from_u64(seed);
-        let assignments = sample_assignments(n, model.tasks(), model.topology(), &mut rng)?;
-        // Batched hot path: hand the engine ascending runs of slot
-        // indices so the model can amortize per-evaluation setup. The
-        // model's `evaluate_batch` contract (bit-identical to the scalar
-        // loop) plus the engine's order-fixed scatter make this
-        // invisible to every downstream bit; `batch == 0` keeps the
-        // legacy per-item path.
-        let evaluate_chunk = |idxs: &[usize]| -> Vec<f64> {
-            let chunk: Vec<Assignment> = idxs.iter().map(|&i| assignments[i].clone()).collect();
-            model.evaluate_batch(&chunk)
-        };
-        let performances = match persist {
-            None => {
-                if parallelism.batch == 0 {
-                    parallel_map_obs(parallelism, assignments.len(), obs, |i| {
-                        model.evaluate(&assignments[i])
-                    })
-                } else {
-                    parallel_map_batched(
-                        parallelism,
-                        vec![None; assignments.len()],
-                        obs,
-                        evaluate_chunk,
-                    )
-                }
-            }
-            Some(store) => {
-                let campaign = persist::study_campaign_id(seed, n, model.tasks(), model.topology());
-                // Resolve every slot before the parallel region: journal
-                // replay first, then the evaluation cache. All lookups
-                // precede all inserts (which happen at end_batch), so
-                // what a slot can see never depends on scheduling.
-                let keys: Vec<u64> = assignments.iter().map(Assignment::canonical_hash).collect();
-                let mut replayed = vec![false; assignments.len()];
-                let mut cache_hit = vec![false; assignments.len()];
-                let mut resolved: Vec<Option<f64>> = vec![None; assignments.len()];
-                for i in 0..assignments.len() {
-                    if let Some(rec) = store.lookup_slot(campaign, 0, i as u64) {
-                        resolved[i] = Some(rec.value);
-                        replayed[i] = true;
-                    } else if let Some(v) = store.cache_lookup(keys[i]) {
-                        resolved[i] = Some(v);
-                        cache_hit[i] = true;
-                    }
-                }
-                let performances = if parallelism.batch == 0 {
-                    parallel_map_cached(parallelism, resolved, obs, |i| {
-                        model.evaluate(&assignments[i])
-                    })
-                } else {
-                    parallel_map_batched(parallelism, resolved, obs, evaluate_chunk)
-                };
-                for (i, assignment) in assignments.iter().enumerate() {
-                    if replayed[i] {
-                        continue;
-                    }
-                    // A cache hit consumed no measurement attempt.
-                    let attempts = usize::from(!cache_hit[i]);
-                    store.append_measurement(&persist::slot_record(
-                        campaign,
-                        0,
-                        i,
-                        assignment,
-                        performances[i],
-                        attempts,
-                        0,
-                        0,
-                    ));
-                }
-                store.end_batch(campaign, 0, assignments.len() as u64);
-                performances
-            }
-        };
+        let primaries = sample_assignments(n, model.tasks(), model.topology(), &mut rng)?;
+        let journal = store.map(|store| Journal {
+            store,
+            campaign: persist::study_campaign_id(seed, n, model.tasks(), model.topology()),
+            sequence: 0,
+            width: n as u64,
+        });
+        let slots = measure_slots(
+            model,
+            &slot_ids(n),
+            &primaries,
+            journal,
+            &NoPeers,
+            Measure::Plain,
+            parallelism,
+            obs,
+        )?;
+        let (assignments, performances): (Vec<Assignment>, Vec<f64>) = slots
+            .into_iter()
+            .filter_map(|(slot, _)| slot.measured)
+            .unzip();
         obs.counter_add("study_measurements_total", performances.len() as u64);
         let study = SampleStudy {
             assignments,
@@ -311,10 +208,19 @@ impl SampleStudy {
         seed: u64,
         max_retries: usize,
     ) -> Result<(Self, MeasurementLog), CoreError> {
-        Self::run_resilient_with(model, n, seed, max_retries, Parallelism::default())
+        Self::run_resilient_with(
+            model,
+            n,
+            seed,
+            max_retries,
+            Parallelism::default(),
+            &Obs::disabled(),
+            None,
+        )
     }
 
-    /// [`SampleStudy::run_resilient`] with an explicit worker count.
+    /// [`SampleStudy::run_resilient`] with an explicit worker count,
+    /// observability, and optionally a durable store.
     ///
     /// The `n` primary assignments come from the same sequential stream
     /// as [`SampleStudy::run`] (so on a fault-free model the study is
@@ -325,49 +231,18 @@ impl SampleStudy {
     /// assignment come from a slot-private stream. No parallel state is
     /// shared, reductions ([`MeasurementLog`] sums, error selection) are
     /// order-fixed, and the result is **bit-identical for every worker
-    /// count**.
+    /// count and batch size**.
     ///
-    /// # Errors
+    /// Beyond the fan-out instrumentation of [`SampleStudy::run_with`],
+    /// the aggregated [`MeasurementLog`] is recorded as a
+    /// `measurement_log` event and accumulated into the
+    /// `study_attempts_total`, `study_retries_total`, and
+    /// `study_redrawn_total` counters; a campaign that rejects a
+    /// non-finite measurement at ingestion bumps `study_rejected_total`
+    /// and records a `measurement_rejected` event.
     ///
-    /// As [`SampleStudy::run_resilient`]; when several slots exhaust
-    /// their budgets, the smallest slot index's error is returned
-    /// regardless of worker count.
-    pub fn run_resilient_with<M: PerformanceModel + Sync>(
-        model: &M,
-        n: usize,
-        seed: u64,
-        max_retries: usize,
-        parallelism: Parallelism,
-    ) -> Result<(Self, MeasurementLog), CoreError> {
-        Self::run_resilient_with_obs(model, n, seed, max_retries, parallelism, &Obs::disabled())
-    }
-
-    /// [`SampleStudy::run_resilient_with`] with observability: beyond the
-    /// fan-out instrumentation of [`SampleStudy::run_with_obs`], the
-    /// aggregated [`MeasurementLog`] is recorded as a `measurement_log`
-    /// event and accumulated into the `study_attempts_total`,
-    /// `study_retries_total`, and `study_redrawn_total` counters; a
-    /// campaign that rejects a non-finite measurement at ingestion bumps
-    /// `study_rejected_total` and records a `measurement_rejected` event.
-    /// Results are bit-identical to the unobserved run.
-    ///
-    /// # Errors
-    ///
-    /// As [`SampleStudy::run_resilient_with`].
-    pub fn run_resilient_with_obs<M: PerformanceModel + Sync>(
-        model: &M,
-        n: usize,
-        seed: u64,
-        max_retries: usize,
-        parallelism: Parallelism,
-        obs: &Obs,
-    ) -> Result<(Self, MeasurementLog), CoreError> {
-        Self::run_resilient_impl(model, n, seed, max_retries, parallelism, obs, None)
-    }
-
-    /// [`SampleStudy::run_resilient`] journaled through a durable
-    /// [`CampaignStore`], with the same replay/resume semantics as
-    /// [`SampleStudy::run_persistent`]. The journal records each slot's
+    /// A `store` gives the same replay/resume semantics as
+    /// [`SampleStudy::run_with`]. The journal records each slot's
     /// attempt/retry/redraw bookkeeping, so a resumed campaign's
     /// [`MeasurementLog`] is bit-identical too. A slot resolved from the
     /// evaluation cache consumes **zero** attempts (it skips its fault
@@ -376,52 +251,17 @@ impl SampleStudy {
     ///
     /// # Errors
     ///
-    /// As [`SampleStudy::run_resilient`].
-    pub fn run_resilient_persistent<M: PerformanceModel + Sync>(
-        model: &M,
-        n: usize,
-        seed: u64,
-        max_retries: usize,
-        store: &CampaignStore,
-    ) -> Result<(Self, MeasurementLog), CoreError> {
-        Self::run_resilient_persistent_with_obs(
-            model,
-            n,
-            seed,
-            max_retries,
-            Parallelism::default(),
-            store,
-            &Obs::disabled(),
-        )
-    }
-
-    /// [`SampleStudy::run_resilient_persistent`] with an explicit worker
-    /// count and observability.
-    ///
-    /// # Errors
-    ///
-    /// As [`SampleStudy::run_resilient`].
-    pub fn run_resilient_persistent_with_obs<M: PerformanceModel + Sync>(
-        model: &M,
-        n: usize,
-        seed: u64,
-        max_retries: usize,
-        parallelism: Parallelism,
-        store: &CampaignStore,
-        obs: &Obs,
-    ) -> Result<(Self, MeasurementLog), CoreError> {
-        Self::run_resilient_impl(model, n, seed, max_retries, parallelism, obs, Some(store))
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn run_resilient_impl<M: PerformanceModel + Sync>(
+    /// As [`SampleStudy::run_resilient`]; when several slots exhaust
+    /// their budgets, the smallest slot index's error is returned
+    /// regardless of worker count, and nothing is journaled.
+    pub fn run_resilient_with<M: PerformanceModel + Sync>(
         model: &M,
         n: usize,
         seed: u64,
         max_retries: usize,
         parallelism: Parallelism,
         obs: &Obs,
-        persist: Option<&CampaignStore>,
+        store: Option<&CampaignStore>,
     ) -> Result<(Self, MeasurementLog), CoreError> {
         let span = obs.span("study_resilient_ns");
         obs.emit(|| {
@@ -437,121 +277,47 @@ impl SampleStudy {
         // Per-slot share of the legacy campaign budget
         // 4·n·(1+max_retries) attempts, floored at 64 campaign-wide.
         let per_slot_attempts = n.max(1) * (1 + max_retries);
-        let draw_cap = 4usize.max(64usize.div_ceil(per_slot_attempts));
-        // Batched hot path: the first attempt of every slot in a chunk
-        // is prefetched through the model's keyed batch entry point
-        // (amortizing per-evaluation setup), then each slot finishes its
-        // retry/redraw ladder on the scalar keyed path. The keyed
-        // contract makes the prefetch invisible: `(stream, attempt)`
-        // addresses the same outcome either way.
-        let measure_chunk = |idxs: &[usize]| -> Vec<Result<MeasuredSlot, CoreError>> {
-            let chunk: Vec<Assignment> = idxs.iter().map(|&i| primaries[i].clone()).collect();
-            let keys: Vec<(u64, u32)> = idxs
-                .iter()
-                .map(|&i| (split_seed(seed ^ MEASURE_SALT, i as u64), 0))
-                .collect();
-            let first = model.try_evaluate_batch_at(&chunk, &keys);
-            idxs.iter()
-                .zip(first)
-                .map(|(&i, f)| {
-                    measure_slot(
-                        model,
-                        &primaries[i],
-                        seed,
-                        i,
-                        max_retries,
-                        draw_cap,
-                        Some(f),
-                    )
-                })
-                .collect()
+        let ladder = Ladder {
+            stream_salt: seed ^ MEASURE_SALT,
+            redraw_salt: seed ^ REDRAW_SALT,
+            max_retries,
+            draw_cap: 4usize.max(64usize.div_ceil(per_slot_attempts)),
+            exhausted_is_error: true,
         };
-        let slots = match persist {
-            None => {
-                if parallelism.batch == 0 {
-                    try_parallel_map_obs(parallelism, n, obs, |i| {
-                        measure_slot(model, &primaries[i], seed, i, max_retries, draw_cap, None)
-                    })?
-                } else {
-                    let fresh: Vec<Option<MeasuredSlot>> = (0..n).map(|_| None).collect();
-                    try_parallel_map_batched(parallelism, fresh, obs, measure_chunk)?
-                }
-            }
-            Some(store) => {
-                let campaign = persist::resilient_campaign_id(
-                    seed,
-                    n,
-                    max_retries,
-                    model.tasks(),
-                    model.topology(),
-                );
-                let mut replayed = vec![false; n];
-                let mut resolved: Vec<Option<MeasuredSlot>> = Vec::with_capacity(n);
-                for (i, primary) in primaries.iter().enumerate() {
-                    let journaled = store.lookup_slot(campaign, 0, i as u64).and_then(|rec| {
-                        persist::assignment_from_record(&rec, model.topology()).map(|a| {
-                            MeasuredSlot {
-                                assignment: a,
-                                value: rec.value,
-                                attempts: rec.attempts as usize,
-                                retries: rec.retries as usize,
-                                redrawn: rec.redrawn as usize,
-                            }
-                        })
-                    });
-                    if journaled.is_some() {
-                        replayed[i] = true;
-                        resolved.push(journaled);
-                    } else if let Some(v) = store.cache_lookup(primary.canonical_hash()) {
-                        // Cache hit: the value is known, no attempt is
-                        // consumed and the fault stream is never touched.
-                        resolved.push(Some(MeasuredSlot {
-                            assignment: primary.clone(),
-                            value: v,
-                            attempts: 0,
-                            retries: 0,
-                            redrawn: 0,
-                        }));
-                    } else {
-                        resolved.push(None);
-                    }
-                }
-                let slots = if parallelism.batch == 0 {
-                    try_parallel_map_cached(parallelism, resolved, obs, |i| {
-                        measure_slot(model, &primaries[i], seed, i, max_retries, draw_cap, None)
-                    })?
-                } else {
-                    try_parallel_map_batched(parallelism, resolved, obs, measure_chunk)?
-                };
-                for (i, slot) in slots.iter().enumerate() {
-                    if replayed[i] {
-                        continue;
-                    }
-                    store.append_measurement(&persist::slot_record(
-                        campaign,
-                        0,
-                        i,
-                        &slot.assignment,
-                        slot.value,
-                        slot.attempts,
-                        slot.retries,
-                        slot.redrawn,
-                    ));
-                }
-                store.end_batch(campaign, 0, n as u64);
-                slots
-            }
-        };
+        let journal = store.map(|store| Journal {
+            store,
+            campaign: persist::resilient_campaign_id(
+                seed,
+                n,
+                max_retries,
+                model.tasks(),
+                model.topology(),
+            ),
+            sequence: 0,
+            width: n as u64,
+        });
+        let slots = measure_slots(
+            model,
+            &slot_ids(n),
+            &primaries,
+            journal,
+            &NoPeers,
+            Measure::Ladder(ladder),
+            parallelism,
+            obs,
+        )?;
 
         let mut log = MeasurementLog::default();
         let mut assignments = Vec::with_capacity(n);
         let mut performances = Vec::with_capacity(n);
-        for slot in slots {
+        for (slot, _) in slots {
             log.attempts += slot.attempts;
             log.retries += slot.retries;
             log.redrawn += slot.redrawn;
-            assignments.push(slot.assignment);
-            performances.push(slot.value);
+            if let Some((assignment, value)) = slot.measured {
+                assignments.push(assignment);
+                performances.push(value);
+            }
         }
         let study = match SampleStudy::from_measurements(assignments, performances) {
             Ok(study) => study,
@@ -761,82 +527,6 @@ impl SampleStudy {
     pub fn improvement_headroom(&self, config: &PotConfig) -> Result<f64, CoreError> {
         Ok(self.estimate_optimal(config)?.improvement_headroom())
     }
-}
-
-/// One completed measurement slot of a resilient campaign.
-struct MeasuredSlot {
-    assignment: Assignment,
-    value: f64,
-    attempts: usize,
-    retries: usize,
-    redrawn: usize,
-}
-
-/// Measures one slot of a resilient campaign: the primary assignment
-/// gets `1 + max_retries` attempts; an exhausted assignment is replaced
-/// from the slot's private redraw stream, up to `draw_cap` draws.
-/// Everything the slot does is keyed by `(seed, slot)` — independent of
-/// every other slot and of scheduling order.
-///
-/// `first`, when supplied, is the already-computed outcome of the
-/// slot's very first attempt (key 0 on the primary assignment) — the
-/// batched runners prefetch it through
-/// [`PerformanceModel::try_evaluate_batch_at`]. Because that attempt is
-/// keyed, the supplied value is exactly what the call here would have
-/// produced, and the bookkeeping (attempt counts, error selection) is
-/// unchanged.
-fn measure_slot<M: PerformanceModel>(
-    model: &M,
-    primary: &Assignment,
-    seed: u64,
-    slot: usize,
-    max_retries: usize,
-    draw_cap: usize,
-    first: Option<Result<f64, MeasureError>>,
-) -> Result<MeasuredSlot, CoreError> {
-    let stream = split_seed(seed ^ MEASURE_SALT, slot as u64);
-    let mut redraw_rng: Option<StdRng> = None;
-    let mut current = primary.clone();
-    let mut attempts = 0usize;
-    let mut retries = 0usize;
-    let mut last_err = MeasureError::Failed("no measurement attempted".into());
-    // Consumed by the first loop iteration (draw 0, attempt 0), which is
-    // precisely the attempt the prefetch covered.
-    let mut prefetched = first;
-    for draw in 0..draw_cap {
-        for attempt in 0..=max_retries {
-            attempts += 1;
-            let key = (draw * (max_retries + 1) + attempt) as u32;
-            let outcome = match prefetched.take() {
-                Some(r) => r,
-                None => model.try_evaluate_at(&current, stream, key),
-            };
-            match outcome {
-                Ok(v) => {
-                    retries += attempt;
-                    return Ok(MeasuredSlot {
-                        assignment: current,
-                        value: v,
-                        attempts,
-                        retries,
-                        // Every earlier draw was abandoned and redrawn.
-                        redrawn: draw,
-                    });
-                }
-                Err(e) => last_err = e,
-            }
-        }
-        if draw + 1 < draw_cap {
-            let r = redraw_rng.get_or_insert_with(|| {
-                StdRng::seed_from_u64(split_seed(seed ^ REDRAW_SALT, slot as u64))
-            });
-            current = random_assignment(model.tasks(), model.topology(), r)?;
-        }
-    }
-    Err(CoreError::Measurement(MeasureError::Failed(format!(
-        "slot {slot}: budget of {draw_cap} draws × {} attempts exhausted; last error: {last_err}",
-        max_retries + 1
-    ))))
 }
 
 #[cfg(test)]
@@ -1080,7 +770,7 @@ mod tests {
         let dir = store_dir("plain");
         // Zero jitter makes the model canonical-invariant, so
         // cross-campaign cache hits are exact (see the cache-key note on
-        // [`SampleStudy::run_persistent`]).
+        // [`SampleStudy::run_with`]).
         let mut m = model();
         m.jitter = 0.0;
         let plain = SampleStudy::run(&m, 80, 21).unwrap();
@@ -1089,25 +779,57 @@ mod tests {
             inner: &m,
             evals: AtomicUsize::new(0),
         };
-        let cold = SampleStudy::run_persistent(&counting, 80, 21, &store).unwrap();
+        let cold = SampleStudy::run_with(
+            &counting,
+            80,
+            21,
+            Parallelism::default(),
+            &Obs::disabled(),
+            Some(&store),
+        )
+        .unwrap();
         assert_eq!(cold.performances(), plain.performances());
         assert_eq!(counting.evals.load(Ordering::Relaxed), 80);
 
         // Same campaign on the same store: full replay, zero evaluations —
         // both on the live handle and on a fresh open.
-        let warm = SampleStudy::run_persistent(&counting, 80, 21, &store).unwrap();
+        let warm = SampleStudy::run_with(
+            &counting,
+            80,
+            21,
+            Parallelism::default(),
+            &Obs::disabled(),
+            Some(&store),
+        )
+        .unwrap();
         assert_eq!(warm.performances(), plain.performances());
         assert_eq!(counting.evals.load(Ordering::Relaxed), 80);
         drop(store);
         let reopened = CampaignStore::open(&dir).unwrap();
-        let resumed = SampleStudy::run_persistent(&counting, 80, 21, &reopened).unwrap();
+        let resumed = SampleStudy::run_with(
+            &counting,
+            80,
+            21,
+            Parallelism::default(),
+            &Obs::disabled(),
+            Some(&reopened),
+        )
+        .unwrap();
         assert_eq!(resumed.performances(), plain.performances());
         assert_eq!(counting.evals.load(Ordering::Relaxed), 80);
 
         // A different seed is a different campaign but shares the
         // evaluation cache: only assignments never seen before evaluate.
         let fresh_plain = SampleStudy::run(&m, 80, 22).unwrap();
-        let fresh = SampleStudy::run_persistent(&counting, 80, 22, &reopened).unwrap();
+        let fresh = SampleStudy::run_with(
+            &counting,
+            80,
+            22,
+            Parallelism::default(),
+            &Obs::disabled(),
+            Some(&reopened),
+        )
+        .unwrap();
         assert_eq!(fresh.performances(), fresh_plain.performances());
         assert!(counting.evals.load(Ordering::Relaxed) <= 160);
         std::fs::remove_dir_all(&dir).unwrap();
@@ -1121,8 +843,16 @@ mod tests {
         let (plain, plain_log) = SampleStudy::run_resilient(&m, 90, 29, 3).unwrap();
         let store = CampaignStore::open(&dir).unwrap();
         m.reset();
-        let (cold, cold_log) =
-            SampleStudy::run_resilient_persistent(&m, 90, 29, 3, &store).unwrap();
+        let (cold, cold_log) = SampleStudy::run_resilient_with(
+            &m,
+            90,
+            29,
+            3,
+            Parallelism::default(),
+            &Obs::disabled(),
+            Some(&store),
+        )
+        .unwrap();
         assert_eq!(cold.performances(), plain.performances());
         assert_eq!(cold.assignments(), plain.assignments());
         assert_eq!(cold_log, plain_log);
@@ -1131,8 +861,16 @@ mod tests {
         drop(store);
         let reopened = CampaignStore::open(&dir).unwrap();
         m.reset();
-        let (warm, warm_log) =
-            SampleStudy::run_resilient_persistent(&m, 90, 29, 3, &reopened).unwrap();
+        let (warm, warm_log) = SampleStudy::run_resilient_with(
+            &m,
+            90,
+            29,
+            3,
+            Parallelism::default(),
+            &Obs::disabled(),
+            Some(&reopened),
+        )
+        .unwrap();
         assert_eq!(warm.performances(), plain.performances());
         assert_eq!(warm.assignments(), plain.assignments());
         assert_eq!(warm_log, plain_log);
@@ -1142,9 +880,19 @@ mod tests {
     #[test]
     fn parallel_run_is_bit_identical_to_serial() {
         let m = model();
-        let serial = SampleStudy::run_with(&m, 200, 17, Parallelism::serial()).unwrap();
+        let serial =
+            SampleStudy::run_with(&m, 200, 17, Parallelism::serial(), &Obs::disabled(), None)
+                .unwrap();
         for workers in [2, 4, 7] {
-            let par = SampleStudy::run_with(&m, 200, 17, Parallelism::new(workers)).unwrap();
+            let par = SampleStudy::run_with(
+                &m,
+                200,
+                17,
+                Parallelism::new(workers),
+                &Obs::disabled(),
+                None,
+            )
+            .unwrap();
             assert_eq!(
                 par.performances(),
                 serial.performances(),
@@ -1162,12 +910,28 @@ mod tests {
         // worker count gets a freshly reset model, as a real experiment
         // would.
         let m = FaultyModel::new(model(), FaultPlan::harsh(23));
-        let (serial, serial_log) =
-            SampleStudy::run_resilient_with(&m, 150, 23, 3, Parallelism::serial()).unwrap();
+        let (serial, serial_log) = SampleStudy::run_resilient_with(
+            &m,
+            150,
+            23,
+            3,
+            Parallelism::serial(),
+            &Obs::disabled(),
+            None,
+        )
+        .unwrap();
         for workers in [2, 4, 7] {
             m.reset();
-            let (par, par_log) =
-                SampleStudy::run_resilient_with(&m, 150, 23, 3, Parallelism::new(workers)).unwrap();
+            let (par, par_log) = SampleStudy::run_resilient_with(
+                &m,
+                150,
+                23,
+                3,
+                Parallelism::new(workers),
+                &Obs::disabled(),
+                None,
+            )
+            .unwrap();
             assert_eq!(
                 par.performances(),
                 serial.performances(),
@@ -1184,9 +948,19 @@ mod tests {
         use std::sync::Arc;
 
         let m = model();
-        let plain = SampleStudy::run_with(&m, 120, 31, Parallelism::serial()).unwrap();
-        let (plain_res, plain_log) =
-            SampleStudy::run_resilient_with(&m, 120, 31, 2, Parallelism::serial()).unwrap();
+        let plain =
+            SampleStudy::run_with(&m, 120, 31, Parallelism::serial(), &Obs::disabled(), None)
+                .unwrap();
+        let (plain_res, plain_log) = SampleStudy::run_resilient_with(
+            &m,
+            120,
+            31,
+            2,
+            Parallelism::serial(),
+            &Obs::disabled(),
+            None,
+        )
+        .unwrap();
         for workers in [1, 4] {
             let recorder = Arc::new(MemoryRecorder::default());
             let obs = Obs::new(
@@ -1194,11 +968,11 @@ mod tests {
                 Box::new(Arc::new(FakeClock::new(0))),
             );
             let par = Parallelism::new(workers);
-            let observed = SampleStudy::run_with_obs(&m, 120, 31, par, &obs).unwrap();
+            let observed = SampleStudy::run_with(&m, 120, 31, par, &obs, None).unwrap();
             assert_eq!(observed.performances(), plain.performances());
 
             let (obs_res, obs_log) =
-                SampleStudy::run_resilient_with_obs(&m, 120, 31, 2, par, &obs).unwrap();
+                SampleStudy::run_resilient_with(&m, 120, 31, 2, par, &obs, None).unwrap();
             assert_eq!(obs_res.performances(), plain_res.performances());
             assert_eq!(obs_log, plain_log);
 
@@ -1219,18 +993,59 @@ mod tests {
             ..FaultPlan::none(1)
         };
         let m = FaultyModel::new(model(), plan);
-        let serial_err = match SampleStudy::run_resilient_with(&m, 30, 13, 2, Parallelism::serial())
-        {
+        let serial_err = match SampleStudy::run_resilient_with(
+            &m,
+            30,
+            13,
+            2,
+            Parallelism::serial(),
+            &Obs::disabled(),
+            None,
+        ) {
             Err(CoreError::Measurement(e)) => e,
             other => panic!("expected Measurement error, got {other:?}"),
         };
         for workers in [2, 4, 7] {
-            match SampleStudy::run_resilient_with(&m, 30, 13, 2, Parallelism::new(workers)) {
+            match SampleStudy::run_resilient_with(
+                &m,
+                30,
+                13,
+                2,
+                Parallelism::new(workers),
+                &Obs::disabled(),
+                None,
+            ) {
                 Err(CoreError::Measurement(e)) => {
                     assert_eq!(e, serial_err, "workers={workers}")
                 }
                 other => panic!("expected Measurement error, got {other:?}"),
             }
         }
+    }
+
+    #[test]
+    fn exhausted_persistent_resilient_run_journals_nothing() {
+        use crate::fault::{FaultPlan, FaultyModel};
+        // Most slots measure, a few exhaust every draw: the run fails on
+        // the smallest such slot, and not even the measured slots reach
+        // the journal.
+        let plan = FaultPlan {
+            fail_rate: 0.6,
+            ..FaultPlan::none(2)
+        };
+        let m = FaultyModel::new(model(), plan);
+        let par = Parallelism::new(2).with_batch(3);
+        let unstored = SampleStudy::run_resilient_with(&m, 20, 13, 0, par, &Obs::disabled(), None);
+        let dir = store_dir("exhausted");
+        let store = CampaignStore::open(&dir).unwrap();
+        let stored =
+            SampleStudy::run_resilient_with(&m, 20, 13, 0, par, &Obs::disabled(), Some(&store));
+        match (&unstored, &stored) {
+            (Err(CoreError::Measurement(a)), Err(CoreError::Measurement(b))) => assert_eq!(a, b),
+            other => panic!("expected two Measurement errors, got {other:?}"),
+        }
+        let campaign = persist::resilient_campaign_id(13, 20, 0, m.tasks(), m.topology());
+        assert!((0..20).all(|slot| store.lookup_slot(campaign, 0, slot).is_none()));
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 }

@@ -7,11 +7,12 @@
 //! throughput knob, never an observable.
 
 use optassign::fault::{FaultPlan, FaultyModel};
-use optassign::model::{MeasureError, PerformanceModel, SimModel, SyntheticModel};
+use optassign::model::{MeasureError, PerformanceModel, SimModel, SyntheticModel, Unbatched};
 use optassign::sampling::sample_assignments;
 use optassign::study::SampleStudy;
 use optassign::{Assignment, Parallelism, Topology};
 use optassign_netapps::Benchmark;
+use optassign_obs::Obs;
 use optassign_sim::MachineConfig;
 use optassign_stats::rng::{Rng, StdRng};
 
@@ -122,10 +123,12 @@ fn try_batch_carries_nan_slots_exactly_like_scalar() {
                 scalar.iter().any(Result::is_err),
                 "seed={seed}: the NaN pocking must hit at least one slot"
             );
+            let keys: Vec<(u64, u32)> = (0..assignments.len() as u64).map(|i| (i, 0)).collect();
             for batch in BATCH_SIZES {
                 let batched: Vec<_> = assignments
                     .chunks(batch)
-                    .flat_map(|c| model.try_evaluate_batch(c))
+                    .zip(keys.chunks(batch))
+                    .flat_map(|(ac, kc)| model.try_evaluate_batch_at(ac, kc))
                     .map(|r| canon(&r))
                     .collect();
                 assert_eq!(batched, scalar, "seed={seed} tasks={tasks} batch={batch}");
@@ -174,15 +177,22 @@ fn keyed_try_batch_matches_scalar_with_injected_faults() {
 
 #[test]
 fn studies_are_bit_identical_at_every_batch_size_and_worker_count() {
-    // End to end: the plain and resilient studies, scalar path (batch 0)
-    // versus every batch size, at 1 and 4 workers.
+    // End to end: the plain and resilient studies, scalar reference
+    // (the unbatched model) versus every batch size, at 1 and 4 workers.
     let model = SyntheticModel::new(Topology::ultrasparc_t2(), 7, 1.2e6);
-    let scalar =
-        SampleStudy::run_with(&model, 90, 19, Parallelism::serial().with_batch(0)).unwrap();
+    let scalar = SampleStudy::run_with(
+        &Unbatched(model.clone()),
+        90,
+        19,
+        Parallelism::serial(),
+        &Obs::disabled(),
+        None,
+    )
+    .unwrap();
     for workers in [1usize, 4] {
         for batch in BATCH_SIZES {
             let par = Parallelism::new(workers).with_batch(batch);
-            let study = SampleStudy::run_with(&model, 90, 19, par).unwrap();
+            let study = SampleStudy::run_with(&model, 90, 19, par, &Obs::disabled(), None).unwrap();
             assert_eq!(
                 study.performances(),
                 scalar.performances(),
@@ -198,13 +208,22 @@ fn studies_are_bit_identical_at_every_batch_size_and_worker_count() {
             FaultPlan::harsh(29),
         )
     };
-    let (scalar_study, scalar_log) =
-        SampleStudy::run_resilient_with(&build(), 90, 23, 3, Parallelism::serial().with_batch(0))
-            .unwrap();
+    let (scalar_study, scalar_log) = SampleStudy::run_resilient_with(
+        &Unbatched(build()),
+        90,
+        23,
+        3,
+        Parallelism::serial(),
+        &Obs::disabled(),
+        None,
+    )
+    .unwrap();
     for workers in [1usize, 4] {
         for batch in BATCH_SIZES {
             let par = Parallelism::new(workers).with_batch(batch);
-            let (study, log) = SampleStudy::run_resilient_with(&build(), 90, 23, 3, par).unwrap();
+            let (study, log) =
+                SampleStudy::run_resilient_with(&build(), 90, 23, 3, par, &Obs::disabled(), None)
+                    .unwrap();
             assert_eq!(
                 study.performances(),
                 scalar_study.performances(),

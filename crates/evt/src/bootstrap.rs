@@ -11,6 +11,7 @@
 
 use crate::EvtError;
 use optassign_exec::{parallel_map, split_seed, Parallelism};
+use optassign_obs::Obs;
 use optassign_stats::rng::Rng;
 
 /// Result of bootstrapping the sample maximum.
@@ -87,7 +88,7 @@ pub fn bootstrap_max_with(
         return Err(EvtError::Domain("replicates must be non-zero"));
     }
     let n = sample.len();
-    let mut maxima = parallel_map(parallelism, replicates, |r| {
+    let mut maxima = parallel_map(parallelism, replicates, &Obs::disabled(), |r| {
         let mut rng = optassign_stats::rng::StdRng::seed_from_u64(split_seed(seed, r as u64));
         let mut m = f64::NEG_INFINITY;
         for _ in 0..n {

@@ -18,8 +18,12 @@
 //!    slot for its index; nothing is appended in completion order.
 //! 3. **Order-fixed reduction** — results (and errors) are folded in
 //!    index order after the parallel region, never as workers finish.
-//!    [`try_parallel_map`] always reports the error of the *smallest*
-//!    failing index.
+//!    [`try_parallel_map_batched`] always reports the error of the
+//!    *smallest* failing index.
+//!
+//! There are two maps: [`parallel_map`], the per-index engine, and
+//! [`try_parallel_map_batched`], the one fallible, cache-aware, batched
+//! map built on it.
 //!
 //! The engine is dependency-free beyond the workspace's observability
 //! crate (`std::thread::scope` only) and the `workers == 1` path is a
@@ -27,10 +31,9 @@
 //!
 //! ## Observability
 //!
-//! [`parallel_map_obs`] and [`try_parallel_map_obs`] accept an
-//! [`Obs`] handle and report per-task latency, queue occupancy, and
-//! worker utilization. Instrumentation follows the crate's own rules:
-//! each worker accumulates into a thread-local
+//! Both maps take an [`Obs`] handle and report per-task latency, queue
+//! occupancy, and worker utilization. Instrumentation follows the
+//! crate's own rules: each worker accumulates into a thread-local
 //! [`MetricsRegistry`] (integer-valued, so totals are exact and
 //! commutative) and the locals merge in spawn order after the join —
 //! recording never touches task inputs or reduction order, so the
@@ -38,7 +41,6 @@
 
 use optassign_obs::{lane_span_id, Event, MetricsRegistry, Obs, SpanGuard, VALUE_BUCKETS};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 
 /// Derives an independent, reproducible RNG seed for one task index.
 ///
@@ -65,12 +67,11 @@ pub const fn split_seed(seed: u64, index: u64) -> u64 {
 pub struct Parallelism {
     /// Number of worker threads to use (at least 1).
     pub workers: usize,
-    /// Preferred chunk size for batched evaluation paths
-    /// ([`parallel_map_batched`]): how many items one `evaluate_batch`
-    /// call covers. `0` disables batching (callers fall back to their
-    /// per-item path). Like `workers`, this is purely a throughput knob —
-    /// every batched path in the workspace is bit-identical at every
-    /// batch size, including 0.
+    /// Chunk size of the batched map ([`try_parallel_map_batched`]):
+    /// how many items one `evaluate_batch` call covers (at least 1; 1 is
+    /// the scalar path). Like `workers`, this is purely a throughput knob
+    /// — every batched path in the workspace is bit-identical at every
+    /// batch size.
     pub batch: usize,
 }
 
@@ -80,7 +81,7 @@ impl Parallelism {
     pub const ENV_VAR: &'static str = "OPTASSIGN_WORKERS";
 
     /// Environment variable overriding the batch size in the non-const
-    /// constructors (`0` disables batching).
+    /// constructors (floored at 1, so `0` reads as 1).
     pub const BATCH_ENV_VAR: &'static str = "OPTASSIGN_BATCH";
 
     /// Default batch size: large enough to amortize per-batch setup
@@ -106,20 +107,21 @@ impl Parallelism {
         }
     }
 
-    /// Returns `self` with the given batch size (`0` disables batching).
+    /// Returns `self` with the given batch size (floored at 1).
     #[must_use]
     pub const fn with_batch(mut self, batch: usize) -> Self {
-        self.batch = batch;
+        self.batch = if batch == 0 { 1 } else { batch };
         self
     }
 
     /// Batch size requested through `OPTASSIGN_BATCH`, if set to a
-    /// non-negative integer (`0` disables batching).
+    /// non-negative integer (floored at 1).
     #[must_use]
     pub fn batch_from_env() -> Option<usize> {
         std::env::var(Self::BATCH_ENV_VAR)
             .ok()
-            .and_then(|raw| raw.trim().parse().ok())
+            .and_then(|raw| raw.trim().parse::<usize>().ok())
+            .map(|batch| batch.max(1))
     }
 
     /// Applies the `OPTASSIGN_BATCH` override, when present.
@@ -227,13 +229,6 @@ impl<'a> WorkerStats<'a> {
                 .observe_with("exec_queue_depth", remaining as u64, &VALUE_BUCKETS);
         }
     }
-
-    /// Counts one failed task.
-    fn task_error(&mut self) {
-        if self.obs.enabled() {
-            self.local.counter_add("exec_task_errors_total", 1);
-        }
-    }
 }
 
 /// Region-level summary: merges the worker-local registries in spawn
@@ -304,26 +299,15 @@ fn finish_region(
 /// a pure function of its index (draw randomness only from a stream
 /// derived via [`split_seed`]) for the bit-identical guarantee to hold.
 ///
-/// # Panics
-///
-/// Re-raises a panic from `f` on the calling thread.
-pub fn parallel_map<T, F>(par: Parallelism, n: usize, f: F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(usize) -> T + Sync,
-{
-    parallel_map_obs(par, n, &Obs::disabled(), f)
-}
-
-/// [`parallel_map`] with observability: per-task latency, queue
-/// occupancy, and worker utilization land in `obs`. The results are
-/// bit-identical to the unobserved call — instrumentation only reads
-/// the clock and appends to worker-local registries.
+/// Per-task latency, queue occupancy, and worker utilization land in
+/// `obs` under the region's `exec_region_ns` span; instrumentation only
+/// reads the clock and appends to worker-local registries, so the
+/// results are bit-identical with any recorder (or [`Obs::disabled`]).
 ///
 /// # Panics
 ///
 /// Re-raises a panic from `f` on the calling thread.
-pub fn parallel_map_obs<T, F>(par: Parallelism, n: usize, obs: &Obs, f: F) -> Vec<T>
+pub fn parallel_map<T, F>(par: Parallelism, n: usize, obs: &Obs, f: F) -> Vec<T>
 where
     T: Send,
     F: Fn(usize) -> T + Sync,
@@ -379,313 +363,26 @@ where
     collected.into_iter().map(|(_, v)| v).collect()
 }
 
-/// Fallible [`parallel_map`]: maps `f` over `0..n`, returning all
-/// results in index order, or the error produced at the **smallest
-/// failing index** — exactly what a sequential early-exit loop would
-/// return, for any worker count.
+/// The fallible, cache-aware, batched map: `resolved[i]` is `Some(v)`
+/// when slot `i` is already known (a durable-cache hit or a checkpoint
+/// replay) and `None` when it must be computed. The misses are handed to
+/// `f` in ascending runs of `par.batch` original indices (floored at 1,
+/// the scalar path) so the callee can amortize per-call setup across the
+/// run; `f` must return exactly one result per index, in order. With
+/// zero misses no parallel region is entered and `f` is never called.
+/// Infallible callers use [`std::convert::Infallible`] as `E`.
 ///
-/// Once some index has failed, workers skip indices above it (those
-/// results could never be observed), but every index below the current
-/// minimum failure is still evaluated, so the reported error is
-/// deterministic.
+/// Chunks are distributed over the workers by [`parallel_map`], and the
+/// output is in index order, exactly as if every slot had been computed
+/// fresh — bit-identical at every worker count and every batch size,
+/// provided `f` is pure per index. Hits, misses and chunks are counted
+/// (`exec_cache_hits_total`, `exec_cache_misses_total`,
+/// `exec_batches_total`).
 ///
-/// # Errors
-///
-/// Returns the error of the smallest index at which `f` failed.
-///
-/// # Panics
-///
-/// Re-raises a panic from `f` on the calling thread.
-pub fn try_parallel_map<T, E, F>(par: Parallelism, n: usize, f: F) -> Result<Vec<T>, E>
-where
-    T: Send,
-    E: Send,
-    F: Fn(usize) -> Result<T, E> + Sync,
-{
-    try_parallel_map_obs(par, n, &Obs::disabled(), f)
-}
-
-/// [`try_parallel_map`] with observability: per-task latency, queue
-/// occupancy, worker utilization, and failed-task counts land in `obs`.
-/// Results — including which error is reported — are bit-identical to
-/// the unobserved call.
-///
-/// # Errors
-///
-/// Returns the error of the smallest index at which `f` failed.
-///
-/// # Panics
-///
-/// Re-raises a panic from `f` on the calling thread.
-pub fn try_parallel_map_obs<T, E, F>(
-    par: Parallelism,
-    n: usize,
-    obs: &Obs,
-    f: F,
-) -> Result<Vec<T>, E>
-where
-    T: Send,
-    E: Send,
-    F: Fn(usize) -> Result<T, E> + Sync,
-{
-    let workers = par.workers.min(n.max(1));
-    let region = obs.span("exec_region_ns");
-    if workers <= 1 {
-        // Sequential early exit: first error wins, which is also the
-        // smallest-index error.
-        let mut stats = WorkerStats::new(obs);
-        let mut out = Vec::with_capacity(n);
-        for i in 0..n {
-            match stats.time(|| f(i)) {
-                Ok(value) => out.push(value),
-                Err(e) => {
-                    stats.task_error();
-                    finish_region(obs, region, n, 1, std::slice::from_ref(&stats));
-                    return Err(e);
-                }
-            }
-        }
-        finish_region(obs, region, n, 1, std::slice::from_ref(&stats));
-        return Ok(out);
-    }
-
-    let next = AtomicUsize::new(0);
-    // Smallest failing index seen so far; usize::MAX means "none yet".
-    let first_failure = AtomicUsize::new(usize::MAX);
-    let chunk = chunk_size(n, workers);
-    let mut oks: Vec<(usize, T)> = Vec::with_capacity(n);
-    let mut locals: Vec<WorkerStats> = Vec::with_capacity(workers);
-    let errs: Mutex<Vec<(usize, E)>> = Mutex::new(Vec::new());
-
-    std::thread::scope(|scope| {
-        let mut handles = Vec::with_capacity(workers);
-        for _ in 0..workers {
-            handles.push(scope.spawn(|| {
-                let mut stats = WorkerStats::new(obs);
-                let mut local: Vec<(usize, T)> = Vec::new();
-                loop {
-                    let start = next.fetch_add(chunk, Ordering::Relaxed);
-                    if start >= n {
-                        break;
-                    }
-                    stats.queue_depth(n - start);
-                    for i in start..(start + chunk).min(n) {
-                        // An index above the smallest known failure can
-                        // never be observed — skip it. Indices below it
-                        // must still run (one of them may fail at an
-                        // even smaller index).
-                        if i > first_failure.load(Ordering::Relaxed) {
-                            continue;
-                        }
-                        match stats.time(|| f(i)) {
-                            Ok(value) => local.push((i, value)),
-                            Err(e) => {
-                                stats.task_error();
-                                first_failure.fetch_min(i, Ordering::Relaxed);
-                                let mut guard = errs
-                                    .lock()
-                                    .unwrap_or_else(std::sync::PoisonError::into_inner);
-                                guard.push((i, e));
-                            }
-                        }
-                    }
-                }
-                (local, stats)
-            }));
-        }
-        for handle in handles {
-            match handle.join() {
-                Ok((local, stats)) => {
-                    oks.extend(local);
-                    locals.push(stats);
-                }
-                Err(payload) => std::panic::resume_unwind(payload),
-            }
-        }
-    });
-    finish_region(obs, region, n, workers, &locals);
-
-    let mut errors = errs
-        .into_inner()
-        .unwrap_or_else(std::sync::PoisonError::into_inner);
-    if let Some(min_idx) = errors.iter().map(|(i, _)| *i).min() {
-        // Order-fixed error reduction: the smallest failing index wins,
-        // matching the sequential path bit for bit.
-        if let Some(pos) = errors.iter().position(|(i, _)| *i == min_idx) {
-            return Err(errors.swap_remove(pos).1);
-        }
-    }
-
-    oks.sort_unstable_by_key(|(i, _)| *i);
-    debug_assert_eq!(oks.len(), n);
-    Ok(oks.into_iter().map(|(_, v)| v).collect())
-}
-
-/// Cache-aware [`parallel_map_obs`]: `resolved[i]` is `Some(v)` when
-/// slot `i` is already known (a durable-cache hit or a checkpoint
-/// replay), `None` when it must be computed. Only the misses run through
-/// the parallel engine — with zero misses no parallel region is entered
-/// and `f` is never called — and the output is in index order, exactly
-/// as if every slot had been computed fresh.
-///
-/// Hits and misses are counted (`exec_cache_hits_total` /
-/// `exec_cache_misses_total`). Because miss indices ascend and the
-/// reduction is order-fixed, results are bit-identical at every worker
-/// count.
-///
-/// # Panics
-///
-/// Re-raises a panic from `f` on the calling thread.
-pub fn parallel_map_cached<T, F>(
-    par: Parallelism,
-    resolved: Vec<Option<T>>,
-    obs: &Obs,
-    f: F,
-) -> Vec<T>
-where
-    T: Send,
-    F: Fn(usize) -> T + Sync,
-{
-    let n = resolved.len();
-    let miss_idx: Vec<usize> = resolved
-        .iter()
-        .enumerate()
-        .filter(|(_, v)| v.is_none())
-        .map(|(i, _)| i)
-        .collect();
-    obs.counter_add("exec_cache_hits_total", (n - miss_idx.len()) as u64);
-    obs.counter_add("exec_cache_misses_total", miss_idx.len() as u64);
-    let mut slots = resolved;
-    if !miss_idx.is_empty() {
-        let computed = parallel_map_obs(par, miss_idx.len(), obs, |j| f(miss_idx[j]));
-        for (j, value) in computed.into_iter().enumerate() {
-            slots[miss_idx[j]] = Some(value);
-        }
-    }
-    let out: Vec<T> = slots.into_iter().flatten().collect();
-    debug_assert_eq!(out.len(), n);
-    out
-}
-
-/// Fallible [`parallel_map_cached`]: pre-resolved slots never fail, and
-/// the error reported for the misses is the one at the smallest failing
-/// *original* index (miss indices ascend, so the engine's
-/// smallest-failing-index contract carries over directly).
-///
-/// # Errors
-///
-/// Returns the error of the smallest original index at which `f` failed.
-///
-/// # Panics
-///
-/// Re-raises a panic from `f` on the calling thread.
-pub fn try_parallel_map_cached<T, E, F>(
-    par: Parallelism,
-    resolved: Vec<Option<T>>,
-    obs: &Obs,
-    f: F,
-) -> Result<Vec<T>, E>
-where
-    T: Send,
-    E: Send,
-    F: Fn(usize) -> Result<T, E> + Sync,
-{
-    let n = resolved.len();
-    let miss_idx: Vec<usize> = resolved
-        .iter()
-        .enumerate()
-        .filter(|(_, v)| v.is_none())
-        .map(|(i, _)| i)
-        .collect();
-    obs.counter_add("exec_cache_hits_total", (n - miss_idx.len()) as u64);
-    obs.counter_add("exec_cache_misses_total", miss_idx.len() as u64);
-    let mut slots = resolved;
-    if !miss_idx.is_empty() {
-        let computed = try_parallel_map_obs(par, miss_idx.len(), obs, |j| f(miss_idx[j]))?;
-        for (j, value) in computed.into_iter().enumerate() {
-            slots[miss_idx[j]] = Some(value);
-        }
-    }
-    let out: Vec<T> = slots.into_iter().flatten().collect();
-    debug_assert_eq!(out.len(), n);
-    Ok(out)
-}
-
-/// Splits ascending miss indices into runs of `par.batch` (floored at 1)
-/// for the batched engines below.
-fn batch_chunks(par: Parallelism, miss_idx: &[usize]) -> Vec<Vec<usize>> {
-    let size = par.batch.max(1);
-    miss_idx.chunks(size).map(<[usize]>::to_vec).collect()
-}
-
-/// Batched [`parallel_map_cached`]: identical cache-key semantics
-/// (`resolved[i]` is `Some` for a hit, `None` for a miss; hits and
-/// misses feed the same `exec_cache_hits_total` /
-/// `exec_cache_misses_total` counters), but the misses are handed to `f`
-/// in ascending runs of `par.batch` indices at a time so the callee can
-/// amortize per-call setup across the run.
-///
-/// `f` receives a slice of original indices and must return exactly one
-/// value per index, in order. Chunks are distributed over the workers by
-/// the same split-seed deterministic engine as [`parallel_map_obs`], so
-/// results are bit-identical at every worker count and every batch size
-/// — provided `f` itself is pure per index, which is the whole contract.
-///
-/// # Panics
-///
-/// Re-raises a panic from `f` on the calling thread, and panics if `f`
-/// returns a vector of the wrong length.
-pub fn parallel_map_batched<T, F>(
-    par: Parallelism,
-    resolved: Vec<Option<T>>,
-    obs: &Obs,
-    f: F,
-) -> Vec<T>
-where
-    T: Send,
-    F: Fn(&[usize]) -> Vec<T> + Sync,
-{
-    let n = resolved.len();
-    let miss_idx: Vec<usize> = resolved
-        .iter()
-        .enumerate()
-        .filter(|(_, v)| v.is_none())
-        .map(|(i, _)| i)
-        .collect();
-    obs.counter_add("exec_cache_hits_total", (n - miss_idx.len()) as u64);
-    obs.counter_add("exec_cache_misses_total", miss_idx.len() as u64);
-    let mut slots = resolved;
-    if !miss_idx.is_empty() {
-        let chunks = batch_chunks(par, &miss_idx);
-        obs.counter_add("exec_batches_total", chunks.len() as u64);
-        let computed = parallel_map_obs(par, chunks.len(), obs, |c| {
-            let out = f(&chunks[c]);
-            assert_eq!(
-                out.len(),
-                chunks[c].len(),
-                "batch fn must return one value per index"
-            );
-            out
-        });
-        for (chunk, values) in chunks.iter().zip(computed) {
-            for (&i, value) in chunk.iter().zip(values) {
-                slots[i] = Some(value);
-            }
-        }
-    }
-    let out: Vec<T> = slots.into_iter().flatten().collect();
-    debug_assert_eq!(out.len(), n);
-    out
-}
-
-/// Fallible [`parallel_map_batched`]: `f` returns a per-index
-/// `Result`, and the call reports the error at the smallest failing
-/// *original* index — the same contract as [`try_parallel_map_cached`].
-///
-/// Unlike the per-item engine this cannot skip work past the first
-/// failure (a chunk is an indivisible unit for `f`), so on the failure
-/// path it may compute more than the scalar engine would — but the
-/// returned error, and the success-path output, are identical.
+/// Errors are reduced in a fixed order: the call reports the error at
+/// the **smallest failing original index**, for any worker count and
+/// batch size. A chunk is an indivisible unit for `f`, so there is no
+/// early exit — every chunk runs even after a failure.
 ///
 /// # Errors
 ///
@@ -717,10 +414,10 @@ where
     obs.counter_add("exec_cache_misses_total", miss_idx.len() as u64);
     let mut slots = resolved;
     if !miss_idx.is_empty() {
-        let chunks = batch_chunks(par, &miss_idx);
+        let chunks: Vec<&[usize]> = miss_idx.chunks(par.batch.max(1)).collect();
         obs.counter_add("exec_batches_total", chunks.len() as u64);
-        let computed = parallel_map_obs(par, chunks.len(), obs, |c| {
-            let out = f(&chunks[c]);
+        let computed = parallel_map(par, chunks.len(), obs, |c| {
+            let out = f(chunks[c]);
             assert_eq!(
                 out.len(),
                 chunks[c].len(),
@@ -745,6 +442,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::convert::Infallible;
 
     #[test]
     fn split_seed_separates_indices() {
@@ -779,7 +477,7 @@ mod tests {
         let f = |i: usize| (i as u64).wrapping_mul(0x9E37_79B9).rotate_left(7);
         let serial: Vec<u64> = (0..257).map(f).collect();
         for workers in [1, 2, 3, 4, 7, 16] {
-            let par = parallel_map(Parallelism::new(workers), 257, f);
+            let par = parallel_map(Parallelism::new(workers), 257, &Obs::disabled(), f);
             assert_eq!(par, serial, "workers={workers}");
         }
     }
@@ -787,32 +485,8 @@ mod tests {
     #[test]
     fn parallel_map_handles_empty_and_tiny_inputs() {
         for n in [0usize, 1, 2] {
-            let out = parallel_map(Parallelism::new(8), n, |i| i * 2);
+            let out = parallel_map(Parallelism::new(8), n, &Obs::disabled(), |i| i * 2);
             assert_eq!(out, (0..n).map(|i| i * 2).collect::<Vec<_>>());
-        }
-    }
-
-    #[test]
-    fn try_parallel_map_returns_smallest_failing_index() {
-        let f = |i: usize| -> Result<usize, String> {
-            if i == 5 || i == 199 {
-                Err(format!("boom at {i}"))
-            } else {
-                Ok(i)
-            }
-        };
-        for workers in [1, 2, 4, 7] {
-            let err = try_parallel_map(Parallelism::new(workers), 256, f).expect_err("must fail");
-            assert_eq!(err, "boom at 5", "workers={workers}");
-        }
-    }
-
-    #[test]
-    fn try_parallel_map_succeeds_in_index_order() {
-        let f = |i: usize| -> Result<usize, ()> { Ok(i * 3) };
-        let serial = try_parallel_map(Parallelism::serial(), 100, f);
-        for workers in [2, 4, 7] {
-            assert_eq!(try_parallel_map(Parallelism::new(workers), 100, f), serial);
         }
     }
 
@@ -820,14 +494,14 @@ mod tests {
     fn observed_map_is_bit_identical_and_counts_every_task() {
         use optassign_obs::{FakeClock, NullRecorder};
         let f = |i: usize| (i as u64).wrapping_mul(0xABCD).rotate_left(11);
-        let plain = parallel_map(Parallelism::serial(), 100, f);
+        let plain = parallel_map(Parallelism::serial(), 100, &Obs::disabled(), f);
         for workers in [1, 4] {
             let clock = std::sync::Arc::new(FakeClock::new(0));
             let obs = Obs::new(
                 Box::new(NullRecorder),
                 Box::new(std::sync::Arc::clone(&clock)),
             );
-            let observed = parallel_map_obs(Parallelism::new(workers), 100, &obs, |i| {
+            let observed = parallel_map(Parallelism::new(workers), 100, &obs, |i| {
                 clock.advance(10);
                 f(i)
             });
@@ -841,99 +515,39 @@ mod tests {
     }
 
     #[test]
-    fn observed_try_map_counts_errors_and_keeps_error_selection() {
+    fn observed_batched_map_keeps_error_selection() {
         use optassign_obs::{MonotonicClock, NullRecorder};
-        let f = |i: usize| -> Result<usize, String> {
-            if i == 9 {
-                Err("boom at 9".into())
-            } else {
-                Ok(i)
-            }
+        let f = |idxs: &[usize]| -> Vec<Result<usize, String>> {
+            idxs.iter()
+                .map(|&i| {
+                    if i == 9 {
+                        Err("boom at 9".into())
+                    } else {
+                        Ok(i)
+                    }
+                })
+                .collect()
         };
         for workers in [1, 4] {
             let obs = Obs::new(Box::new(NullRecorder), Box::new(MonotonicClock::new()));
-            let err = try_parallel_map_obs(Parallelism::new(workers), 64, &obs, f)
-                .expect_err("must fail");
+            let par = Parallelism::new(workers).with_batch(1);
+            let err =
+                try_parallel_map_batched(par, vec![None; 64], &obs, f).expect_err("must fail");
             assert_eq!(err, "boom at 9", "workers={workers}");
-            let snap = obs.metrics();
-            assert!(snap.counter("exec_task_errors_total") >= 1);
+            assert_eq!(obs.metrics().counter("exec_tasks_total"), 64);
         }
     }
 
     #[test]
     fn disabled_obs_map_records_nothing() {
         let obs = Obs::disabled();
-        let out = parallel_map_obs(Parallelism::new(4), 50, &obs, |i| i + 1);
+        let out = parallel_map(Parallelism::new(4), 50, &obs, |i| i + 1);
         assert_eq!(out.len(), 50);
         assert!(obs.metrics().is_empty());
     }
 
     #[test]
-    fn cached_map_matches_fresh_map_for_any_hit_pattern() {
-        let f = |i: usize| (i as u64).wrapping_mul(0x517C_C1B7).rotate_left(13);
-        let fresh: Vec<u64> = (0..100).map(f).collect();
-        for workers in [1, 4] {
-            for pattern in 0..4u64 {
-                // Pre-resolve a deterministic, pattern-dependent subset.
-                let resolved: Vec<Option<u64>> = (0..100)
-                    .map(|i| {
-                        split_seed(pattern, i as u64)
-                            .is_multiple_of(3)
-                            .then(|| f(i))
-                    })
-                    .collect();
-                let obs = Obs::metrics_only();
-                let out = parallel_map_cached(Parallelism::new(workers), resolved, &obs, f);
-                assert_eq!(out, fresh, "workers={workers} pattern={pattern}");
-                let snap = obs.metrics();
-                assert_eq!(
-                    snap.counter("exec_cache_hits_total") + snap.counter("exec_cache_misses_total"),
-                    100
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn fully_resolved_cached_map_never_calls_f() {
-        let resolved: Vec<Option<usize>> = (0..50).map(Some).collect();
-        let obs = Obs::metrics_only();
-        let out = parallel_map_cached(Parallelism::new(4), resolved, &obs, |_| {
-            panic!("no slot should be computed")
-        });
-        assert_eq!(out, (0..50).collect::<Vec<_>>());
-        let snap = obs.metrics();
-        assert_eq!(snap.counter("exec_cache_hits_total"), 50);
-        assert_eq!(snap.counter("exec_cache_misses_total"), 0);
-        assert_eq!(snap.counter("exec_regions_total"), 0);
-    }
-
-    #[test]
-    fn try_cached_map_reports_smallest_failing_original_index() {
-        let f = |i: usize| -> Result<usize, String> {
-            if i == 30 || i == 70 {
-                Err(format!("boom at {i}"))
-            } else {
-                Ok(i)
-            }
-        };
-        for workers in [1, 4] {
-            // Slot 30 pre-resolved: only 70 can fail now.
-            let resolved: Vec<Option<usize>> = (0..100).map(|i| (i == 30).then_some(i)).collect();
-            let err =
-                try_parallel_map_cached(Parallelism::new(workers), resolved, &Obs::disabled(), f)
-                    .expect_err("must fail");
-            assert_eq!(err, "boom at 70", "workers={workers}");
-            // Nothing pre-resolved: 30 wins.
-            let none: Vec<Option<usize>> = vec![None; 100];
-            let err = try_parallel_map_cached(Parallelism::new(workers), none, &Obs::disabled(), f)
-                .expect_err("must fail");
-            assert_eq!(err, "boom at 30", "workers={workers}");
-        }
-    }
-
-    #[test]
-    fn batched_map_matches_cached_at_every_batch_size_and_worker_count() {
+    fn batched_map_matches_fresh_map_at_every_batch_size_and_worker_count() {
         let f = |i: usize| (i as u64).wrapping_mul(0x517C_C1B7).rotate_left(11);
         let fresh: Vec<u64> = (0..203).map(f).collect();
         for workers in [1, 2, 4, 7] {
@@ -945,11 +559,11 @@ mod tests {
                     .collect();
                 let obs = Obs::metrics_only();
                 let par = Parallelism::new(workers).with_batch(batch);
-                let out = parallel_map_batched(par, resolved, &obs, |idxs| {
+                let out = try_parallel_map_batched(par, resolved, &obs, |idxs| {
                     assert!(idxs.len() <= batch, "chunk larger than batch size");
-                    idxs.iter().map(|&i| f(i)).collect()
+                    idxs.iter().map(|&i| Ok::<_, Infallible>(f(i))).collect()
                 });
-                assert_eq!(out, fresh, "workers={workers} batch={batch}");
+                assert_eq!(out, Ok(fresh.clone()), "workers={workers} batch={batch}");
                 let snap = obs.metrics();
                 assert_eq!(
                     snap.counter("exec_cache_hits_total") + snap.counter("exec_cache_misses_total"),
@@ -967,13 +581,15 @@ mod tests {
     fn fully_resolved_batched_map_never_calls_f() {
         let resolved: Vec<Option<usize>> = (0..50).map(Some).collect();
         let obs = Obs::metrics_only();
-        let out = parallel_map_batched(Parallelism::new(4), resolved, &obs, |_| {
+        let out = try_parallel_map_batched(Parallelism::new(4), resolved, &obs, |_| {
             panic!("no chunk should be computed")
         });
-        assert_eq!(out, (0..50).collect::<Vec<_>>());
+        assert_eq!(out, Ok::<_, Infallible>((0..50).collect::<Vec<_>>()));
         let snap = obs.metrics();
         assert_eq!(snap.counter("exec_cache_hits_total"), 50);
+        assert_eq!(snap.counter("exec_cache_misses_total"), 0);
         assert_eq!(snap.counter("exec_batches_total"), 0);
+        assert_eq!(snap.counter("exec_regions_total"), 0);
     }
 
     #[test]
@@ -987,7 +603,7 @@ mod tests {
         };
         let chunked =
             |idxs: &[usize]| -> Vec<Result<usize, String>> { idxs.iter().map(|&i| f(i)).collect() };
-        for workers in [1, 4] {
+        for workers in [1, 2, 4, 7] {
             for batch in [1, 3, 16, 1000] {
                 let par = Parallelism::new(workers).with_batch(batch);
                 // Slot 30 pre-resolved: only 70 can fail now.
@@ -1016,7 +632,7 @@ mod tests {
     fn batch_knob_constructors_and_env() {
         assert_eq!(Parallelism::serial().batch, Parallelism::DEFAULT_BATCH);
         assert_eq!(Parallelism::new(3).batch, Parallelism::DEFAULT_BATCH);
-        assert_eq!(Parallelism::new(3).with_batch(0).batch, 0);
+        assert_eq!(Parallelism::new(3).with_batch(0).batch, 1);
         assert_eq!(Parallelism::new(3).with_batch(7).batch, 7);
     }
 
@@ -1033,9 +649,10 @@ mod tests {
             }
             vals
         };
-        let serial = parallel_map(Parallelism::serial(), 64, gen);
+        let serial = parallel_map(Parallelism::serial(), 64, &Obs::disabled(), gen);
         for workers in [2, 4, 7] {
-            assert_eq!(parallel_map(Parallelism::new(workers), 64, gen), serial);
+            let par = parallel_map(Parallelism::new(workers), 64, &Obs::disabled(), gen);
+            assert_eq!(par, serial);
         }
     }
 }

@@ -20,7 +20,7 @@
 //! journal it was leased — the property the coordinator's merge turns
 //! into a bit-identical resume point.
 
-use optassign::iterative::{measure_leased_slots_traced, PeerCache};
+use optassign::iterative::{measure_leased_slots, PeerCache};
 use optassign::persist::{iterative_campaign_id, CampaignStore};
 use optassign::{Parallelism, PerformanceModel};
 use optassign_httpd::{HttpConfig, HttpServer, Request, Response};
@@ -371,7 +371,7 @@ fn serve_lease(state: &WorkerState, req: &Request) -> Response {
             .lock()
             .unwrap_or_else(PoisonError::into_inner) = Some(ctx.child(remote_parent));
     }
-    let measured = measure_leased_slots_traced(
+    let measured = measure_leased_slots(
         model.as_ref(),
         &lease,
         &state.store,

@@ -3,7 +3,7 @@
 //! One accept thread over `std::net::TcpListener`, one connection at a
 //! time, `Connection: close` on every response — deliberately the
 //! smallest server that `curl`, Prometheus scrapers, and a browser can
-//! talk to. The telemetry endpoint ([`optassign-telemetry`]) and the
+//! talk to. The telemetry endpoint (`optassign-telemetry`) and the
 //! online assignment daemon (`optassign-optd`) both route through this
 //! core; they differ only in their [`Handler`] and [`HttpConfig`].
 //!
@@ -13,7 +13,7 @@
 //! * request lines above [`MAX_REQUEST_LINE_BYTES`] are answered `431`
 //!   (after draining in-flight bytes so the response survives the close);
 //! * a connection that cannot finish its request head within
-//!   [`CONNECTION_DEADLINE`] is answered `408` — per-read timeouts shrink
+//!   a 5 s deadline is answered `408` — per-read timeouts shrink
 //!   toward the deadline, so a drip-feeding client cannot extend its stay;
 //! * methods outside [`HttpConfig::allowed_methods`] are answered `405`;
 //! * request bodies are read only up to a declared `Content-Length`,

@@ -318,7 +318,7 @@ impl DaemonHandle {
     /// # Errors
     ///
     /// [`SubmitError::Invalid`] for semantically bad specs,
-    /// [`SubmitError::Io`] when the campaign directory cannot be set up.
+    /// [`SubmitError::Storage`] when the campaign directory cannot be set up.
     /// An infeasible SLO under a `reject` policy is *not* an error — it
     /// returns [`SubmitOutcome::Rejected`] with the admission math.
     pub fn submit(&self, spec: &CampaignSpec) -> Result<SubmitOutcome, SubmitError> {

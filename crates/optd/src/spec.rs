@@ -206,13 +206,6 @@ impl PerformanceModel for TenantModel {
         }
     }
 
-    fn try_evaluate_batch(&self, assignments: &[Assignment]) -> Vec<Result<f64, MeasureError>> {
-        match self {
-            TenantModel::Synthetic(m) => m.try_evaluate_batch(assignments),
-            TenantModel::Sim(m) => m.try_evaluate_batch(assignments),
-        }
-    }
-
     fn try_evaluate_batch_at(
         &self,
         assignments: &[Assignment],

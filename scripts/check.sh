@@ -28,6 +28,9 @@ done
 echo "==> cargo clippy --workspace --all-targets (deny warnings)"
 cargo clippy -q --workspace --all-targets -- -D warnings
 
+echo "==> cargo doc --workspace --no-deps (deny warnings)"
+RUSTDOCFLAGS="-D warnings" cargo doc -q --workspace --no-deps
+
 echo "==> cargo build --workspace"
 cargo build -q --workspace
 

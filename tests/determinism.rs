@@ -4,11 +4,12 @@
 
 use optassign::fault::{FaultPlan, FaultyModel};
 use optassign::iterative::{run_iterative, IterativeConfig};
-use optassign::model::{SimModel, SyntheticModel};
+use optassign::model::{SimModel, SyntheticModel, Unbatched};
 use optassign::study::SampleStudy;
 use optassign::{Parallelism, Topology};
 use optassign_evt::bootstrap::bootstrap_max_with;
 use optassign_netapps::Benchmark;
+use optassign_obs::Obs;
 use optassign_sim::MachineConfig;
 use optassign_stats::rng::Rng;
 
@@ -67,9 +68,25 @@ fn plain_study_is_bit_identical_across_worker_counts() {
     let machine = MachineConfig::ultrasparc_t2();
     let workload = Benchmark::IpFwdL1.build_workload(2, 9);
     let model = SimModel::new(machine, workload).with_windows(2_000, 8_000);
-    let serial = SampleStudy::run_with(&model, 60, 31, Parallelism::serial()).unwrap();
+    let serial = SampleStudy::run_with(
+        &model,
+        60,
+        31,
+        Parallelism::serial(),
+        &Obs::disabled(),
+        None,
+    )
+    .unwrap();
     for workers in WORKER_COUNTS {
-        let par = SampleStudy::run_with(&model, 60, 31, Parallelism::new(workers)).unwrap();
+        let par = SampleStudy::run_with(
+            &model,
+            60,
+            31,
+            Parallelism::new(workers),
+            &Obs::disabled(),
+            None,
+        )
+        .unwrap();
         assert_eq!(
             serial.performances(),
             par.performances(),
@@ -87,12 +104,27 @@ fn resilient_study_is_bit_identical_across_worker_counts() {
         // per-stream state, which reset() would also clear.
         FaultyModel::new(model, FaultPlan::harsh(41))
     };
-    let (s_study, s_log) =
-        SampleStudy::run_resilient_with(&build(), 120, 13, 3, Parallelism::serial()).unwrap();
+    let (s_study, s_log) = SampleStudy::run_resilient_with(
+        &build(),
+        120,
+        13,
+        3,
+        Parallelism::serial(),
+        &Obs::disabled(),
+        None,
+    )
+    .unwrap();
     for workers in WORKER_COUNTS {
-        let (study, log) =
-            SampleStudy::run_resilient_with(&build(), 120, 13, 3, Parallelism::new(workers))
-                .unwrap();
+        let (study, log) = SampleStudy::run_resilient_with(
+            &build(),
+            120,
+            13,
+            3,
+            Parallelism::new(workers),
+            &Obs::disabled(),
+            None,
+        )
+        .unwrap();
         assert_eq!(
             s_study.performances(),
             study.performances(),
@@ -153,13 +185,21 @@ fn plain_study_is_bit_identical_across_batch_sizes() {
     let machine = MachineConfig::ultrasparc_t2();
     let workload = Benchmark::IpFwdL1.build_workload(2, 9);
     let model = SimModel::new(machine, workload).with_windows(2_000, 8_000);
-    // Batch 0 disables batching entirely: the legacy scalar fan-out.
-    let scalar =
-        SampleStudy::run_with(&model, 60, 31, Parallelism::serial().with_batch(0)).unwrap();
+    // The unbatched model is the scalar reference: every evaluation runs
+    // through `SimModel::evaluate`.
+    let scalar = SampleStudy::run_with(
+        &Unbatched(model.clone()),
+        60,
+        31,
+        Parallelism::serial(),
+        &Obs::disabled(),
+        None,
+    )
+    .unwrap();
     for workers in [1usize, 4] {
         for batch in BATCH_SIZES {
             let par = Parallelism::new(workers).with_batch(batch);
-            let study = SampleStudy::run_with(&model, 60, 31, par).unwrap();
+            let study = SampleStudy::run_with(&model, 60, 31, par, &Obs::disabled(), None).unwrap();
             assert_eq!(
                 scalar.performances(),
                 study.performances(),
@@ -176,13 +216,22 @@ fn resilient_study_is_bit_identical_across_batch_sizes() {
         let model = SyntheticModel::new(Topology::ultrasparc_t2(), 8, 1.5e6);
         FaultyModel::new(model, FaultPlan::harsh(41))
     };
-    let (s_study, s_log) =
-        SampleStudy::run_resilient_with(&build(), 120, 13, 3, Parallelism::serial().with_batch(0))
-            .unwrap();
+    let (s_study, s_log) = SampleStudy::run_resilient_with(
+        &Unbatched(build()),
+        120,
+        13,
+        3,
+        Parallelism::serial(),
+        &Obs::disabled(),
+        None,
+    )
+    .unwrap();
     for workers in [1usize, 4] {
         for batch in BATCH_SIZES {
             let par = Parallelism::new(workers).with_batch(batch);
-            let (study, log) = SampleStudy::run_resilient_with(&build(), 120, 13, 3, par).unwrap();
+            let (study, log) =
+                SampleStudy::run_resilient_with(&build(), 120, 13, 3, par, &Obs::disabled(), None)
+                    .unwrap();
             assert_eq!(
                 s_study.performances(),
                 study.performances(),
@@ -196,24 +245,28 @@ fn resilient_study_is_bit_identical_across_batch_sizes() {
 
 #[test]
 fn iterative_algorithm_is_bit_identical_across_batch_sizes() {
-    let run = |par: Parallelism| {
-        let model = FaultyModel::new(
+    let model = || {
+        FaultyModel::new(
             SyntheticModel::new(Topology::ultrasparc_t2(), 6, 1.0e6),
             FaultPlan::light(77),
-        );
-        let cfg = IterativeConfig {
-            n_init: 300,
-            n_delta: 100,
-            acceptable_loss: 0.08,
-            parallelism: par,
-            ..IterativeConfig::default()
-        };
-        run_iterative(&model, &cfg, 21).unwrap()
+        )
     };
-    let scalar = run(Parallelism::serial().with_batch(0));
+    let cfg = |par: Parallelism| IterativeConfig {
+        n_init: 300,
+        n_delta: 100,
+        acceptable_loss: 0.08,
+        parallelism: par,
+        ..IterativeConfig::default()
+    };
+    let scalar = run_iterative(&Unbatched(model()), &cfg(Parallelism::serial()), 21).unwrap();
     for workers in [1usize, 4] {
         for batch in BATCH_SIZES {
-            let par = run(Parallelism::new(workers).with_batch(batch));
+            let par = run_iterative(
+                &model(),
+                &cfg(Parallelism::new(workers).with_batch(batch)),
+                21,
+            )
+            .unwrap();
             assert_eq!(
                 scalar.samples_used, par.samples_used,
                 "{workers} workers, batch {batch}"

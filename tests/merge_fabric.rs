@@ -18,6 +18,7 @@ use optassign::model::{PerformanceModel, SyntheticModel};
 use optassign::persist::CampaignStore;
 use optassign::study::SampleStudy;
 use optassign::{Assignment, Parallelism, Topology};
+use optassign_obs::Obs;
 use optassign_store::io::RealIo;
 use optassign_store::merge::{merge_campaigns, read_shard};
 use optassign_store::{wal, WAL_FILE};
@@ -85,7 +86,15 @@ fn fresh(dir: &Path) -> PathBuf {
 /// performance bits.
 fn reference_campaign(dir: &Path, m: &SyntheticModel) -> Vec<u64> {
     let store = CampaignStore::open(dir).expect("fresh store");
-    let study = SampleStudy::run_persistent(m, N, SEED, &store).expect("reference campaign");
+    let study = SampleStudy::run_with(
+        m,
+        N,
+        SEED,
+        Parallelism::default(),
+        &Obs::disabled(),
+        Some(&store),
+    )
+    .expect("reference campaign");
     study.performances().iter().map(|p| p.to_bits()).collect()
 }
 
@@ -196,13 +205,13 @@ fn merged_shards_replay_like_the_single_node_run_at_1_and_4_workers() {
         merge_campaigns(&shards, &dest).expect("merge");
         let store = CampaignStore::open(&dest).expect("merged store opens");
         let counting = Counting::new(model());
-        let study = SampleStudy::run_persistent_with_obs(
+        let study = SampleStudy::run_with(
             &counting,
             N,
             SEED,
             Parallelism::new(workers),
-            &store,
-            &optassign_obs::Obs::disabled(),
+            &Obs::disabled(),
+            Some(&store),
         )
         .expect("replay from merged store");
         assert_eq!(
@@ -262,7 +271,15 @@ fn a_damaged_shard_is_salvaged_and_the_merge_stays_order_invariant() {
     assert_eq!(fwd.measurements, N as u64 - 1);
     let store = CampaignStore::open(&forward).expect("merged store opens");
     let counting = Counting::new(invariant_model());
-    let study = SampleStudy::run_persistent(&counting, N, SEED, &store).expect("replay");
+    let study = SampleStudy::run_with(
+        &counting,
+        N,
+        SEED,
+        Parallelism::default(),
+        &Obs::disabled(),
+        Some(&store),
+    )
+    .expect("replay");
     assert_eq!(
         counting.count(),
         0,

@@ -5,7 +5,7 @@
 
 use optassign::fault::{FaultPlan, FaultyModel};
 use optassign::iterative::{run_iterative, run_iterative_obs, IterativeConfig};
-use optassign::model::SyntheticModel;
+use optassign::model::{SyntheticModel, Unbatched};
 use optassign::persist::CampaignStore;
 use optassign::study::SampleStudy;
 use optassign::{Parallelism, Topology};
@@ -31,8 +31,16 @@ fn recording_obs() -> (Obs, Arc<MemoryRecorder>) {
 #[test]
 fn run_resilient_is_bit_identical_with_recording_on_and_off() {
     let faulty = FaultyModel::new(model(), FaultPlan::light(41));
-    let (base, base_log) =
-        SampleStudy::run_resilient_with(&faulty, 200, 41, 3, Parallelism::serial()).unwrap();
+    let (base, base_log) = SampleStudy::run_resilient_with(
+        &faulty,
+        200,
+        41,
+        3,
+        Parallelism::serial(),
+        &Obs::disabled(),
+        None,
+    )
+    .unwrap();
     let base_report = base
         .estimate_resilient(&ResilientConfig::default())
         .unwrap();
@@ -46,12 +54,12 @@ fn run_resilient_is_bit_identical_with_recording_on_and_off() {
             Box::new(Arc::new(FakeClock::new(0))),
         );
         let (null_study, null_log) =
-            SampleStudy::run_resilient_with_obs(&faulty, 200, 41, 3, par, &null_obs).unwrap();
+            SampleStudy::run_resilient_with(&faulty, 200, 41, 3, par, &null_obs, None).unwrap();
         // Full recorder capturing every event.
         faulty.reset();
         let (full_obs, recorder) = recording_obs();
         let (full_study, full_log) =
-            SampleStudy::run_resilient_with_obs(&faulty, 200, 41, 3, par, &full_obs).unwrap();
+            SampleStudy::run_resilient_with(&faulty, 200, 41, 3, par, &full_obs, None).unwrap();
 
         for (study, log) in [(&null_study, null_log), (&full_study, full_log)] {
             assert_eq!(
@@ -76,11 +84,19 @@ fn batched_resilient_run_is_bit_identical_with_recording_on_and_off() {
     // The batch-size sweep of the recorder-parity contract: with batching
     // enabled (any chunk size, any worker count), attaching a recorder
     // still changes nothing, and every combination reproduces the
-    // batch-0 scalar baseline bit for bit.
+    // unbatched scalar baseline bit for bit.
     let faulty = FaultyModel::new(model(), FaultPlan::light(41));
-    let (base, base_log) =
-        SampleStudy::run_resilient_with(&faulty, 200, 41, 3, Parallelism::serial().with_batch(0))
-            .unwrap();
+    let scalar = Unbatched(FaultyModel::new(model(), FaultPlan::light(41)));
+    let (base, base_log) = SampleStudy::run_resilient_with(
+        &scalar,
+        200,
+        41,
+        3,
+        Parallelism::serial(),
+        &Obs::disabled(),
+        None,
+    )
+    .unwrap();
 
     for workers in [1, 4] {
         for batch in [1usize, 3, 16, 1000] {
@@ -91,11 +107,11 @@ fn batched_resilient_run_is_bit_identical_with_recording_on_and_off() {
                 Box::new(Arc::new(FakeClock::new(0))),
             );
             let (null_study, null_log) =
-                SampleStudy::run_resilient_with_obs(&faulty, 200, 41, 3, par, &null_obs).unwrap();
+                SampleStudy::run_resilient_with(&faulty, 200, 41, 3, par, &null_obs, None).unwrap();
             faulty.reset();
             let (full_obs, recorder) = recording_obs();
             let (full_study, full_log) =
-                SampleStudy::run_resilient_with_obs(&faulty, 200, 41, 3, par, &full_obs).unwrap();
+                SampleStudy::run_resilient_with(&faulty, 200, 41, 3, par, &full_obs, None).unwrap();
 
             for (study, log) in [(&null_study, null_log), (&full_study, full_log)] {
                 assert_eq!(
@@ -130,14 +146,14 @@ fn wal_bytes_are_identical_across_batch_sizes_and_worker_counts() {
             std::fs::create_dir_all(&dir).unwrap();
             let par = Parallelism::new(workers).with_batch(batch);
             let store = CampaignStore::open(&dir).unwrap();
-            let (study, _log) = SampleStudy::run_resilient_persistent_with_obs(
+            let (study, _log) = SampleStudy::run_resilient_with(
                 &build(),
                 120,
                 53,
                 3,
                 par,
-                &store,
                 &Obs::disabled(),
+                Some(&store),
             )
             .unwrap();
             assert_eq!(store.io_errors(), 0);
@@ -163,14 +179,14 @@ fn wal_bytes_are_identical_across_batch_sizes_and_worker_counts() {
             // without touching the model's fault stream, reproduces the
             // same study, and appends nothing to the WAL.
             let reopened = CampaignStore::open(&dir).unwrap();
-            let (warm, _warm_log) = SampleStudy::run_resilient_persistent_with_obs(
+            let (warm, _warm_log) = SampleStudy::run_resilient_with(
                 &build(),
                 120,
                 53,
                 3,
                 par,
-                &reopened,
                 &Obs::disabled(),
+                Some(&reopened),
             )
             .unwrap();
             assert_eq!(warm.performances(), study.performances());
@@ -211,14 +227,14 @@ fn wal_bytes_are_identical_with_tracing_on_and_off() {
             }
             let effective = if traced { obs } else { Obs::disabled() };
             let store = CampaignStore::open(&dir).unwrap();
-            let (study, _log) = SampleStudy::run_resilient_persistent_with_obs(
+            let (study, _log) = SampleStudy::run_resilient_with(
                 &build(),
                 120,
                 59,
                 3,
                 Parallelism::new(workers),
-                &store,
                 &effective,
+                Some(&store),
             )
             .unwrap();
             drop(store);
@@ -423,7 +439,8 @@ fn jsonl_recorder_file_round_trip() {
     {
         let journal = JsonlRecorder::create(&path).unwrap();
         let obs = Obs::new(Box::new(journal), Box::new(Arc::new(FakeClock::new(0))));
-        let study = SampleStudy::run_with_obs(&model(), 200, 7, Parallelism::new(2), &obs).unwrap();
+        let study =
+            SampleStudy::run_with(&model(), 200, 7, Parallelism::new(2), &obs, None).unwrap();
         assert_eq!(study.len(), 200);
         obs.record_metrics_snapshot();
         obs.flush();

@@ -296,8 +296,16 @@ fn resilient_resume_restores_fault_bookkeeping() {
     let dir = scratch("faulty");
     let _ = fs::remove_dir_all(&dir);
     let store = CampaignStore::open(&dir).expect("fresh store");
-    let (reference, ref_log) =
-        SampleStudy::run_resilient_persistent(&m, 120, SEED, 3, &store).expect("uninterrupted");
+    let (reference, ref_log) = SampleStudy::run_resilient_with(
+        &m,
+        120,
+        SEED,
+        3,
+        Parallelism::default(),
+        &Obs::disabled(),
+        Some(&store),
+    )
+    .expect("uninterrupted");
     assert!(ref_log.attempts > 120, "faults actually cost retries");
     drop(store);
     let wal = fs::read(dir.join(WAL_FILE)).expect("log exists");
@@ -308,14 +316,14 @@ fn resilient_resume_restores_fault_bookkeeping() {
         for workers in [1usize, 4] {
             let store = store_with_wal_prefix(&cut_dir, &wal, cut);
             m.reset();
-            let (resumed, log) = SampleStudy::run_resilient_persistent_with_obs(
+            let (resumed, log) = SampleStudy::run_resilient_with(
                 &m,
                 120,
                 SEED,
                 3,
                 Parallelism::new(workers),
-                &store,
                 &Obs::disabled(),
+                Some(&store),
             )
             .expect("resume");
             assert_eq!(resumed.performances(), reference.performances());
