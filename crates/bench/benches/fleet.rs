@@ -12,9 +12,9 @@
 //!   parallelism it buys.
 //! * `warm_rerun_federation` — scalar is a cold run (every slot
 //!   evaluated); batch is a rerun on fresh worker stores that resolve
-//!   every slot from a federation peer serving the cold run's merged
-//!   cache. Zero model evaluations, but one peer round-trip per unique
-//!   slot, so the ratio prices federation lookups against evaluation.
+//!   every slot from a federation peer serving the cold run's journal.
+//!   Zero model evaluations, but one peer round-trip per unique slot,
+//!   so the ratio prices federation lookups against evaluation.
 //!
 //! `--json <path>` writes the report the perf gate (`bench_gate`)
 //! consumes; bench.sh gates it with a low floor like the optd bench —
@@ -52,9 +52,9 @@ fn start_worker(dir: &Path, peers: Vec<String>, obs: &Obs) -> Worker {
     Worker::start(&config, obs).expect("bench worker")
 }
 
-/// One full campaign: fresh worker stores, fresh coordinator store (a
-/// reused shard would turn the run into a replay). Returns evaluations
-/// performed and the merged store directory.
+/// One full campaign: fresh worker stores (a reused shard would turn
+/// the run into a replay) and a fresh coordinator data dir. Returns
+/// evaluations performed and the coordinator's journal directory.
 fn run_campaign(
     root: &Path,
     tag: &str,
@@ -90,7 +90,7 @@ fn main() {
 
     group("fleet_campaign_wallclock");
     // Evaluation counts are deterministic (same spec, same seed, and the
-    // merged journal is worker-count-invariant), so one priming run
+    // campaign journal is worker-count-invariant), so one priming run
     // prices every timed run.
     let (prime_evals, _) = run_campaign(&root, "prime", 1, Vec::new(), &obs);
     let total_evals = prime_evals as f64;
@@ -126,7 +126,7 @@ fn main() {
 
     group("fleet_warm_federation");
     // A long-lived federation source serving the primed campaign's
-    // merged cache; every warm iteration gets fresh worker stores whose
+    // journal; every warm iteration gets fresh worker stores whose
     // slots all resolve through this peer.
     let (_, merged) = run_campaign(&root, "seed", 1, Vec::new(), &obs);
     let source_dir = root.join("source");

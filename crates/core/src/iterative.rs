@@ -462,16 +462,6 @@ fn measure_with_backend<B: BatchBackend + ?Sized, R: Rng + ?Sized>(
     Ok(b)
 }
 
-/// One slot of a lease: its global batch index and the primary
-/// assignment the coordinator drew for it from the campaign stream.
-#[derive(Debug, Clone, PartialEq)]
-pub struct LeasedSlot {
-    /// Global slot index within the batch (keys the fault stream).
-    pub slot: u64,
-    /// The slot's primary assignment.
-    pub primary: Assignment,
-}
-
 /// Parameters of one slot-range lease, as dispatched by the fleet
 /// coordinator: a subset of one batch's slots plus the deterministic
 /// inputs ([`BatchRequest`]-equivalent) that make each slot a pure
@@ -491,8 +481,12 @@ pub struct LeaseRequest {
     pub max_retries: usize,
     /// Replacement draws per slot.
     pub draw_cap: usize,
-    /// The leased slots.
-    pub slots: Vec<LeasedSlot>,
+    /// Global batch indices of the leased slots (each keys its slot's
+    /// fault stream).
+    pub slots: Vec<u64>,
+    /// The leased slots' primary assignments, drawn by the coordinator
+    /// from the campaign stream: `primaries[i]` belongs to `slots[i]`.
+    pub primaries: Vec<Assignment>,
 }
 
 /// Outcome of one leased slot.
@@ -531,8 +525,10 @@ pub struct LeaseOutcome {
 ///
 /// # Errors
 ///
-/// As [`run_iterative`] for measurement failures; store I/O failures
-/// are counted on the store handle, never raised.
+/// [`CoreError::Domain`] when the lease carries a different number of
+/// slots and primaries; otherwise as [`run_iterative`] for measurement
+/// failures. Store I/O failures are counted on the store handle, never
+/// raised.
 pub fn measure_leased_slots<M: PerformanceModel + Sync>(
     model: &M,
     lease: &LeaseRequest,
@@ -542,9 +538,14 @@ pub fn measure_leased_slots<M: PerformanceModel + Sync>(
     obs: &Obs,
     remote_parent: u64,
 ) -> Result<Vec<LeaseOutcome>, CoreError> {
+    if lease.slots.len() != lease.primaries.len() {
+        return Err(CoreError::Domain(format!(
+            "lease carries {} slots but {} primaries",
+            lease.slots.len(),
+            lease.primaries.len()
+        )));
+    }
     let start_ns = obs.now_ns();
-    let slots: Vec<u64> = lease.slots.iter().map(|s| s.slot).collect();
-    let primaries: Vec<Assignment> = lease.slots.iter().map(|s| s.primary.clone()).collect();
     let journal = Journal {
         store,
         campaign: lease.campaign,
@@ -553,8 +554,8 @@ pub fn measure_leased_slots<M: PerformanceModel + Sync>(
     };
     let measured = measure_slots(
         model,
-        &slots,
-        &primaries,
+        &lease.slots,
+        &lease.primaries,
         Some(journal),
         peers,
         Measure::Ladder(batch_ladder(
@@ -596,8 +597,8 @@ pub fn measure_leased_slots<M: PerformanceModel + Sync>(
     }
     Ok(measured
         .into_iter()
-        .zip(slots)
-        .map(|((outcome, resolution), slot)| LeaseOutcome {
+        .zip(&lease.slots)
+        .map(|((outcome, resolution), &slot)| LeaseOutcome {
             slot,
             outcome,
             resolution,
@@ -1592,17 +1593,8 @@ mod tests {
             cfg.eval_budget
                 .div_ceil(cfg.n_init * (1 + cfg.max_eval_retries)),
         );
-        let slots: Vec<LeasedSlot> = primaries
-            .iter()
-            .enumerate()
-            .map(|(i, p)| LeasedSlot {
-                slot: i as u64,
-                primary: p.clone(),
-            })
-            .collect();
-        let (front, back) = slots.split_at(70);
         let shard_dirs = [root.join("s0"), root.join("s1")];
-        for (dir, part) in shard_dirs.iter().zip([front, back]) {
+        for (dir, part) in shard_dirs.iter().zip([0..70, 70..cfg.n_init]) {
             let store = CampaignStore::open(dir).unwrap();
             let lease = LeaseRequest {
                 campaign,
@@ -1611,7 +1603,8 @@ mod tests {
                 want: cfg.n_init as u64,
                 max_retries: cfg.max_eval_retries,
                 draw_cap,
-                slots: part.to_vec(),
+                slots: part.clone().map(|i| i as u64).collect(),
+                primaries: primaries[part.clone()].to_vec(),
             };
             let out = measure_leased_slots(
                 &m,
@@ -1653,16 +1646,14 @@ mod tests {
         let _ = std::fs::remove_dir_all(&root);
         std::fs::create_dir_all(&root).unwrap();
         let mut rng = StdRng::seed_from_u64(77);
-        let slots: Vec<LeasedSlot> = (0..4u64)
-            .map(|slot| LeasedSlot {
-                slot,
-                primary: random_assignment(m.tasks(), m.topology(), &mut rng).unwrap(),
-            })
+        let primaries: Vec<Assignment> = (0..4)
+            .map(|_| random_assignment(m.tasks(), m.topology(), &mut rng).unwrap())
             .collect();
         let peers = MapPeer(
-            slots
+            primaries
                 .iter()
-                .map(|s| (s.primary.canonical_hash(), 42.0 + s.slot as f64))
+                .zip(0u64..)
+                .map(|(p, slot)| (p.canonical_hash(), 42.0 + slot as f64))
                 .collect(),
         );
         let store = CampaignStore::open(&root.join("shard")).unwrap();
@@ -1673,7 +1664,8 @@ mod tests {
             want: 4,
             max_retries: 2,
             draw_cap: 4,
-            slots,
+            slots: (0..4).collect(),
+            primaries,
         };
         let obs = Obs::metrics_only();
         let out = measure_leased_slots(&m, &lease, &store, &peers, Parallelism::default(), &obs, 0)
@@ -1686,6 +1678,38 @@ mod tests {
         let rec = store.lookup_slot(9, 0, 2).unwrap();
         assert_eq!(rec.value, 44.0);
         assert_eq!(rec.attempts, 0);
+        std::fs::remove_dir_all(&root).unwrap();
+    }
+
+    #[test]
+    fn lease_with_unpaired_slots_is_a_domain_error_and_journals_nothing() {
+        let m = model();
+        let root = std::env::temp_dir().join(format!("optassign-unpaired-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&root);
+        let store = CampaignStore::open(&root).unwrap();
+        let mut rng = StdRng::seed_from_u64(5);
+        let lease = LeaseRequest {
+            campaign: 9,
+            sequence: 0,
+            batch_salt: 1,
+            want: 3,
+            max_retries: 0,
+            draw_cap: 1,
+            slots: vec![0, 1, 2],
+            primaries: vec![random_assignment(m.tasks(), m.topology(), &mut rng).unwrap()],
+        };
+        let err = measure_leased_slots(
+            &m,
+            &lease,
+            &store,
+            &NoPeers,
+            Parallelism::serial(),
+            &Obs::disabled(),
+            0,
+        )
+        .unwrap_err();
+        assert!(matches!(err, CoreError::Domain(_)), "{err}");
+        assert_eq!(store.journaled_measurements(), 0);
         std::fs::remove_dir_all(&root).unwrap();
     }
 

@@ -11,16 +11,16 @@
 //!
 //! `work` runs one worker until killed: a control endpoint taking
 //! campaign installs and slot-range leases, and a federation endpoint
-//! serving its evaluation cache and shard journal. `run` drives one
-//! campaign spec across the given workers through the same admission
-//! path as `optd offline` and merges every shard into
-//! `DATA/merged` — a store byte-identical to the single-node run.
+//! serving its evaluation cache. `run` drives one campaign spec across
+//! the given workers through the same admission path as `optd offline`
+//! and journals it into `DATA/merged` — a store byte-identical to the
+//! single-node run.
 //!
 //! `--journal PATH` (both modes) writes the process's JSONL journal
 //! with span tracing on, so coordinator→worker leases and federation
 //! fetches carry `x-oast-trace` contexts and land in the journals as
 //! `rpc_client`/`rpc_server` events. Tracing never perturbs the
-//! campaign: the merged store stays byte-identical with it on or off.
+//! campaign: the journal stays byte-identical with it on or off.
 //!
 //! `--serve` (run mode) additionally starts the fleet observability
 //! plane — `GET /v1/fleet/metrics` (instance-labelled, fleet-merged
@@ -203,14 +203,6 @@ fn run(args: &[String]) -> Result<(), String> {
     let config = FleetConfig::new(data, workers);
     let outcome = run_fleet_campaign(&effective, &config, &obs).map_err(|e| e.to_string())?;
 
-    println!("campaign {:#018x} merged shards:", outcome.campaign);
-    print!("{}", outcome.report.render_per_shard());
-    if outcome.repaired_slots > 0 {
-        println!(
-            "repaired {} slots from the coordinator ledger",
-            outcome.repaired_slots
-        );
-    }
     let result = &outcome.result;
     println!(
         "campaign finished: stop={} converged={} samples={} evaluations={}",

@@ -1,49 +1,41 @@
 //! The fleet coordinator: drives one iterative campaign across a fleet
-//! of workers and merges their shards into a single-node-identical
-//! resume point.
+//! of workers and journals it exactly as a single node would.
 //!
 //! The coordinator owns the session loop (so the campaign stream, batch
-//! salts, and stopping rule are exactly the single-node ones) and
-//! supplies a [`BatchBackend`] that, per batch:
+//! salts, and stopping rule are exactly the single-node ones) and the
+//! campaign's one journal, a [`CampaignStore`] at `data_dir/merged`. Its
+//! [`BatchBackend`] measures each batch the way a single node's
+//! persistent run does:
 //!
-//! 1. resolves every slot whose primary is already in the campaign's
-//!    evaluation-cache mirror (`prior`) — the coordinator journals those
-//!    hits into its own shard, exactly as the in-process path journals
-//!    cache hits;
-//! 2. partitions the remaining slots into contiguous leases, one per
-//!    live worker, and dispatches them concurrently;
+//! 1. resolves every primary against the journal's evaluation cache,
+//!    which folds only at batch markers, so the hits are exactly the
+//!    single-node ones;
+//! 2. partitions the misses into contiguous leases, one per live worker,
+//!    and dispatches them concurrently;
 //! 3. re-leases the slots of any worker that fails to answer (connect
 //!    error, timeout, malformed response) among the survivors — a dead
 //!    worker only *moves* slots, it cannot change their values, because
 //!    every slot is a pure function of `(batch_salt, slot)`;
-//! 4. folds the batch's measured values into `prior` in slot order,
-//!    first-wins — mirroring [`CampaignStore::end_batch`]'s fold, so
-//!    the next batch's cache hits are exactly the single-node ones.
+//! 4. journals every measured slot, cache hits and lease answers alike,
+//!    in slot order, then the batch marker.
 //!
-//! After the session finishes, the coordinator pulls every reachable
-//! worker's shard journal, merges `[own shard, pulled shards…]` with
-//! [`merge_campaigns_with`], and closes the one remaining gap: a worker
-//! that answered a lease but died before its shard could be pulled. The
-//! coordinator kept every lease response in an in-memory ledger, so it
-//! journals the missing records into a repair shard and re-merges —
-//! bounded, because after one repair pass every ledgered slot is on
-//! disk locally.
+//! Workers journal their leases into shards of their own — their
+//! evaluation caches and replay logs. The coordinator never reads them:
+//! each lease answer carries the full record of every slot it measured.
 
 use optassign::iterative::{
     BatchBackend, BatchRequest, IterativeResult, IterativeSession, LeaseOutcome, LeaseRequest,
-    LeasedSlot, SlotOutcome, StepOutcome,
+    SlotOutcome, StepOutcome,
 };
 use optassign::model::MeasureError;
 use optassign::persist::{iterative_campaign_id, slot_record, CampaignStore};
-use optassign::{Assignment, CoreError, PerformanceModel, Topology};
-use optassign_obs::{fleet_counters, Event, Json, Obs, TraceContext};
-use optassign_optd::client::{http_call_bytes_with, http_call_traced, http_call_with, CallOptions};
+use optassign::{CoreError, PerformanceModel, Topology};
+use optassign_obs::{fleet_counters, Event, Obs, TraceContext};
+use optassign_optd::client::{http_call_traced, http_call_with, CallOptions};
 use optassign_optd::spec::{CampaignSpec, TenantModel};
 use optassign_store::io::RealIo;
-use optassign_store::merge::{merge_campaigns_with, MergeReport};
-use optassign_store::{wal, StoreError};
-use std::collections::HashMap;
-use std::path::{Path, PathBuf};
+use optassign_store::{StoreError, WAL_FILE};
+use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -57,14 +49,6 @@ pub const LEASE_DEADLINE: Duration = Duration::from_secs(120);
 /// Connect budget for the initial worker probe (workers may still be
 /// binding when the coordinator starts).
 const PROBE_BUDGET: Duration = Duration::from_secs(10);
-
-/// Timeout for pulling one shard journal.
-const PULL_TIMEOUT: Duration = Duration::from_secs(30);
-
-/// Repair passes before the coordinator gives up on completeness. One
-/// pass suffices by construction (after it, every ledgered slot is in a
-/// local shard); the second run is the verification.
-const MAX_MERGE_PASSES: usize = 2;
 
 /// Everything that can end a fleet campaign early.
 #[derive(Debug)]
@@ -104,10 +88,10 @@ impl From<StoreError> for FleetError {
 /// Coordinator-side shape of one fleet run.
 #[derive(Debug, Clone)]
 pub struct FleetConfig {
-    /// Coordinator data directory; the run writes `coord/` (the
-    /// coordinator's own shard), `pull-<i>/` (pulled worker shards),
-    /// `repair/` (ledger repairs, only on worker loss), and `merged/`
-    /// (the final single-node-identical store).
+    /// Coordinator data directory. The run journals the campaign into
+    /// `merged/` inside it — the store a single-node run of the same
+    /// spec writes, byte for byte — and writes nothing else there.
+    /// `merged/` must not hold a journal yet.
     pub data_dir: PathBuf,
     /// Control addresses of the workers to lease to.
     pub workers: Vec<String>,
@@ -134,52 +118,23 @@ pub struct FleetOutcome {
     pub result: IterativeResult,
     /// The campaign fingerprint everything journaled under.
     pub campaign: u64,
-    /// The merged store directory (a valid single-node resume point).
+    /// The coordinator's campaign journal (`data_dir/merged`), complete
+    /// and byte-identical to the single-node store: a valid resume point.
     pub merged_dir: PathBuf,
-    /// Per-shard merge accounting.
-    pub report: MergeReport,
-    /// Slots the coordinator had to repair from its ledger because the
-    /// worker that measured them died before its shard was pulled.
-    pub repaired_slots: u64,
-}
-
-/// One measured slot the coordinator remembers from a lease response —
-/// enough to re-journal the record if the measuring worker's shard is
-/// never pulled.
-struct LedgerSlot {
-    slot: u64,
-    assignment: Assignment,
-    value: f64,
-    attempts: usize,
-    retries: usize,
-    redrawn: usize,
-}
-
-struct LedgerBatch {
-    sequence: u64,
-    want: u64,
-    slots: Vec<LedgerSlot>,
 }
 
 struct WorkerHandle {
     ctrl: String,
-    /// Federation address the worker reported at install — where its
-    /// shard journal and evaluation cache are served.
-    peer: String,
     alive: bool,
 }
 
-/// The coordinator's [`BatchBackend`]: prior-cache resolution locally,
+/// The coordinator's [`BatchBackend`]: cache hits from its own journal,
 /// everything else leased out.
 struct FleetBackend<'a> {
     model: &'a TenantModel,
     campaign: u64,
     store: &'a CampaignStore,
     workers: Vec<WorkerHandle>,
-    /// Mirror of the single-node evaluation cache: measured values
-    /// folded in slot order at each batch boundary, first-wins.
-    prior: HashMap<u64, f64>,
-    ledger: Vec<LedgerBatch>,
     lease_options: CallOptions,
 }
 
@@ -193,14 +148,13 @@ impl FleetBackend<'_> {
             .collect()
     }
 
-    /// Dispatches `slots` of one batch across the live workers,
-    /// re-leasing on failure, and writes each outcome into
-    /// `out[slot index]`. `reassigned` marks a re-dispatch round (for
-    /// the counter split).
+    /// Dispatches the `pending` slots of one batch across the live
+    /// workers, re-leasing on failure, and writes each outcome into
+    /// `out[slot]`.
     fn lease_round(
         &mut self,
         request: &BatchRequest<'_>,
-        mut pending: Vec<(u64, Assignment)>,
+        mut pending: Vec<u64>,
         out: &mut [Option<SlotOutcome>],
         obs: &Obs,
     ) -> Result<(), CoreError> {
@@ -215,12 +169,12 @@ impl FleetBackend<'_> {
             }
             // Contiguous partition: worker k gets the k-th chunk of the
             // pending run. Which worker measures a slot never affects
-            // its value, only where the record initially lands.
-            let chunk_len = pending.len().div_ceil(live.len());
-            let mut chunks: Vec<(usize, Vec<(u64, Assignment)>)> = Vec::new();
-            for (k, chunk) in pending.chunks(chunk_len).enumerate() {
-                chunks.push((live[k], chunk.to_vec()));
-            }
+            // its value.
+            let chunks: Vec<(usize, &[u64])> = live
+                .iter()
+                .copied()
+                .zip(pending.chunks(pending.len().div_ceil(live.len())))
+                .collect();
             obs.counter_add(fleet_counters::LEASES_ISSUED, chunks.len() as u64);
             if reassigned {
                 obs.counter_add(fleet_counters::LEASES_REASSIGNED, chunks.len() as u64);
@@ -228,38 +182,28 @@ impl FleetBackend<'_> {
             let options = &self.lease_options;
             let campaign = self.campaign;
             let workers = &self.workers;
-            type LeaseAnswer = (
-                usize,
-                Vec<(u64, Assignment)>,
-                Result<Vec<LeaseOutcome>, String>,
-            );
-            let results: Vec<LeaseAnswer> = std::thread::scope(|scope| {
+            let results = std::thread::scope(|scope| {
                 let handles: Vec<_> = chunks
                     .into_iter()
                     .map(|(widx, chunk)| {
-                        let addr = workers[widx].ctrl.clone();
-                        scope.spawn(move || {
-                            let answer = dispatch_lease(
-                                &addr, campaign, request, &chunk, topo, options, obs,
-                            );
-                            (widx, chunk, answer)
-                        })
+                        let addr = workers[widx].ctrl.as_str();
+                        let handle = scope.spawn(move || {
+                            dispatch_lease(addr, campaign, request, chunk, topo, options, obs)
+                        });
+                        (widx, chunk, handle)
                     })
                     .collect();
                 handles
                     .into_iter()
-                    .map(|h| {
-                        h.join().unwrap_or_else(|_| {
-                            (
-                                usize::MAX,
-                                Vec::new(),
-                                Err("dispatch thread panicked".into()),
-                            )
-                        })
+                    .map(|(widx, chunk, handle)| {
+                        let answer = handle
+                            .join()
+                            .unwrap_or_else(|_| Err("dispatch thread panicked".into()));
+                        (widx, chunk, answer)
                     })
-                    .collect()
+                    .collect::<Vec<_>>()
             });
-            pending = Vec::new();
+            let mut unanswered = Vec::new();
             for (widx, chunk, answer) in results {
                 match answer {
                     Ok(outcomes) => {
@@ -270,27 +214,25 @@ impl FleetBackend<'_> {
                                 .with("slots", outcomes.len() as u64)
                         });
                         for o in outcomes {
-                            let idx = o.slot as usize;
-                            out[idx] = Some(o.outcome);
+                            out[o.slot as usize] = Some(o.outcome);
                         }
                     }
                     Err(reason) => {
-                        if let Some(worker) = self.workers.get_mut(widx) {
-                            worker.alive = false;
-                            obs.counter_add(fleet_counters::WORKERS_LOST, 1);
-                            obs.counter_add(fleet_counters::LEASES_EXPIRED, 1);
-                            let addr = worker.ctrl.clone();
-                            obs.emit(|| {
-                                Event::new("fleet_worker_lost")
-                                    .with("worker", addr.as_str())
-                                    .with("reason", reason.as_str())
-                            });
-                        }
-                        pending.extend(chunk);
+                        let worker = &mut self.workers[widx];
+                        worker.alive = false;
+                        obs.counter_add(fleet_counters::WORKERS_LOST, 1);
+                        obs.counter_add(fleet_counters::LEASES_EXPIRED, 1);
+                        obs.emit(|| {
+                            Event::new("fleet_worker_lost")
+                                .with("worker", worker.ctrl.as_str())
+                                .with("reason", reason.as_str())
+                        });
+                        unanswered.extend_from_slice(chunk);
                         reassigned = true;
                     }
                 }
             }
+            pending = unanswered;
         }
         Ok(())
     }
@@ -310,74 +252,57 @@ impl BatchBackend for FleetBackend<'_> {
         request: &BatchRequest<'_>,
         obs: &Obs,
     ) -> Result<Vec<SlotOutcome>, CoreError> {
-        let want = request.primaries.len();
-        let mut out: Vec<Option<SlotOutcome>> = vec![None; want];
-        let mut pending: Vec<(u64, Assignment)> = Vec::new();
-        for (i, primary) in request.primaries.iter().enumerate() {
-            // Mirror of the in-process cache hit: value known, zero
-            // attempts, fault stream untouched, journaled with the
-            // primary's contexts.
-            if let Some(&v) = self.prior.get(&primary.canonical_hash()) {
+        // Every lookup precedes any journaling, and the cache folds only
+        // at batch markers, so these are exactly the single-node cache
+        // hits: value known, zero attempts, fault stream untouched.
+        let mut out: Vec<Option<SlotOutcome>> = request
+            .primaries
+            .iter()
+            .map(|primary| {
+                let value = self.store.cache_lookup(primary.canonical_hash())?;
+                Some(SlotOutcome {
+                    measured: Some((primary.clone(), value)),
+                    attempts: 0,
+                    retries: 0,
+                    redrawn: 0,
+                })
+            })
+            .collect();
+        let misses: Vec<u64> = (0..out.len() as u64)
+            .filter(|&slot| out[slot as usize].is_none())
+            .collect();
+        self.lease_round(request, misses, &mut out, obs)?;
+        let slots = out
+            .into_iter()
+            .enumerate()
+            .map(|(i, slot)| {
+                slot.ok_or_else(|| {
+                    CoreError::Measurement(MeasureError::Failed(format!(
+                        "lease round left slot {i} of sequence {} unresolved",
+                        request.sequence
+                    )))
+                })
+            })
+            .collect::<Result<Vec<SlotOutcome>, CoreError>>()?;
+
+        // The single-node journal order: measured slots ascending, then
+        // the batch marker, which folds the batch into the cache.
+        for (i, slot) in slots.iter().enumerate() {
+            if let Some((assignment, value)) = &slot.measured {
                 self.store.append_measurement(&slot_record(
                     self.campaign,
                     request.sequence,
                     i,
-                    primary,
-                    v,
-                    0,
-                    0,
-                    0,
+                    assignment,
+                    *value,
+                    slot.attempts,
+                    slot.retries,
+                    slot.redrawn,
                 ));
-                out[i] = Some(SlotOutcome {
-                    measured: Some((primary.clone(), v)),
-                    attempts: 0,
-                    retries: 0,
-                    redrawn: 0,
-                });
-            } else {
-                pending.push((i as u64, primary.clone()));
             }
         }
-        self.lease_round(request, pending, &mut out, obs)?;
         self.store
-            .end_batch(self.campaign, request.sequence, want as u64);
-
-        let mut slots = Vec::with_capacity(want);
-        for (i, slot) in out.into_iter().enumerate() {
-            match slot {
-                Some(s) => slots.push(s),
-                None => {
-                    return Err(CoreError::Measurement(MeasureError::Failed(format!(
-                        "lease round left slot {i} of sequence {} unresolved",
-                        request.sequence
-                    ))))
-                }
-            }
-        }
-
-        // Ledger + prior fold, both in slot order. The fold mirrors
-        // `CampaignStore::end_batch` (first-wins on the measured
-        // assignment's canonical hash), so the next batch's prior hits
-        // are exactly the single-node cache hits.
-        let mut batch = LedgerBatch {
-            sequence: request.sequence,
-            want: want as u64,
-            slots: Vec::new(),
-        };
-        for (i, slot) in slots.iter().enumerate() {
-            if let Some((a, v)) = &slot.measured {
-                batch.slots.push(LedgerSlot {
-                    slot: i as u64,
-                    assignment: a.clone(),
-                    value: *v,
-                    attempts: slot.attempts,
-                    retries: slot.retries,
-                    redrawn: slot.redrawn,
-                });
-                self.prior.entry(a.canonical_hash()).or_insert(*v);
-            }
-        }
-        self.ledger.push(batch);
+            .end_batch(self.campaign, request.sequence, slots.len() as u64);
         Ok(slots)
     }
 }
@@ -394,11 +319,11 @@ fn dispatch_lease(
     addr: &str,
     campaign: u64,
     request: &BatchRequest<'_>,
-    chunk: &[(u64, Assignment)],
+    chunk: &[u64],
     topo: Topology,
     options: &CallOptions,
     obs: &Obs,
-) -> Result<Vec<optassign::iterative::LeaseOutcome>, String> {
+) -> Result<Vec<LeaseOutcome>, String> {
     let lease = LeaseRequest {
         campaign,
         sequence: request.sequence,
@@ -406,12 +331,10 @@ fn dispatch_lease(
         want: request.primaries.len() as u64,
         max_retries: request.max_retries,
         draw_cap: request.draw_cap,
-        slots: chunk
+        slots: chunk.to_vec(),
+        primaries: chunk
             .iter()
-            .map(|(slot, primary)| LeasedSlot {
-                slot: *slot,
-                primary: primary.clone(),
-            })
+            .map(|&slot| request.primaries[slot as usize].clone())
             .collect(),
     };
     let body = wire::encode_lease(&lease);
@@ -437,7 +360,7 @@ fn dispatch_lease(
             chunk.len()
         ));
     }
-    for (o, (slot, _)) in outcomes.iter().zip(chunk) {
+    for (o, slot) in outcomes.iter().zip(chunk) {
         if o.slot != *slot {
             return Err(format!("lease answered slot {}, leased {slot}", o.slot));
         }
@@ -472,56 +395,28 @@ fn install_on_workers(
                 "worker {addr} refused the campaign ({status}): {answer}"
             )));
         }
-        let peer = Json::parse(&answer)
-            .as_ref()
-            .and_then(|d| d.get("peer_addr"))
-            .and_then(Json::as_str)
-            .map(str::to_string)
-            .ok_or_else(|| {
-                FleetError::Fleet(format!(
-                    "worker {addr} answered the install without a peer_addr: {answer}"
-                ))
-            })?;
         workers.push(WorkerHandle {
             ctrl: addr.clone(),
-            peer,
             alive: true,
         });
     }
     Ok(workers)
 }
 
-/// Pulls one worker's shard journal for `campaign` into `dest`, best
-/// effort: a dead worker yields `None`, never an error.
-fn pull_shard(addr: &str, campaign: u64, dest: &Path) -> Option<PathBuf> {
-    let options = CallOptions {
-        io_timeout: PULL_TIMEOUT,
-        connect_timeout: Duration::from_secs(2),
-        connect_budget: None,
-    };
-    let path = format!("/v1/shard/wal?campaign={campaign}");
-    let (status, bytes) = http_call_bytes_with(addr, "GET", &path, None, &options).ok()?;
-    if status != 200 || !bytes.starts_with(wal::WAL_MAGIC) {
-        return None;
-    }
-    std::fs::create_dir_all(dest).ok()?;
-    std::fs::write(dest.join("campaign.wal"), &bytes).ok()?;
-    Some(dest.to_path_buf())
-}
-
 /// Runs one campaign across a fleet of workers; see the module docs.
 ///
 /// `spec` must be the *effective* (post-admission) spec — the same one
 /// `optd offline` would run — and every worker must be reachable at
-/// start. The returned merged store is byte-identical to the store a
+/// start. The returned journal is byte-identical to the store a
 /// single-node `run_iterative_persistent` of the same spec writes.
 ///
 /// # Errors
 ///
-/// [`FleetError::Fleet`] when a worker cannot be probed or installed,
-/// when every worker dies mid-campaign, or when the merged store is
-/// incomplete after repair; [`FleetError::Core`] / [`FleetError::Store`]
-/// for campaign and store failures.
+/// [`FleetError::Fleet`] when `merged/` already holds a journal, when a
+/// worker cannot be probed or installed, when every worker dies
+/// mid-campaign, or when the journal lost a write to an I/O error;
+/// [`FleetError::Core`] / [`FleetError::Store`] for campaign and store
+/// failures.
 pub fn run_fleet_campaign(
     spec: &CampaignSpec,
     config: &FleetConfig,
@@ -532,23 +427,21 @@ pub fn run_fleet_campaign(
     }
     let model = spec.model.build();
     let campaign = iterative_campaign_id(spec.seed, &spec.config, model.tasks(), model.topology());
-    let coord_dir = config.data_dir.join("coord");
-    if coord_dir.join("campaign.wal").exists() {
+    let merged_dir = config.data_dir.join("merged");
+    if merged_dir.join(WAL_FILE).exists() {
         return Err(FleetError::Fleet(format!(
-            "{} already holds a coordinator shard; use a fresh data dir",
-            coord_dir.display()
+            "{} already holds a campaign journal; use a fresh data dir",
+            merged_dir.display()
         )));
     }
 
     let workers = install_on_workers(spec, campaign, &config.workers)?;
-    let store = CampaignStore::open_with(&coord_dir, Arc::new(RealIo), obs)?;
+    let store = CampaignStore::open_with(&merged_dir, Arc::new(RealIo), obs)?;
     let mut backend = FleetBackend {
         model: &model,
         campaign,
         store: &store,
         workers,
-        prior: HashMap::new(),
-        ledger: Vec::new(),
         lease_options: CallOptions {
             io_timeout: config.lease_deadline,
             connect_timeout: Duration::from_secs(2),
@@ -563,81 +456,18 @@ pub fn run_fleet_campaign(
         }
     };
     store.sync();
-
-    // Pull every worker's shard (from its federation endpoint), best
-    // effort — a worker that died holds only records the ledger can
-    // reconstruct.
-    let mut shard_dirs = vec![coord_dir.clone()];
-    for (i, worker) in backend.workers.iter().enumerate() {
-        let dest = config.data_dir.join(format!("pull-{i}"));
-        if let Some(dir) = pull_shard(&worker.peer, campaign, &dest) {
-            shard_dirs.push(dir);
-        }
+    // The store counts a failed write instead of raising it; a journal
+    // with a hole is no resume point, so the run fails instead.
+    let lost = store.io_errors();
+    if lost > 0 {
+        return Err(FleetError::Fleet(format!(
+            "{lost} writes to the campaign journal in {} failed",
+            merged_dir.display()
+        )));
     }
-
-    // Merge, check completeness against the ledger, repair, re-merge.
-    let merged_dir = config.data_dir.join("merged");
-    let mut repaired_total = 0u64;
-    let mut repair_store: Option<CampaignStore> = None;
-    for pass in 0..MAX_MERGE_PASSES {
-        if merged_dir.exists() {
-            std::fs::remove_dir_all(&merged_dir)
-                .map_err(|e| FleetError::Fleet(format!("clearing merge dir: {e}")))?;
-        }
-        let report = merge_campaigns_with(&shard_dirs, &merged_dir, &RealIo, Some(campaign))?;
-        let merged = CampaignStore::open(&merged_dir)?;
-        let missing: Vec<(&LedgerBatch, &LedgerSlot)> = backend
-            .ledger
-            .iter()
-            .flat_map(|b| b.slots.iter().map(move |s| (b, s)))
-            .filter(|(b, s)| merged.lookup_slot(campaign, b.sequence, s.slot).is_none())
-            .collect();
-        if missing.is_empty() {
-            return Ok(FleetOutcome {
-                result,
-                campaign,
-                merged_dir,
-                report,
-                repaired_slots: repaired_total,
-            });
-        }
-        if pass + 1 == MAX_MERGE_PASSES {
-            return Err(FleetError::Fleet(format!(
-                "merged store is missing {} ledgered slots after repair",
-                missing.len()
-            )));
-        }
-        // A worker answered leases, then died before the pull. Its
-        // records exist only in the ledger — journal them into a repair
-        // shard and merge again.
-        let repair_dir = config.data_dir.join("repair");
-        let repair = CampaignStore::open_with(&repair_dir, Arc::new(RealIo), obs)?;
-        let mut sequences: Vec<(u64, u64)> = Vec::new();
-        for (b, s) in &missing {
-            repair.append_measurement(&slot_record(
-                campaign,
-                b.sequence,
-                s.slot as usize,
-                &s.assignment,
-                s.value,
-                s.attempts,
-                s.retries,
-                s.redrawn,
-            ));
-            if !sequences.contains(&(b.sequence, b.want)) {
-                sequences.push((b.sequence, b.want));
-            }
-        }
-        repaired_total += missing.len() as u64;
-        for (sequence, want) in sequences {
-            repair.end_batch(campaign, sequence, want);
-        }
-        repair.sync();
-        repair_store = Some(repair);
-        shard_dirs.push(repair_dir);
-    }
-    drop(repair_store);
-    Err(FleetError::Fleet(
-        "merge loop exited without a verdict".into(),
-    ))
+    Ok(FleetOutcome {
+        result,
+        campaign,
+        merged_dir,
+    })
 }

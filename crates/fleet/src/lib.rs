@@ -1,34 +1,30 @@
-//! Distributed campaign fabric: coordinator/worker measurement service
-//! with bit-identical shard merge.
+//! Distributed campaign fabric: a coordinator that leases slot ranges to
+//! worker processes and journals the campaign as a single node would.
 //!
 //! The fabric splits one iterative campaign across a fleet of worker
 //! processes without giving up the workspace's determinism contract:
-//! the merged journal of an N-worker run — under any partitioning,
-//! lease reassignment, or mid-run `kill -9` of a worker — is
-//! **byte-identical** to the journal a single node would have written.
+//! the coordinator's journal of an N-worker run — under any
+//! partitioning, lease reassignment, or mid-run `kill -9` of a worker —
+//! is **byte-identical** to the journal a single node would have written.
 //!
 //! Three pieces:
 //!
 //! * [`wire`] — the JSON lease protocol (integers exact, measured
 //!   values as IEEE-754 bit patterns);
 //! * [`worker`] — a node that measures leased slot ranges through the
-//!   batched persistent path, journals to its own shard store, and
-//!   serves its evaluation cache and shard journal to peers;
-//! * [`coordinator`] — drives the iterative session, partitions each
-//!   batch's unresolved slots into leases, re-leases on worker death,
-//!   then pulls every shard and merges them into one resume point.
+//!   batched persistent path, journals them to its own shard store (its
+//!   evaluation cache and replay log), and serves that cache to peers;
+//! * [`coordinator`] — drives the iterative session, resolves cache hits
+//!   from its own journal, leases the misses, re-leases on worker death,
+//!   and journals every batch from the lease answers.
 //!
-//! Why it works: the single-node journal order is deterministic (per
-//! batch: measurements slot-ascending, then the batch-end marker), every
-//! slot's fault stream is keyed by its global slot index, and the merge
-//! writes records in that same canonical order. A worker therefore
-//! journals exactly the *slice* a single node would have, wherever the
-//! slot landed — and the merge reassembles the slices. Worker death
-//! only moves slots to another worker (synchronous re-lease) or, if a
-//! worker dies after answering but before its shard is pulled, the
-//! coordinator repairs the gap from its own in-memory ledger of lease
-//! responses. Duplicate records are free: the store's append is
-//! idempotent, keyed by (campaign, sequence, slot).
+//! Why it works: every slot's fault stream is keyed by its global slot
+//! index, so a slot measures to the same record wherever it lands, and
+//! a lease answer carries that whole record. The coordinator journals
+//! each batch as a single node does — cache hits from its own journal,
+//! measurements slot-ascending, then the batch-end marker — so worker
+//! death only moves slots to another worker (synchronous re-lease) and
+//! never touches the journal.
 //!
 //! Cold runs federate *nothing*: peer caches are consulted only when a
 //! worker is started with `--peers`, the warm-rerun configuration. A

@@ -10,14 +10,14 @@
 //!   fingerprints survive untouched.
 //! * **Measured values travel as their IEEE-754 bit pattern** (`u64`,
 //!   field `value_bits`), never as a decimal float. A leased slot's
-//!   value must land in the worker's journal — and later the merged
-//!   log — with exactly the bits the model produced.
+//!   value must land in the worker's shard and in the coordinator's
+//!   journal with exactly the bits the model produced.
 //!
 //! Assignments travel as their context arrays; both ends rebuild them
 //! through [`Assignment::new`] against the campaign topology, which
 //! re-validates feasibility at the trust boundary.
 
-use optassign::iterative::{LeaseOutcome, LeaseRequest, LeaseResolution, LeasedSlot, SlotOutcome};
+use optassign::iterative::{LeaseOutcome, LeaseRequest, LeaseResolution, SlotOutcome};
 use optassign::{Assignment, Topology};
 use optassign_obs::Json;
 use std::fmt::Write as _;
@@ -64,12 +64,12 @@ pub fn encode_lease(lease: &LeaseRequest) -> String {
         lease.max_retries,
         lease.draw_cap,
     );
-    for (i, slot) in lease.slots.iter().enumerate() {
+    for (i, (slot, primary)) in lease.slots.iter().zip(&lease.primaries).enumerate() {
         if i > 0 {
             out.push(',');
         }
-        let _ = write!(out, "{{\"slot\":{},\"contexts\":", slot.slot);
-        push_contexts(&mut out, slot.primary.contexts());
+        let _ = write!(out, "{{\"slot\":{slot},\"contexts\":");
+        push_contexts(&mut out, primary.contexts());
         out.push('}');
     }
     out.push_str("]}");
@@ -89,6 +89,7 @@ pub fn decode_lease(text: &str, topo: Topology) -> Result<LeaseRequest, String> 
         .and_then(Json::as_array)
         .ok_or("\"slots\" (array) is required")?;
     let mut slots = Vec::with_capacity(slots_json.len());
+    let mut primaries = Vec::with_capacity(slots_json.len());
     for item in slots_json {
         let slot = field_u64(item, "slot")?;
         let contexts = item
@@ -97,7 +98,8 @@ pub fn decode_lease(text: &str, topo: Topology) -> Result<LeaseRequest, String> 
             .ok_or_else(|| format!("slot {slot}: \"contexts\" (array of u64) is required"))?;
         let primary = Assignment::new(contexts, topo)
             .map_err(|e| format!("slot {slot}: infeasible primary: {e}"))?;
-        slots.push(LeasedSlot { slot, primary });
+        slots.push(slot);
+        primaries.push(primary);
     }
     Ok(LeaseRequest {
         campaign: field_u64(&doc, "campaign")?,
@@ -109,6 +111,7 @@ pub fn decode_lease(text: &str, topo: Topology) -> Result<LeaseRequest, String> 
         draw_cap: usize::try_from(field_u64(&doc, "draw_cap")?)
             .map_err(|_| "\"draw_cap\" out of range")?,
         slots,
+        primaries,
     })
 }
 
@@ -227,15 +230,34 @@ mod tests {
             want: 120,
             max_retries: 2,
             draw_cap: 5,
-            slots: (0..7)
-                .map(|i| LeasedSlot {
-                    slot: 17 + i,
-                    primary: sample_assignment(i),
-                })
-                .collect(),
+            slots: (17..24).collect(),
+            primaries: (0..7).map(sample_assignment).collect(),
         };
         let decoded = decode_lease(&encode_lease(&lease), t2()).unwrap();
         assert_eq!(decoded, lease);
+    }
+
+    #[test]
+    fn lease_body_pairs_each_slot_with_its_contexts() {
+        let lease = LeaseRequest {
+            campaign: 1,
+            sequence: 2,
+            batch_salt: 3,
+            want: 4,
+            max_retries: 5,
+            draw_cap: 6,
+            slots: vec![7, 8],
+            primaries: vec![
+                Assignment::new(vec![0, 9], t2()).unwrap(),
+                Assignment::new(vec![3, 4], t2()).unwrap(),
+            ],
+        };
+        assert_eq!(
+            encode_lease(&lease),
+            "{\"campaign\":1,\"sequence\":2,\"batch_salt\":3,\"want\":4,\"max_retries\":5,\
+             \"draw_cap\":6,\"slots\":[{\"slot\":7,\"contexts\":[0,9]},\
+             {\"slot\":8,\"contexts\":[3,4]}]}"
+        );
     }
 
     #[test]

@@ -1,5 +1,5 @@
 //! The fleet worker: a node that measures leased slot ranges and serves
-//! its shard.
+//! its evaluation cache.
 //!
 //! One worker runs two single-threaded HTTP endpoints over one campaign
 //! store (its *shard*):
@@ -10,15 +10,16 @@
 //!   measurement, which is exactly the backpressure a coordinator
 //!   wants from a node it leases to; and
 //! * the **federation** endpoint stays responsive while a lease runs,
-//!   serving the worker's evaluation cache (`GET /v1/cache/{key}`), its
-//!   shard journal (`GET /v1/shard/wal`), liveness (`GET /healthz`),
-//!   and counters (`GET /v1/stats`) — everything a peer or coordinator
-//!   reads, nothing that feeds back into measurement.
+//!   serving the worker's evaluation cache (`GET /v1/cache/{key}`),
+//!   liveness (`GET /healthz`), counters (`GET /v1/stats`), and its
+//!   JSONL journal (`GET /v1/journal`) — everything a peer or the
+//!   observability plane reads, nothing that feeds back into
+//!   measurement.
 //!
-//! Leased slots journal through [`measure_leased_slots`], so a worker's
-//! shard carries records byte-identical to the slice of a single-node
-//! journal it was leased — the property the coordinator's merge turns
-//! into a bit-identical resume point.
+//! Leased slots journal through [`measure_leased_slots`] into the shard,
+//! which is the worker's evaluation cache, its federation source, and
+//! its replay log. The campaign journal itself is the coordinator's,
+//! written from the lease answers.
 
 use optassign::iterative::{measure_leased_slots, PeerCache};
 use optassign::persist::{iterative_campaign_id, CampaignStore};
@@ -27,11 +28,9 @@ use optassign_httpd::{HttpConfig, HttpServer, Request, Response};
 use optassign_obs::{lane_span_id, Json, Obs, TraceContext};
 use optassign_optd::client::{http_call_traced, CallOptions};
 use optassign_optd::spec::{CampaignSpec, TenantModel};
-use optassign_store::merge::read_shard;
-use optassign_store::record::StoreRecord;
-use optassign_store::{io::RealIo, wal, StoreError};
+use optassign_store::io::RealIo;
 use std::collections::HashMap;
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::sync::{Arc, Mutex, PoisonError};
 use std::time::Duration;
 
@@ -161,7 +160,6 @@ impl PeerCache for HttpPeers {
 }
 
 struct WorkerState {
-    dir: PathBuf,
     store: Arc<CampaignStore>,
     /// Installed campaigns by fingerprint. The model is rebuilt from the
     /// effective spec at install time, so every worker measures the
@@ -170,7 +168,6 @@ struct WorkerState {
     peers: HttpPeers,
     parallelism: Parallelism,
     obs: Obs,
-    peer_addr: String,
     /// Shared with [`HttpPeers`]: the trace context of the lease the
     /// control thread is currently measuring.
     lease_trace: Arc<Mutex<Option<TraceContext>>>,
@@ -196,39 +193,23 @@ impl Worker {
     pub fn start(config: &WorkerConfig, obs: &Obs) -> std::io::Result<Worker> {
         let store = CampaignStore::open_with(&config.data_dir, Arc::new(RealIo), obs)
             .map_err(|e| std::io::Error::other(format!("opening shard store: {e}")))?;
-        let peer_http = HttpConfig::read_only("fleet-peer", PEER_REJECTED_COUNTER);
-        let lease_trace: Arc<Mutex<Option<TraceContext>>> = Arc::new(Mutex::new(None));
-        // Bind the federation endpoint first: installs answer with its
-        // resolved address.
-        let placeholder = Arc::new(WorkerState {
-            dir: config.data_dir.clone(),
+        let lease_trace = Arc::new(Mutex::new(None));
+        let state = Arc::new(WorkerState {
             store: Arc::new(store),
             campaigns: Mutex::new(HashMap::new()),
             peers: HttpPeers::traced(config.peers.clone(), obs.clone(), Arc::clone(&lease_trace)),
             parallelism: config.parallelism,
             obs: obs.clone(),
-            peer_addr: String::new(),
-            lease_trace: Arc::clone(&lease_trace),
-            journal: config.journal.clone(),
-        });
-        let peer_state = Arc::clone(&placeholder);
-        let peer = HttpServer::start(
-            &config.peer_addr,
-            obs.clone(),
-            peer_http,
-            Arc::new(move |req: &Request| peer_route(&peer_state, req)),
-        )?;
-        let state = Arc::new(WorkerState {
-            dir: placeholder.dir.clone(),
-            store: Arc::clone(&placeholder.store),
-            campaigns: Mutex::new(HashMap::new()),
-            peers: HttpPeers::traced(config.peers.clone(), obs.clone(), Arc::clone(&lease_trace)),
-            parallelism: config.parallelism,
-            obs: obs.clone(),
-            peer_addr: peer.addr().to_string(),
             lease_trace,
             journal: config.journal.clone(),
         });
+        let peer_state = Arc::clone(&state);
+        let peer = HttpServer::start(
+            &config.peer_addr,
+            obs.clone(),
+            HttpConfig::read_only("fleet-peer", PEER_REJECTED_COUNTER),
+            Arc::new(move |req: &Request| peer_route(&peer_state, req)),
+        )?;
         let ctrl_state = Arc::clone(&state);
         let ctrl_http = HttpConfig {
             thread_name: "fleet-ctrl",
@@ -321,13 +302,7 @@ fn install_campaign(state: &WorkerState, req: &Request) -> Response {
         .unwrap_or_else(PoisonError::into_inner)
         .entry(fingerprint)
         .or_insert_with(|| Arc::new(model));
-    Response::json(
-        201,
-        format!(
-            "{{\"campaign\":{fingerprint},\"peer_addr\":{}}}",
-            optassign_optd::spec::json_string(&state.peer_addr)
-        ),
-    )
+    Response::json(201, format!("{{\"campaign\":{fingerprint}}}"))
 }
 
 fn serve_lease(state: &WorkerState, req: &Request) -> Response {
@@ -396,9 +371,9 @@ fn serve_lease(state: &WorkerState, req: &Request) -> Response {
             )
         }
     };
-    // The lease's records must be on disk before the coordinator can
-    // count this lease complete — a worker killed after responding must
-    // never have claimed slots it did not durably journal.
+    // Sync before answering: the shard is this worker's evaluation cache
+    // and replay log, so a worker restarted on it after a kill replays
+    // every slot it reported instead of measuring it again.
     let sync_start_ns = state.obs.now_ns();
     state.store.sync();
     if remote_parent != 0 {
@@ -434,15 +409,6 @@ fn peer_route(state: &WorkerState, req: &Request) -> Response {
             }
             None => Response::not_found(),
         },
-        "/v1/shard/wal" => {
-            let campaign = query_param(req.query.as_deref(), "campaign")
-                .and_then(|raw| raw.parse::<u64>().ok());
-            state.store.sync();
-            match shard_bytes(&state.dir, campaign) {
-                Ok(bytes) => Response::octets(bytes),
-                Err(e) => Response::text(500, format!("shard scan failed: {e}\n")),
-            }
-        }
         path => match path.strip_prefix("/v1/cache/").map(str::parse::<u64>) {
             Some(Ok(key)) => match state.store.cache_lookup(key) {
                 Some(value) => Response::json(
@@ -454,27 +420,4 @@ fn peer_route(state: &WorkerState, req: &Request) -> Response {
             _ => Response::not_found(),
         },
     }
-}
-
-/// Re-encodes this shard's journal as one log byte stream a merge can
-/// read: the records of `campaign` (or all records without a filter),
-/// framed behind the standard magic. Bare cache entries are dropped
-/// under a campaign filter — they are cache state, not campaign journal,
-/// and every value of a completed batch replays from its measurements.
-fn shard_bytes(dir: &Path, campaign: Option<u64>) -> Result<Vec<u8>, StoreError> {
-    let scan = read_shard(dir, &RealIo)?;
-    let mut buf = Vec::with_capacity(64 + scan.records.len() * 64);
-    buf.extend_from_slice(wal::WAL_MAGIC);
-    for record in &scan.records {
-        let keep = match (campaign, record) {
-            (None, _) => true,
-            (Some(c), StoreRecord::Measurement(m)) => m.campaign == c,
-            (Some(c), StoreRecord::BatchEnd { campaign, .. }) => *campaign == c,
-            (Some(_), StoreRecord::CacheEntry { .. }) => false,
-        };
-        if keep {
-            buf.extend_from_slice(&wal::encode_frame(record));
-        }
-    }
-    Ok(buf)
 }

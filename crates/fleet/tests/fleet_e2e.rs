@@ -1,8 +1,8 @@
 //! End-to-end fleet fabric tests, in process: a coordinator and three
-//! loopback workers, one of which dies mid-campaign, must merge to a
+//! loopback workers, one of which dies mid-campaign, must journal a
 //! store byte-identical to the single-node run — at any worker thread
-//! count — and a warm rerun against federated peer caches must perform
-//! zero model evaluations.
+//! count, and with cache hits in the campaign — and a warm rerun against
+//! federated peer caches must perform zero model evaluations.
 
 use optassign::iterative::run_iterative_persistent;
 use optassign::persist::CampaignStore;
@@ -10,6 +10,9 @@ use optassign::Parallelism;
 use optassign_fleet::{run_fleet_campaign, FleetConfig, Worker, WorkerConfig};
 use optassign_obs::{fleet_counters, Obs};
 use optassign_optd::spec::CampaignSpec;
+use optassign_store::io::RealIo;
+use optassign_store::merge::read_shard;
+use optassign_store::record::StoreRecord;
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
@@ -73,7 +76,7 @@ fn reference_wal(root: &Path) -> Vec<u8> {
 }
 
 /// Runs the fleet campaign over three workers, killing one once leases
-/// are flowing, and returns the merged WAL bytes.
+/// are flowing, and returns the coordinator's WAL bytes.
 fn fleet_wal_with_death(root: &Path, tag: &str, threads: usize) -> Vec<u8> {
     let spec = spec();
     let obs = Obs::metrics_only();
@@ -83,9 +86,10 @@ fn fleet_wal_with_death(root: &Path, tag: &str, threads: usize) -> Vec<u8> {
     let addrs = vec![w0.ctrl_addr(), w1.ctrl_addr(), w2.ctrl_addr()];
 
     // Kill worker 1 once the campaign is under way: wait until at least
-    // one full batch of leases has been issued, then shut it down. Its
-    // shard can then never be pulled, forcing the coordinator down the
-    // re-lease *and* ledger-repair paths.
+    // one full batch of leases has been issued, then shut it down. It
+    // has answered leases by then, and nothing ever reads its shard, so
+    // the coordinator's journal must hold those slots from the lease
+    // answers alone while the rest of the campaign re-leases.
     let victim = Arc::new(Mutex::new(Some(w1)));
     let killer_victim = Arc::clone(&victim);
     let killer_obs = obs.clone();
@@ -94,15 +98,16 @@ fn fleet_wal_with_death(root: &Path, tag: &str, threads: usize) -> Vec<u8> {
         while counter(&killer_obs, fleet_counters::LEASES_ISSUED) < 4 && Instant::now() < deadline {
             std::thread::sleep(Duration::from_millis(1));
         }
-        if let Some(mut w) = killer_victim.lock().unwrap().take() {
-            w.shutdown();
-        }
+        let mut w = killer_victim.lock().unwrap().take()?;
+        let journaled = w.store().journaled_measurements();
+        w.shutdown();
+        Some(journaled)
     });
 
     let fleet_dir = root.join(format!("{tag}-fleet"));
     let config = FleetConfig::new(&fleet_dir, addrs);
     let outcome = run_fleet_campaign(&spec, &config, &obs).unwrap();
-    killer.join().unwrap();
+    let victim_journaled = killer.join().unwrap();
     drop(victim);
     drop(w0);
     drop(w2);
@@ -112,8 +117,8 @@ fn fleet_wal_with_death(root: &Path, tag: &str, threads: usize) -> Vec<u8> {
         "the victim worker should have been declared dead mid-campaign"
     );
     assert!(
-        outcome.repaired_slots > 0,
-        "the dead worker's unpulled records should repair from the ledger"
+        victim_journaled.unwrap_or(0) >= 1,
+        "the victim should have answered leases before it was shut down"
     );
     wal_bytes(&outcome.merged_dir)
 }
@@ -130,6 +135,69 @@ fn merged_wal_is_byte_identical_to_single_node_despite_worker_death() {
             "merged WAL diverged from the single-node journal at {threads} worker threads"
         );
     }
+}
+
+/// Length and FNV-1a-64 of a byte string: compares WALs without dumping
+/// them on failure.
+fn digest(bytes: &[u8]) -> (usize, u64) {
+    let mut hash = 0xcbf2_9ce4_8422_2325u64;
+    for &b in bytes {
+        hash ^= u64::from(b);
+        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    (bytes.len(), hash)
+}
+
+#[test]
+fn coordinator_cache_hits_journal_like_a_single_node() {
+    // One IPFwd instance has few distinct placements, so later batches
+    // redraw assignments measured in earlier ones: the coordinator must
+    // serve those from its own journal's cache and journal them at zero
+    // attempts in slot order among the leased slots, exactly where a
+    // single node journals its cache hits.
+    let spec = CampaignSpec::from_json(
+        r#"{"tenant":"fleet-hits","seed":20120301,
+            "model":{"kind":"netapps","benchmark":"IPFwd-L1","instances":1,
+                     "warmup_cycles":500,"measure_cycles":1000},
+            "config":{"n_init":100,"n_delta":40,"acceptable_loss":0.0005,
+                      "max_samples":300,"eval_budget":5000}}"#,
+    )
+    .unwrap();
+    let root = temp_dir("hits");
+    let reference = {
+        let dir = root.join("ref");
+        let store = CampaignStore::open(&dir).unwrap();
+        run_iterative_persistent(&spec.model.build(), &spec.config, spec.seed, &store).unwrap();
+        store.sync();
+        wal_bytes(&dir)
+    };
+
+    let obs = Obs::metrics_only();
+    let threads = Parallelism::default().workers;
+    let w0 = start_worker(&root.join("w0"), threads, Vec::new(), &obs);
+    let w1 = start_worker(&root.join("w1"), threads, Vec::new(), &obs);
+    let outcome = run_fleet_campaign(
+        &spec,
+        &FleetConfig::new(root.join("fleet"), vec![w0.ctrl_addr(), w1.ctrl_addr()]),
+        &obs,
+    )
+    .unwrap();
+    drop(w0);
+    drop(w1);
+
+    assert_eq!(
+        digest(&wal_bytes(&outcome.merged_dir)),
+        digest(&reference),
+        "fleet WAL (len, fnv1a64) diverged from the single-node journal"
+    );
+    let cache_hits = read_shard(&outcome.merged_dir, &RealIo)
+        .unwrap()
+        .records
+        .iter()
+        .filter(|r| matches!(r, StoreRecord::Measurement(m) if m.attempts == 0))
+        .count();
+    assert!(cache_hits >= 1, "the campaign journaled no cache hits");
+    let _ = std::fs::remove_dir_all(&root);
 }
 
 #[test]

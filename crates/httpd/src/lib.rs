@@ -114,8 +114,8 @@ pub struct Response {
     pub status: u16,
     /// `Content-Type` header value.
     pub content_type: &'static str,
-    /// Response body. Text responses are plain UTF-8; binary endpoints
-    /// (the fleet's shard-log pull, segment fetches) put raw bytes here.
+    /// Response body. Text responses are plain UTF-8; file endpoints
+    /// (a fleet worker's journal download) put raw bytes here.
     pub body: Vec<u8>,
 }
 
@@ -150,7 +150,8 @@ impl Response {
         }
     }
 
-    /// A `200 OK` binary response (`application/octet-stream`).
+    /// A `200 OK` binary response (`application/octet-stream`) — a file
+    /// served verbatim, like a fleet worker's `GET /v1/journal`.
     #[must_use]
     pub fn octets(body: Vec<u8>) -> Response {
         Response {

@@ -124,23 +124,6 @@ pub fn http_call_with(
     body: Option<&str>,
     options: &CallOptions,
 ) -> std::io::Result<(u16, String)> {
-    let (status, raw) = http_call_bytes_with(addr, method, path, body, options)?;
-    Ok((status, String::from_utf8_lossy(&raw).into_owned()))
-}
-
-/// [`http_call_with`] returning the body as raw bytes — what binary
-/// endpoints like the fleet's shard-log pull need.
-///
-/// # Errors
-///
-/// As [`http_call`].
-pub fn http_call_bytes_with(
-    addr: &str,
-    method: &str,
-    path: &str,
-    body: Option<&str>,
-    options: &CallOptions,
-) -> std::io::Result<(u16, Vec<u8>)> {
     call_inner(addr, method, path, body, options, None)
 }
 
@@ -163,24 +146,6 @@ pub fn http_call_traced(
     obs: &Obs,
     ctx: Option<&TraceContext>,
 ) -> std::io::Result<(u16, String)> {
-    let (status, raw) = http_call_bytes_traced(addr, method, path, body, options, obs, ctx)?;
-    Ok((status, String::from_utf8_lossy(&raw).into_owned()))
-}
-
-/// [`http_call_traced`] returning raw body bytes.
-///
-/// # Errors
-///
-/// As [`http_call_traced`].
-pub fn http_call_bytes_traced(
-    addr: &str,
-    method: &str,
-    path: &str,
-    body: Option<&str>,
-    options: &CallOptions,
-    obs: &Obs,
-    ctx: Option<&TraceContext>,
-) -> std::io::Result<(u16, Vec<u8>)> {
     let Some(ctx) = ctx.filter(|_| obs.enabled()) else {
         return call_inner(addr, method, path, body, options, None);
     };
@@ -204,7 +169,7 @@ fn call_inner(
     body: Option<&str>,
     options: &CallOptions,
     extra_header: Option<&str>,
-) -> std::io::Result<(u16, Vec<u8>)> {
+) -> std::io::Result<(u16, String)> {
     let mut stream = connect(addr, options)?;
     stream.set_read_timeout(Some(options.io_timeout))?;
     stream.set_write_timeout(Some(options.io_timeout))?;
@@ -218,7 +183,8 @@ fn call_inner(
     stream.write_all(request.as_bytes())?;
     let mut raw = Vec::new();
     stream.read_to_end(&mut raw)?;
-    parse_response(&raw)
+    let (status, body) = parse_response(&raw)?;
+    Ok((status, String::from_utf8_lossy(&body).into_owned()))
 }
 
 fn parse_response(raw: &[u8]) -> std::io::Result<(u16, Vec<u8>)> {

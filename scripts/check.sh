@@ -34,6 +34,11 @@ RUSTDOCFLAGS="-D warnings" cargo doc -q --workspace --no-deps
 echo "==> cargo build --workspace"
 cargo build -q --workspace
 
+# campaign-bench is its own workspace, so the build above never compiles
+# it; build it here so an API change breaks this gate, not the benchmark.
+echo "==> cargo build campaign-bench"
+cargo build -q --release --offline --manifest-path campaign-bench/Cargo.toml
+
 if [[ "${FAST}" == "0" ]]; then
     # Run the suite serial and parallel: results must be bit-identical, so
     # both runs exercise the same assertions — the second one catches any
@@ -193,7 +198,7 @@ EOF
     cmp "${OPTD_DATA}/c000001/campaign.wal" "${OPTD_DATA}-offline/campaign.wal"
 
     # Fleet-fabric smoke: a coordinator and three loopback workers, one
-    # of them SIGKILLed mid-campaign, must still merge to a WAL
+    # of them SIGKILLed mid-campaign, must still journal a WAL
     # byte-identical to the `optd offline` single-node reference — the
     # distributed fabric contract (DESIGN.md §12), end to end across
     # real processes.
@@ -226,9 +231,10 @@ EOF
         [[ -s "${FLEET_DIR}/w${w}.addr" ]] || { echo "fleet worker ${w} never came up"; exit 1; }
     done
     # Hard-kill the middle worker once the campaign is under way; the
-    # coordinator must re-lease its slots and repair its unpulled shard
-    # records from the lease ledger. An early or late kill still
-    # exercises a valid (if less interesting) schedule.
+    # coordinator must re-lease the slots the worker never answered (the
+    # ones it did answer are already in the coordinator's journal). An
+    # early or late kill still exercises a valid (if less interesting)
+    # schedule.
     ( sleep 0.3; kill -9 "${FLEET_PIDS[1]}" 2>/dev/null ) &
     KILLER_PID=$!
     # The coordinator journals its side of every lease RPC and runs the
@@ -282,6 +288,8 @@ EOF
         --data "${FLEET_DIR}/offline" >/dev/null
     cmp "${FLEET_DIR}/coordinator/merged/campaign.wal" \
         "${FLEET_DIR}/offline/campaign.wal"
+    # The coordinator's journal is the only thing it writes.
+    [[ "$(ls "${FLEET_DIR}/coordinator")" == "merged" ]]
     # Offline stitch over the journal files on disk — this one also sees
     # the SIGKILLed worker's journal (unreachable over HTTP), so its
     # possibly-torn tail must stay within the malformed-line budget.

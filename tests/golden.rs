@@ -21,7 +21,7 @@
 use optassign::fault::{FaultPlan, FaultyModel};
 use optassign::iterative::{
     measure_leased_slots, run_iterative, run_iterative_persistent, IterativeConfig, LeaseRequest,
-    LeaseResolution, LeasedSlot, PeerCache,
+    LeaseResolution, PeerCache,
 };
 use optassign::model::SyntheticModel;
 use optassign::persist::CampaignStore;
@@ -198,14 +198,12 @@ fn wal_bytes_of_every_measurement_path_match_goldens() {
     let model = flaky();
     let mut rng = StdRng::seed_from_u64(17);
     let primaries = sample_assignments(40, 6, Topology::ultrasparc_t2(), &mut rng).unwrap();
-    let slots: Vec<LeasedSlot> = (1..40)
-        .step_by(3)
-        .map(|slot| LeasedSlot {
-            slot: slot as u64,
-            primary: primaries[slot].clone(),
-        })
+    let slots: Vec<u64> = (1..40).step_by(3).collect();
+    let primaries: Vec<_> = slots
+        .iter()
+        .map(|&s| primaries[s as usize].clone())
         .collect();
-    let peer = OnePeer(slots[4].primary.canonical_hash());
+    let peer = OnePeer(primaries[4].canonical_hash());
     let lease = LeaseRequest {
         campaign: 0xC0FFEE,
         sequence: 3,
@@ -214,6 +212,7 @@ fn wal_bytes_of_every_measurement_path_match_goldens() {
         max_retries: 1,
         draw_cap: 4,
         slots,
+        primaries,
     };
     let out = measure_leased_slots(&model, &lease, &store, &peer, par, &obs, 0).unwrap();
     assert_eq!(out[4].resolution, LeaseResolution::PeerHit);
