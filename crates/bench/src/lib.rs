@@ -2,8 +2,9 @@
 //!
 //! Each binary in `src/bin/` regenerates one table or figure of the paper
 //! (see `DESIGN.md` for the index); this library holds the pieces they
-//! share: command-line scaling, the measured-pool construction for the
-//! five-benchmark case study, and plain-text rendering helpers.
+//! share: command-line scaling, the live `--serve` endpoint, the
+//! measured-pool construction for the five-benchmark case study, and
+//! plain-text rendering helpers.
 //!
 //! All experiments are deterministic: a fixed base seed flows through the
 //! assignment sampler, the simulator's address streams, and the traffic
@@ -16,11 +17,13 @@ use optassign::model::SimModel;
 use optassign::persist::CampaignStore;
 use optassign::study::SampleStudy;
 use optassign::{CoreError, Parallelism};
+use optassign_httpd::{Handler, HttpConfig, HttpServer, Request, Response};
 use optassign_netapps::Benchmark;
-use optassign_obs::{Event, JsonlRecorder, MonotonicClock, Obs, Recorder, StderrProgress, Tee};
+use optassign_obs::{
+    Event, JsonlRecorder, MonotonicClock, Obs, Recorder, StderrProgress, Tee, TelemetryHub,
+};
 use optassign_sim::MachineConfig;
 use optassign_store::io::RealIo;
-use optassign_telemetry::{TelemetryHub, TelemetryServer};
 use std::path::PathBuf;
 use std::sync::Arc;
 
@@ -207,7 +210,7 @@ impl BenchArgs {
             obs.enable_span_events();
         }
         if let (Some(addr), Some(hub)) = (&self.serve, hub) {
-            match TelemetryServer::start(addr, obs.clone(), hub) {
+            match serve_telemetry(addr, &obs, hub) {
                 Ok(server) => {
                     eprintln!("[telemetry] listening on {}", server.addr());
                     // The endpoint serves until the process exits; the
@@ -292,6 +295,33 @@ impl BenchArgs {
             }
         }
     }
+}
+
+/// Starts the live `--serve` endpoint on `addr`: `/progress` and
+/// `/trace` from `hub` (which must be teed into `obs`'s recorder), plus
+/// the HTTP core's `/healthz`, `/metrics` and `/metrics.json` from `obs`.
+/// Everything served is a snapshot, so a run is bit-identical with the
+/// endpoint on or off.
+///
+/// # Errors
+///
+/// Propagates bind/spawn failures.
+pub fn serve_telemetry(
+    addr: &str,
+    obs: &Obs,
+    hub: Arc<TelemetryHub>,
+) -> std::io::Result<HttpServer> {
+    let handler: Arc<Handler> = Arc::new(move |req: &Request| match req.path.as_str() {
+        "/progress" => Response::json(200, hub.progress_json()),
+        "/trace" => Response::json(200, hub.trace_json()),
+        _ => Response::not_found(),
+    });
+    HttpServer::start(
+        addr,
+        obs.clone(),
+        HttpConfig::read_only("bench-telemetry", "telemetry_requests_rejected_total"),
+        handler,
+    )
 }
 
 /// Builds a `progress` event ([`StderrProgress`] renders these as
@@ -558,11 +588,57 @@ mod tests {
         let obs = args.obs();
         assert!(obs.span_events_enabled());
         // The handle works as a normal Obs; the endpoint itself is
-        // exercised end to end by optassign-telemetry's tests and the
-        // check.sh serve smoke (the server address is only printed to
-        // stderr here, so this test just verifies wiring doesn't abort).
+        // exercised by `serve_telemetry_answers_progress_trace_and_metrics`
+        // and the check.sh serve smoke (the server address is only printed
+        // to stderr here, so this test just verifies wiring doesn't abort).
         obs.counter_add("smoke_total", 1);
         obs.flush();
+    }
+
+    #[test]
+    fn serve_telemetry_answers_progress_trace_and_metrics() {
+        use optassign_obs::{FakeClock, Json, NullRecorder};
+        use optassign_optd::client::http_call;
+        let hub = Arc::new(TelemetryHub::new());
+        let clock = Arc::new(FakeClock::new(0));
+        let obs = Obs::new(
+            Box::new(Tee(Box::new(NullRecorder), Box::new(Arc::clone(&hub)))),
+            Box::new(Arc::clone(&clock)),
+        );
+        obs.enable_span_events();
+        {
+            let _span = obs.span("iter_round_ns");
+            clock.advance(2_000);
+        }
+        obs.record(
+            Event::new("iteration")
+                .with("samples", 200u64)
+                .with("best_observed", 41.5)
+                .with("estimated_optimal", 50.0)
+                .with("gap", 0.17)
+                .with("method", "pot"),
+        );
+        let server = serve_telemetry("127.0.0.1:0", &obs, hub).expect("bind");
+        let addr = server.addr().to_string();
+        let get = |path: &str| http_call(&addr, "GET", path, None).expect("request");
+
+        let (status, body) = get("/progress");
+        assert_eq!(status, 200);
+        let v = Json::parse(&body).expect("valid json");
+        assert_eq!(v.get("round").and_then(Json::as_u64), Some(1));
+        assert_eq!(v.get("gap").and_then(Json::as_f64), Some(0.17));
+
+        let (status, body) = get("/trace");
+        assert_eq!(status, 200);
+        assert!(body.contains("\"name\":\"iter_round_ns\""), "{body}");
+        assert!(body.ends_with("\"displayTimeUnit\":\"ns\"}"), "{body}");
+
+        let (status, body) = get("/metrics");
+        assert_eq!(status, 200);
+        assert!(body.contains("iter_round_ns_count 1"), "{body}");
+
+        let (status, _) = get("/nope");
+        assert_eq!(status, 404);
     }
 
     #[test]

@@ -1062,7 +1062,7 @@ impl IterativeSession {
             };
             obs.emit(|| entry.to_event());
             // Live-progress gauges: the latest round's convergence state,
-            // served by the telemetry endpoint's `/progress` view.
+            // scraped from any endpoint's `/metrics`.
             obs.gauge_set("iter_round", self.round as f64);
             obs.gauge_set("iter_samples", entry.samples as f64);
             obs.gauge_set("iter_best_observed", entry.best_observed);

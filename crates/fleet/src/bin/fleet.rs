@@ -22,8 +22,10 @@
 //! `rpc_client`/`rpc_server` events. Tracing never perturbs the
 //! campaign: the journal stays byte-identical with it on or off.
 //!
-//! `--serve` (run mode) additionally starts the fleet observability
-//! plane — `GET /v1/fleet/metrics` (instance-labelled, fleet-merged
+//! Every endpoint a worker binds answers `GET /healthz`, `/metrics` and
+//! `/metrics.json`. `--serve` (run mode) additionally starts the fleet
+//! observability plane, which answers those three for the coordinator
+//! plus `GET /v1/fleet/metrics` (instance-labelled, fleet-merged
 //! Prometheus series) and `GET /v1/trace/merged` (one stitched Chrome
 //! trace across coordinator and workers). With `--serve` given, the
 //! process keeps serving after the campaign finishes, until killed, so

@@ -7,7 +7,7 @@
 //! partitioning, lease reassignment, or mid-run `kill -9` of a worker —
 //! is **byte-identical** to the journal a single node would have written.
 //!
-//! Three pieces:
+//! Four pieces:
 //!
 //! * [`wire`] — the JSON lease protocol (integers exact, measured
 //!   values as IEEE-754 bit patterns);
@@ -16,7 +16,11 @@
 //!   evaluation cache and replay log), and serves that cache to peers;
 //! * [`coordinator`] — drives the iterative session, resolves cache hits
 //!   from its own journal, leases the misses, re-leases on worker death,
-//!   and journals every batch from the lease answers.
+//!   and journals every batch from the lease answers;
+//! * [`plane`] — the coordinator's observability endpoint: the whole
+//!   fleet's metrics and one stitched trace, scraped as a single target.
+//!   It and both worker endpoints answer `/healthz`, `/metrics` and
+//!   `/metrics.json` from the shared HTTP core ([`optassign_httpd`]).
 //!
 //! Why it works: every slot's fault stream is keyed by its global slot
 //! index, so a slot measures to the same record wherever it lands, and

@@ -2,14 +2,14 @@
 //! running fleet.
 //!
 //! A tiny read-only HTTP endpoint the coordinator (optionally) runs
-//! beside a campaign:
+//! beside a campaign. Like every endpoint on the shared HTTP core it
+//! answers `GET /healthz`, `/metrics` and `/metrics.json` for the
+//! coordinator's own `Obs`; its handler adds the two fleet-wide views:
 //!
-//! * `GET /healthz` — liveness;
-//! * `GET /metrics` — the coordinator's own series, Prometheus text;
 //! * `GET /v1/fleet/metrics` — the coordinator's series plus every
-//!   reachable worker's `/v1/stats` snapshot, each series tagged with an
-//!   `instance` label and label-merged into one exposition — the fleet
-//!   scraped as a single target;
+//!   reachable worker's `/metrics.json` snapshot, each series tagged with
+//!   an `instance` label and label-merged into one exposition — the
+//!   fleet scraped as a single target;
 //! * `GET /v1/trace/merged` — the coordinator's journal plus every
 //!   reachable worker's `GET /v1/journal`, stitched into one Chrome
 //!   trace with per-process clock alignment and cross-process flow
@@ -34,7 +34,7 @@ pub const PLANE_REJECTED_COUNTER: &str = "fleet_plane_rejected_total";
 /// Instance label value for the coordinator's own series and journal.
 pub const COORDINATOR_INSTANCE: &str = "coordinator";
 
-/// How long one worker scrape (stats or journal) may take. Short: a
+/// How long one worker scrape (metrics or journal) may take. Short: a
 /// dead worker should cost the pane a moment, not a timeout spiral.
 const SCRAPE_TIMEOUT: Duration = Duration::from_secs(2);
 
@@ -47,7 +47,7 @@ pub struct PlaneConfig {
     /// `/v1/trace/merged` when present.
     pub journal: Option<PathBuf>,
     /// Federation (peer) addresses of the fleet's workers — where
-    /// `/v1/stats` and `/v1/journal` are scraped from.
+    /// `/metrics.json` and `/v1/journal` are scraped from.
     pub worker_peers: Vec<String>,
 }
 
@@ -83,18 +83,13 @@ fn scrape_options() -> CallOptions {
 
 fn plane_route(state: &PlaneState, req: &Request) -> Response {
     match req.path.as_str() {
-        "/healthz" => Response::json(200, "{\"ok\":true,\"role\":\"fleet-plane\"}"),
-        "/metrics" => Response::ok(
-            "text/plain; charset=utf-8",
-            state.obs.metrics().to_prometheus(),
-        ),
         "/v1/fleet/metrics" => fleet_metrics(state),
         "/v1/trace/merged" => merged_trace(state),
         _ => Response::not_found(),
     }
 }
 
-/// Scrapes every reachable worker's `/v1/stats`, tags each snapshot
+/// Scrapes every reachable worker's `/metrics.json`, tags each snapshot
 /// (and the coordinator's own) with an `instance` label, and merges
 /// them into one Prometheus exposition.
 fn fleet_metrics(state: &PlaneState) -> Response {
@@ -104,7 +99,7 @@ fn fleet_metrics(state: &PlaneState) -> Response {
         .metrics()
         .relabeled("instance", COORDINATOR_INSTANCE);
     for peer in &state.worker_peers {
-        let Ok((200, body)) = http_call_with(peer, "GET", "/v1/stats", None, &options) else {
+        let Ok((200, body)) = http_call_with(peer, "GET", "/metrics.json", None, &options) else {
             continue;
         };
         let Some(doc) = Json::parse(&body) else {

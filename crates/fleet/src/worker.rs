@@ -10,11 +10,14 @@
 //!   measurement, which is exactly the backpressure a coordinator
 //!   wants from a node it leases to; and
 //! * the **federation** endpoint stays responsive while a lease runs,
-//!   serving the worker's evaluation cache (`GET /v1/cache/{key}`),
-//!   liveness (`GET /healthz`), counters (`GET /v1/stats`), and its
-//!   JSONL journal (`GET /v1/journal`) — everything a peer or the
+//!   serving the worker's evaluation cache (`GET /v1/cache/{key}`) and
+//!   its JSONL journal (`GET /v1/journal`) — everything a peer or the
 //!   observability plane reads, nothing that feeds back into
 //!   measurement.
+//!
+//! Both answer `GET /healthz`, `/metrics` and `/metrics.json` from the
+//! worker's `Obs` handle, as every endpoint on the shared HTTP core does;
+//! the plane scrapes the federation endpoint's `/metrics.json`.
 //!
 //! Leased slots journal through [`measure_leased_slots`] into the shard,
 //! which is the worker's evaluation cache, its federation source, and
@@ -25,7 +28,7 @@ use optassign::iterative::{measure_leased_slots, PeerCache};
 use optassign::persist::{iterative_campaign_id, CampaignStore};
 use optassign::{Parallelism, PerformanceModel};
 use optassign_httpd::{HttpConfig, HttpServer, Request, Response};
-use optassign_obs::{lane_span_id, Json, Obs, TraceContext};
+use optassign_obs::{json_string, lane_span_id, Json, Obs, TraceContext};
 use optassign_optd::client::{http_call_traced, CallOptions};
 use optassign_optd::spec::{CampaignSpec, TenantModel};
 use optassign_store::io::RealIo;
@@ -260,7 +263,6 @@ fn query_param(query: Option<&str>, key: &str) -> Option<String> {
 
 fn ctrl_route(state: &WorkerState, req: &Request) -> Response {
     match (req.method.as_str(), req.path.as_str()) {
-        ("GET", "/healthz") => Response::json(200, "{\"ok\":true,\"role\":\"fleet-worker\"}"),
         ("POST", "/v1/campaigns") => install_campaign(state, req),
         ("POST", "/v1/lease") => serve_lease(state, req),
         _ => Response::not_found(),
@@ -275,12 +277,7 @@ fn install_campaign(state: &WorkerState, req: &Request) -> Response {
     };
     let spec = match CampaignSpec::from_json(&req.body_str()) {
         Ok(spec) => spec,
-        Err(e) => {
-            return Response::json(
-                422,
-                format!("{{\"error\":{}}}", optassign_optd::spec::json_string(&e.0)),
-            )
-        }
+        Err(e) => return Response::json(422, format!("{{\"error\":{}}}", json_string(&e.0))),
     };
     let model = spec.model.build();
     let fingerprint =
@@ -329,12 +326,7 @@ fn serve_lease(state: &WorkerState, req: &Request) -> Response {
     };
     let lease = match wire::decode_lease(&body, model.topology()) {
         Ok(lease) => lease,
-        Err(e) => {
-            return Response::json(
-                400,
-                format!("{{\"error\":{}}}", optassign_optd::spec::json_string(&e)),
-            )
-        }
+        Err(e) => return Response::json(400, format!("{{\"error\":{}}}", json_string(&e))),
     };
     // A traced lease parents everything the measurement journals —
     // including federation fetches made through [`HttpPeers`] while it
@@ -364,10 +356,7 @@ fn serve_lease(state: &WorkerState, req: &Request) -> Response {
         Err(e) => {
             return Response::json(
                 500,
-                format!(
-                    "{{\"error\":{}}}",
-                    optassign_optd::spec::json_string(&e.to_string())
-                ),
+                format!("{{\"error\":{}}}", json_string(&e.to_string())),
             )
         }
     };
@@ -393,12 +382,7 @@ fn serve_lease(state: &WorkerState, req: &Request) -> Response {
 }
 
 fn peer_route(state: &WorkerState, req: &Request) -> Response {
-    if req.method != "GET" {
-        return Response::not_found();
-    }
     match req.path.as_str() {
-        "/healthz" => Response::json(200, "{\"ok\":true,\"role\":\"fleet-worker-peer\"}"),
-        "/v1/stats" => Response::json(200, state.obs.metrics().to_json()),
         "/v1/journal" => match &state.journal {
             Some(path) => {
                 state.obs.flush();

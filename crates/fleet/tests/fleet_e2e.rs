@@ -7,8 +7,11 @@
 use optassign::iterative::run_iterative_persistent;
 use optassign::persist::CampaignStore;
 use optassign::Parallelism;
-use optassign_fleet::{run_fleet_campaign, FleetConfig, Worker, WorkerConfig};
+use optassign_fleet::{
+    run_fleet_campaign, start_plane, FleetConfig, PlaneConfig, Worker, WorkerConfig,
+};
 use optassign_obs::{fleet_counters, Obs};
+use optassign_optd::client::http_call;
 use optassign_optd::spec::CampaignSpec;
 use optassign_store::io::RealIo;
 use optassign_store::merge::read_shard;
@@ -345,4 +348,42 @@ fn warm_rerun_against_federated_peers_performs_zero_evaluations() {
     // cap, so the shape of the campaign matches exactly.
     assert_eq!(warm.result.samples_used, cold.result.samples_used);
     assert_eq!(warm.result.stop.name(), cold.result.stop.name());
+}
+
+#[test]
+fn plane_serves_every_workers_series_under_its_instance_label() {
+    let root = temp_dir("plane");
+    let worker_obs = Obs::metrics_only();
+    worker_obs.counter_add("plane_probe_total", 2);
+    let worker = start_worker(&root.join("w0"), 1, Vec::new(), &worker_obs);
+    let peer = worker.peer_addr();
+    let plane = start_plane(
+        &PlaneConfig {
+            addr: "127.0.0.1:0".into(),
+            journal: None,
+            worker_peers: vec![peer.clone()],
+        },
+        &Obs::metrics_only(),
+    )
+    .unwrap();
+    let addr = plane.addr().to_string();
+
+    let (status, body) = http_call(&addr, "GET", "/healthz", None).unwrap();
+    assert_eq!((status, body.as_str()), (200, "ok\n"));
+
+    let (status, body) = http_call(&addr, "GET", "/v1/fleet/metrics", None).unwrap();
+    assert_eq!(status, 200);
+    assert!(
+        body.contains(&format!("plane_probe_total{{instance=\"{peer}\"}} 2")),
+        "{body}"
+    );
+    assert!(body.contains("instance=\"coordinator\""), "{body}");
+
+    let (status, body) = http_call(&addr, "GET", "/v1/trace/merged", None).unwrap();
+    assert_eq!(status, 200);
+    assert!(body.starts_with("{\"traceEvents\":["), "{body}");
+
+    drop(plane);
+    drop(worker);
+    let _ = std::fs::remove_dir_all(&root);
 }

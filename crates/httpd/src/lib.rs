@@ -3,12 +3,20 @@
 //! One accept thread over `std::net::TcpListener`, one connection at a
 //! time, `Connection: close` on every response — deliberately the
 //! smallest server that `curl`, Prometheus scrapers, and a browser can
-//! talk to. The telemetry endpoint (`optassign-telemetry`) and the
-//! online assignment daemon (`optassign-optd`) both route through this
-//! core; they differ only in their [`Handler`] and [`HttpConfig`].
+//! talk to. Every endpoint in the workspace routes through this core:
+//! the bench binaries' `--serve` endpoint, the online assignment daemon
+//! (`optassign-optd`), and the fleet's observability plane and worker
+//! control and federation endpoints. They differ only in their
+//! [`Handler`] and [`HttpConfig`].
 //!
-//! The core owns the *transport* hardening, so every server built on it
-//! inherits the same behaviour:
+//! Before the handler runs, the core answers `GET /healthz` (`ok`),
+//! `GET /metrics` (Prometheus text) and `GET /metrics.json` from the
+//! server's [`Obs`] registry, so every endpoint exposes the same
+//! surface. These requests count in the RED metrics and journal
+//! `rpc_server` spans like any other; other methods reach the handler.
+//!
+//! The core also owns the *transport* hardening, so every server built
+//! on it inherits the same behaviour:
 //!
 //! * request lines above [`MAX_REQUEST_LINE_BYTES`] are answered `431`
 //!   (after draining in-flight bytes so the response survives the close);
@@ -214,9 +222,10 @@ impl std::fmt::Debug for HttpServer {
 
 impl HttpServer {
     /// Binds `addr` (e.g. `127.0.0.1:0` for an ephemeral port) and starts
-    /// the accept thread. `obs` receives the rejected-request counter;
-    /// `handler` answers every well-formed request within the configured
-    /// method set.
+    /// the accept thread. `obs` receives the rejected-request counter and
+    /// the RED metrics, and is what `/healthz`, `/metrics` and
+    /// `/metrics.json` serve; `handler` answers every other well-formed
+    /// request within the configured method set.
     ///
     /// # Errors
     ///
@@ -362,10 +371,27 @@ fn handle_connection(mut stream: TcpStream, obs: &Obs, config: &HttpConfig, hand
         trace: header_value(&head, TRACE_HEADER).and_then(TraceContext::parse),
     };
     let recv_ns = obs.now_ns();
-    let response = handler(&request);
+    let response = observability_route(obs, &request).unwrap_or_else(|| handler(&request));
     let send_ns = obs.now_ns();
     record_request(obs, &request, &response, recv_ns, send_ns);
     respond(&mut stream, &response);
+}
+
+/// The routes every server answers from its own [`Obs`] (see the crate
+/// docs); `None` hands the request to the server's handler.
+fn observability_route(obs: &Obs, request: &Request) -> Option<Response> {
+    if request.method != "GET" {
+        return None;
+    }
+    match request.path.as_str() {
+        "/healthz" => Some(Response::text(200, "ok\n")),
+        "/metrics" => Some(Response::ok(
+            "text/plain; version=0.0.4; charset=utf-8",
+            obs.metrics().to_prometheus(),
+        )),
+        "/metrics.json" => Some(Response::json(200, obs.metrics().to_json())),
+        _ => None,
+    }
 }
 
 /// RED metrics for one answered request — rate, errors, and duration per
@@ -663,10 +689,55 @@ mod tests {
         assert_eq!(status, "HTTP/1.1 413 Payload Too Large");
         assert_eq!(rejected(&obs), 4);
 
-        // 404 is a well-formed answer, not a rejection.
+        // 404 is a well-formed answer, not a rejection; nor is a 200.
         let (status, _) = raw(addr, "GET /nope HTTP/1.1\r\nHost: t\r\n\r\n");
         assert_eq!(status, "HTTP/1.1 404 Not Found");
+        let (status, _) = raw(addr, "GET /ping HTTP/1.1\r\nHost: t\r\n\r\n");
+        assert_eq!(status, "HTTP/1.1 200 OK");
         assert_eq!(rejected(&obs), 4);
+    }
+
+    #[test]
+    fn every_server_answers_health_and_metrics_from_its_obs() {
+        let obs = Obs::metrics_only();
+        let handler: Arc<Handler> = Arc::new(|req: &Request| {
+            Response::text(200, format!("handler {} {}\n", req.method, req.path))
+        });
+        let server =
+            HttpServer::start("127.0.0.1:0", obs.clone(), rw_config(), handler).expect("bind");
+        let addr = server.addr();
+        obs.counter_add("late_total", 3);
+
+        let (status, body) = raw(addr, "GET /healthz?probe=1 HTTP/1.1\r\nHost: t\r\n\r\n");
+        assert_eq!(status, "HTTP/1.1 200 OK");
+        assert_eq!(body, "ok\n");
+
+        let (status, body) = raw(addr, "GET /metrics HTTP/1.1\r\nHost: t\r\n\r\n");
+        assert_eq!(status, "HTTP/1.1 200 OK");
+        assert!(
+            body.contains("# TYPE late_total counter\nlate_total 3\n"),
+            "{body}"
+        );
+        // The earlier probe went through the RED metrics like any request.
+        assert!(
+            body.contains("http_requests_total{method=\"GET\",route=\"/healthz\"} 1"),
+            "{body}"
+        );
+
+        let (status, body) = raw(addr, "GET /metrics.json HTTP/1.1\r\nHost: t\r\n\r\n");
+        assert_eq!(status, "HTTP/1.1 200 OK");
+        let doc = optassign_obs::Json::parse(&body).expect("valid json");
+        assert_eq!(
+            doc.get("counters")
+                .and_then(|c| c.get("late_total"))
+                .and_then(optassign_obs::Json::as_u64),
+            Some(3)
+        );
+
+        // Only GET is answered by the core; other methods reach the handler.
+        let (status, body) = raw(addr, "POST /healthz HTTP/1.1\r\nHost: t\r\n\r\n");
+        assert_eq!(status, "HTTP/1.1 200 OK");
+        assert_eq!(body, "handler POST /healthz\n");
     }
 
     #[test]

@@ -136,6 +136,16 @@ impl Event {
     }
 }
 
+/// Renders `s` as a JSON string literal with the journal writer's
+/// escapes (quote, backslash, control characters), for hand-built JSON
+/// documents outside this crate.
+#[must_use]
+pub fn json_string(s: &str) -> String {
+    let mut out = String::with_capacity(s.len() + 2);
+    push_json_string(&mut out, s);
+    out
+}
+
 /// Appends `s` as a JSON string literal (RFC 8259 escaping).
 pub(crate) fn push_json_string(out: &mut String, s: &str) {
     out.push('"');

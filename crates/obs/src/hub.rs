@@ -1,7 +1,7 @@
 //! The telemetry hub: a [`Recorder`] that keeps lock-light, bounded
-//! state for the HTTP endpoint to serve.
+//! state for a live HTTP endpoint to serve.
 //!
-//! The hub sits behind a [`optassign_obs::Tee`] next to the run's real
+//! The hub sits behind a [`crate::Tee`] next to the run's real
 //! journal recorder, so it sees every event the journal sees. It keeps
 //! two things, each behind its own short-hold mutex:
 //!
@@ -15,8 +15,8 @@
 //! feeds anything back into the pipeline, so the workspace's
 //! never-perturbs contract is untouched by serving telemetry.
 
-use optassign_obs::trace::chrome_trace_from_journal;
-use optassign_obs::{Event, Recorder, Value};
+use crate::trace::chrome_trace_from_journal;
+use crate::{Event, Recorder, Value};
 use std::collections::VecDeque;
 use std::fmt::Write as _;
 use std::sync::{Mutex, PoisonError};
@@ -46,12 +46,6 @@ struct Progress {
     stop: Option<String>,
     /// Degradation events seen so far.
     degradations: u64,
-    /// Slot-range leases the fleet coordinator has dispatched (0 for a
-    /// single-node run — the fields still render so scrapers need no
-    /// schema branch).
-    leases: u64,
-    /// Workers the fleet coordinator has declared dead.
-    workers_lost: u64,
 }
 
 /// Bounded, shareable telemetry state; see the module docs.
@@ -104,11 +98,7 @@ impl TelemetryHub {
         push_opt_f64(&mut out, "gap", p.gap);
         push_opt_str(&mut out, "method", p.method.as_deref());
         push_opt_str(&mut out, "stop", p.stop.as_deref());
-        let _ = write!(
-            out,
-            ",\"degradations\":{},\"leases\":{},\"workers_lost\":{}}}",
-            p.degradations, p.leases, p.workers_lost
-        );
+        let _ = write!(out, ",\"degradations\":{}}}", p.degradations);
         out
     }
 
@@ -127,8 +117,6 @@ impl TelemetryHub {
                 }
             }
             "degradation" => p.degradations += 1,
-            "fleet_lease" => p.leases += 1,
-            "fleet_worker_lost" => p.workers_lost += 1,
             "iterative_done" => {
                 if let Some(stop) = str_field(event, "stop") {
                     p.stop = Some(stop.to_string());
@@ -202,7 +190,7 @@ fn push_opt_str(out: &mut String, key: &str, value: Option<&str>) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use optassign_obs::Json;
+    use crate::Json;
 
     #[test]
     fn progress_digest_tracks_the_latest_round_and_stop() {
@@ -211,7 +199,7 @@ mod tests {
             hub.progress_json(),
             "{\"round\":0,\"samples\":0,\"best_observed\":null,\
              \"estimated_optimal\":null,\"gap\":null,\"method\":null,\
-             \"stop\":null,\"degradations\":0,\"leases\":0,\"workers_lost\":0}"
+             \"stop\":null,\"degradations\":0}"
         );
         hub.record(&Event::new("iterative_start").with("n_init", 200u64));
         hub.record(
@@ -237,13 +225,6 @@ mod tests {
         assert_eq!(v.get("gap").and_then(Json::as_f64), Some(0.05));
         assert_eq!(v.get("stop"), Some(&Json::Null));
         assert_eq!(v.get("degradations").and_then(Json::as_u64), Some(1));
-
-        hub.record(&Event::new("fleet_lease").with("worker", "127.0.0.1:9000"));
-        hub.record(&Event::new("fleet_lease").with("worker", "127.0.0.1:9001"));
-        hub.record(&Event::new("fleet_worker_lost").with("worker", "127.0.0.1:9001"));
-        let v = Json::parse(&hub.progress_json()).expect("valid json");
-        assert_eq!(v.get("leases").and_then(Json::as_u64), Some(2));
-        assert_eq!(v.get("workers_lost").and_then(Json::as_u64), Some(1));
 
         hub.record(&Event::new("iterative_done").with("stop", "target_met"));
         let v = Json::parse(&hub.progress_json()).expect("valid json");

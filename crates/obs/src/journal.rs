@@ -2,9 +2,10 @@
 //!
 //! The workspace is dependency-free by policy, and the journal's writer
 //! side ([`crate::event`]) is hand-rolled; this module is its reading
-//! half, shared by the Chrome-trace exporter ([`crate::trace`]), the
-//! telemetry endpoint, and the `obs_report` analysis binary. It parses
-//! full RFC 8259 JSON with one deliberate refinement: unsigned integers
+//! half, shared by the Chrome-trace exporter ([`crate::trace`]) behind
+//! the [`crate::TelemetryHub`]'s `/trace` view, the fleet plane's metrics
+//! scrape, and the `obs_report` analysis binary. It parses full RFC 8259
+//! JSON with one deliberate refinement: unsigned integers
 //! that fit `u64` are kept exact ([`Json::U64`]) rather than routed
 //! through `f64`, because span ids are 64-bit hashes whose low bits a
 //! double would silently destroy.

@@ -56,6 +56,7 @@ pub mod clock;
 pub mod context;
 pub mod event;
 pub mod export;
+pub mod hub;
 pub mod journal;
 pub mod metrics;
 pub mod recorder;
@@ -64,8 +65,9 @@ pub mod trace;
 
 pub use clock::{Clock, FakeClock, MonotonicClock};
 pub use context::{TraceContext, TRACE_HEADER};
-pub use event::{Event, Value};
+pub use event::{json_string, Event, Value};
 pub use export::labeled;
+pub use hub::TelemetryHub;
 pub use journal::Json;
 pub use metrics::{Histogram, MetricsRegistry, LATENCY_BUCKETS_NS, VALUE_BUCKETS};
 pub use recorder::{JsonlRecorder, MemoryRecorder, NullRecorder, Recorder, StderrProgress, Tee};

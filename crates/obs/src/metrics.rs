@@ -316,8 +316,8 @@ impl MetricsRegistry {
     }
 
     /// Reconstructs a registry from the document produced by
-    /// [`MetricsRegistry::to_json`] — how the coordinator turns a
-    /// worker's `/v1/stats` scrape back into mergeable series. Series
+    /// [`MetricsRegistry::to_json`] — how the fleet plane turns a
+    /// worker's `/metrics.json` scrape back into mergeable series. Series
     /// that do not round-trip (malformed histograms, non-numeric values)
     /// are skipped rather than failing the whole snapshot.
     #[must_use]

@@ -85,7 +85,7 @@ impl Recorder for MemoryRecorder {
 
 /// `Arc<R>` of any recorder forwards, so a sink can be shared between
 /// `Obs` and an out-of-band reader (tests keep a handle on a
-/// [`MemoryRecorder`], a telemetry server on its event ring).
+/// [`MemoryRecorder`], a `--serve` endpoint on its [`crate::TelemetryHub`]).
 impl<R: Recorder> Recorder for Arc<R> {
     fn record(&self, event: &Event) {
         self.as_ref().record(event);

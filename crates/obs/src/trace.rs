@@ -112,7 +112,7 @@ pub fn chrome_trace_json(spans: &[TraceSpan]) -> String {
     out
 }
 
-/// One-call convenience for the telemetry `/trace` endpoint and
+/// One-call convenience for [`crate::TelemetryHub::trace_json`] and
 /// `obs_report --chrome-trace`: journal lines in, `(trace JSON,
 /// malformed line count)` out.
 #[must_use]

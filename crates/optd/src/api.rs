@@ -12,15 +12,16 @@
 //!   and confidence; `409` before the first estimate exists.
 //! - `DELETE /v1/campaigns/{id}` — stop tracking and delete the
 //!   campaign directory.
-//! - `GET /healthz` — liveness (text).
-//! - `GET /metrics` — Prometheus text exposition of the daemon's `Obs`
-//!   registry.
+//!
+//! `GET /healthz`, `/metrics` and `/metrics.json` are answered by the
+//! HTTP core from the `Obs` handle the server is started with, as on
+//! every endpoint (see [`optassign_httpd`]).
 
 use crate::admission::{AdmissionDecision, AdmissionReview};
 use crate::daemon::{CampaignView, DaemonHandle, SubmitError, SubmitOutcome};
-use crate::spec::{json_string, CampaignSpec};
+use crate::spec::CampaignSpec;
 use optassign_httpd::{Handler, Request, Response};
-use optassign_obs::Obs;
+use optassign_obs::{json_string, Obs};
 use std::sync::Arc;
 
 /// Counter the HTTP core bumps on malformed/oversized/timed-out
@@ -28,19 +29,17 @@ use std::sync::Arc;
 pub const REJECTED_COUNTER: &str = "optd_requests_rejected_total";
 
 /// Builds the daemon's request handler.
+///
+/// `_obs` is unused: the HTTP core serves `/metrics` from the handle
+/// given to [`optassign_httpd::HttpServer::start`]. The parameter stays
+/// because existing callers, the campaign benchmark among them, pass it.
 #[must_use]
-pub fn handler(daemon: DaemonHandle, obs: Obs) -> Arc<Handler> {
-    Arc::new(move |req: &Request| route(&daemon, &obs, req))
+pub fn handler(daemon: DaemonHandle, _obs: Obs) -> Arc<Handler> {
+    Arc::new(move |req: &Request| route(&daemon, req))
 }
 
-fn route(daemon: &DaemonHandle, obs: &Obs, req: &Request) -> Response {
+fn route(daemon: &DaemonHandle, req: &Request) -> Response {
     match (req.method.as_str(), req.path.as_str()) {
-        ("GET", "/healthz") => Response::text(200, "ok\n"),
-        ("GET", "/metrics") => Response {
-            status: 200,
-            content_type: "text/plain; version=0.0.4",
-            body: obs.metrics().to_prometheus().into(),
-        },
         ("GET", "/v1/campaigns") => list_campaigns(daemon),
         ("POST", "/v1/campaigns") => submit_campaign(daemon, req),
         (method, path) => {

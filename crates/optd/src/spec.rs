@@ -17,7 +17,7 @@ use optassign::model::{MeasureError, PerformanceModel, SimModel, SyntheticModel}
 use optassign::Assignment;
 use optassign_netapps::suite::MAX_INSTANCES;
 use optassign_netapps::Benchmark;
-use optassign_obs::Json;
+use optassign_obs::{json_string, Json};
 use optassign_sim::{MachineConfig, Topology};
 
 /// Default workload-construction seed for netapps models — the bench
@@ -486,27 +486,6 @@ fn parse_model(model: &Json) -> Result<ModelSpec, SpecError> {
     }
 }
 
-/// Renders a JSON string literal with the escapes the journal writer
-/// uses (quote, backslash, control characters).
-#[must_use]
-pub fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for ch in s.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -663,11 +642,5 @@ mod tests {
                 model.try_evaluate_at(a, keys[i].0, keys[i].1).unwrap()
             );
         }
-    }
-
-    #[test]
-    fn json_string_escapes() {
-        assert_eq!(json_string("a\"b\\c\nd"), "\"a\\\"b\\\\c\\nd\"");
-        assert_eq!(json_string("plain"), "\"plain\"");
     }
 }

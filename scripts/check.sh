@@ -18,7 +18,7 @@ echo "==> cargo fmt --check"
 cargo fmt --all --check
 
 # Library crates: panic-free discipline on top of the standard lints.
-LIB_CRATES=(optassign-obs optassign-exec optassign-store optassign-stats optassign-sim optassign-evt optassign-netapps optassign-telemetry optassign-httpd optassign-optd optassign-fleet optassign)
+LIB_CRATES=(optassign-obs optassign-exec optassign-store optassign-stats optassign-sim optassign-evt optassign-netapps optassign-httpd optassign-optd optassign-fleet optassign)
 for crate in "${LIB_CRATES[@]}"; do
     echo "==> cargo clippy -p ${crate} --lib (deny warnings, unwrap_used, expect_used)"
     cargo clippy -q -p "${crate}" --lib -- \
@@ -259,7 +259,7 @@ EOF
     done
     [[ -s "${FLEET_DIR}/plane.addr" ]] || { echo "fleet plane never came up"; exit 1; }
     PLANE="http://$(cat "${FLEET_DIR}/plane.addr")"
-    curl -fsS "${PLANE}/healthz" | grep -q '"role":"fleet-plane"'
+    curl -fsS "${PLANE}/healthz" | grep -qx 'ok'
     curl -fsS "${PLANE}/v1/fleet/metrics" >/dev/null
     # Wait for the campaign itself to finish (the process keeps serving).
     for _ in $(seq 1 600); do
@@ -278,6 +278,11 @@ EOF
     curl -fsS "${PLANE}/v1/trace/merged" >"${FLEET_DIR}/merged-live.json"
     grep -q '"ph":"s"' "${FLEET_DIR}/merged-live.json"
     grep -q '"ph":"f"' "${FLEET_DIR}/merged-live.json"
+    # Every endpoint answers the same observability routes: a surviving
+    # worker's control endpoint serves Prometheus text too. Saved to a
+    # file first: under pipefail, grep -q exiting early can fail curl.
+    curl -fsS "http://$(cat "${FLEET_DIR}/w0.addr")/metrics" >"${FLEET_DIR}/w0.prom"
+    grep -q '^# TYPE http_requests_total counter' "${FLEET_DIR}/w0.prom"
     kill "${RUN_PID}" 2>/dev/null || true
     wait "${RUN_PID}" 2>/dev/null || true
     for pid in "${FLEET_PIDS[@]}"; do
