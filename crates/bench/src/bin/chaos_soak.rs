@@ -1,19 +1,13 @@
 //! `chaos_soak` — end-to-end storage-fault campaign against the durable
 //! store.
 //!
-//! Drives the full chaos fabric in one deterministic run:
-//!
-//! * **Phase A (kill / corrupt / resume):** a persistent campaign on a
-//!   [`SyntheticModel`] is run repeatedly under [`FaultyIo`] — short
-//!   writes, ENOSPC, silent bit flips, lost syncs, and a disk that dies
-//!   after a seeded op budget — with a crash (torn tails of unsynced
-//!   bytes) and an `fsck --repair` pass between rounds. A guaranteed
-//!   interior bit flip then verifies quarantine end-to-end, and the final
-//!   clean resume must reproduce the fault-free baseline bit for bit.
-//! * **Phase B (shard merge):** the surviving log is split round-robin
-//!   into two shard stores, one shard is corrupted, and the shards are
-//!   merged in both orders. The merged logs must be byte-identical under
-//!   permutation and re-merge, and must replay to the baseline.
+//! Drives the full chaos fabric in one deterministic run: a persistent
+//! campaign on a [`SyntheticModel`] is run repeatedly under [`FaultyIo`]
+//! — short writes, ENOSPC, silent bit flips, lost syncs, and a disk that
+//! dies after a seeded op budget — with a crash (torn tails of unsynced
+//! bytes) and an `fsck --repair` pass between rounds. A guaranteed
+//! interior bit flip then verifies quarantine end-to-end, and the final
+//! clean resume must reproduce the fault-free baseline bit for bit.
 //!
 //! Everything is derived from `--seed`, so a failure reproduces exactly.
 //! Prints `chaos_soak: OK (...)` and exits 0 on success; panics (exit
@@ -23,13 +17,13 @@
 //! [--scale smoke|full] [--seed N]`
 
 use optassign::model::SyntheticModel;
-use optassign::persist::{self, CampaignStore};
+use optassign::persist::CampaignStore;
 use optassign::study::SampleStudy;
-use optassign::{Parallelism, PerformanceModel, Topology};
+use optassign::{Parallelism, Topology};
 use optassign_bench::BASE_SEED;
 use optassign_obs::Obs;
 use optassign_store::io::{FaultyIo, IoFaultPlan, RealIo};
-use optassign_store::{fsck, merge, wal, WAL_FILE};
+use optassign_store::{fsck, wal, WAL_FILE};
 use std::path::Path;
 use std::sync::Arc;
 
@@ -57,10 +51,6 @@ fn flip_interior_bit(path: &Path, seed: u64) -> bool {
     bytes[offset] ^= 1 << (mix(seed ^ 0x0F) % 8);
     std::fs::write(path, &bytes).expect("rewriting corrupted log");
     true
-}
-
-fn read_wal_bytes(dir: &Path) -> Vec<u8> {
-    std::fs::read(dir.join(WAL_FILE)).expect("reading merged log")
 }
 
 struct Scale {
@@ -123,7 +113,7 @@ fn main() {
         scale.name, scale.tasks, scale.n, scale.rounds, par.workers
     );
 
-    // ---- Phase A: fault-free baseline ---------------------------------
+    // ---- fault-free baseline -----------------------------------------
     let baseline_dir = work.join("baseline");
     std::fs::create_dir_all(&baseline_dir).expect("creating baseline dir");
     let store = CampaignStore::open_with(&baseline_dir, Arc::new(RealIo), &obs)
@@ -137,7 +127,7 @@ fn main() {
         .map(|p| p.to_bits())
         .collect();
 
-    // ---- Phase A: kill / corrupt / repair / resume loop ---------------
+    // ---- kill / corrupt / repair / resume loop -----------------------
     let chaos_dir = work.join("chaos");
     std::fs::create_dir_all(&chaos_dir).expect("creating chaos dir");
     let mut quarantined_total = 0u64;
@@ -191,7 +181,7 @@ fn main() {
         );
     }
 
-    // ---- Phase A: guaranteed quarantine round-trip --------------------
+    // ---- guaranteed quarantine round-trip ----------------------------
     // Complete the campaign cleanly so the log holds every record, flip
     // one interior bit, and check fsck moves exactly that damage aside.
     let store =
@@ -225,83 +215,10 @@ fn main() {
         quarantined_total >= 1,
         "the soak must exercise quarantine at least once"
     );
-    eprintln!(
-        "[chaos] phase A OK: {} records resume bit-identically after {} quarantined frames \
-         and {} torn-tail bytes",
-        scale.n, quarantined_total, torn_total
-    );
-
-    // ---- Phase B: fault-tolerant shard merge --------------------------
-    let scan = merge::read_shard(&chaos_dir, &RealIo).expect("scanning surviving store");
-    assert!(
-        !scan.records.is_empty(),
-        "phase B needs surviving records to shard"
-    );
-    let shard_dirs = [work.join("shard-a"), work.join("shard-b")];
-    for (s, dir) in shard_dirs.iter().enumerate() {
-        std::fs::create_dir_all(dir).expect("creating shard dir");
-        let (mut log, _, _) =
-            wal::open_log(&RealIo, &dir.join(WAL_FILE)).expect("creating shard log");
-        for record in scan.records.iter().skip(s).step_by(shard_dirs.len()) {
-            log.append(record).expect("sharding record");
-        }
-        log.sync().expect("syncing shard");
-    }
-    // One damaged shard: the merge must salvage around it.
-    assert!(
-        flip_interior_bit(&shard_dirs[0].join(WAL_FILE), seed ^ 0x5AAD),
-        "shard log must be long enough to corrupt"
-    );
-
-    let campaign = persist::study_campaign_id(seed, scale.n, scale.tasks, model.topology());
-    let ab_dir = work.join("merged-ab");
-    let ba_dir = work.join("merged-ba");
-    let re_dir = work.join("merged-re");
-    let forward = [shard_dirs[0].clone(), shard_dirs[1].clone()];
-    let backward = [shard_dirs[1].clone(), shard_dirs[0].clone()];
-    let ab = merge::merge_campaigns_with(&forward, &ab_dir, &RealIo, Some(campaign))
-        .expect("forward merge");
-    let ba = merge::merge_campaigns_with(&backward, &ba_dir, &RealIo, Some(campaign))
-        .expect("backward merge");
-    assert_eq!(
-        read_wal_bytes(&ab_dir),
-        read_wal_bytes(&ba_dir),
-        "merge must be invariant under shard permutation"
-    );
-    assert_eq!(ab.measurements, ba.measurements);
-    assert!(
-        ab.damaged_shards >= 1 && ab.quarantined_frames >= 1,
-        "the corrupted shard must be tolerated, not hidden: {ab:?}"
-    );
-    let re = merge::merge_campaigns_with(
-        std::slice::from_ref(&ab_dir),
-        &re_dir,
-        &RealIo,
-        Some(campaign),
-    )
-    .expect("re-merge");
-    assert_eq!(
-        read_wal_bytes(&ab_dir),
-        read_wal_bytes(&re_dir),
-        "re-merging a merged store must be a fixed point"
-    );
-    assert_eq!(re.duplicates, 0, "a merged store holds no duplicates");
-
-    let store =
-        CampaignStore::open_with(&ab_dir, Arc::new(RealIo), &obs).expect("merged store opens");
-    let merged = SampleStudy::run_with(&model, scale.n, seed, par, &obs, Some(&store))
-        .expect("replay from merged store");
-    drop(store);
-    let merged_bits: Vec<u64> = merged.performances().iter().map(|p| p.to_bits()).collect();
-    assert_eq!(
-        merged_bits, baseline_bits,
-        "merged shards must replay to the fault-free baseline"
-    );
 
     std::fs::remove_dir_all(&work).expect("cleaning work dir");
     println!(
-        "chaos_soak: OK (scale {}, rounds {}, quarantined {} frames, torn {} bytes, \
-         merged {} measurements, {} duplicates dropped)",
-        scale.name, scale.rounds, quarantined_total, torn_total, ab.measurements, ab.duplicates
+        "chaos_soak: OK (scale {}, rounds {}, quarantined {} frames, torn {} bytes)",
+        scale.name, scale.rounds, quarantined_total, torn_total
     );
 }

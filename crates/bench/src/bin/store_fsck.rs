@@ -7,30 +7,25 @@
 //! through the normal open path, which moves damaged frames into the
 //! `campaign.quarantine` sidecar and truncates the torn tail — exactly
 //! the repair a resuming run would perform, made explicit and
-//! inspectable.
+//! inspectable. A damaged snapshot segment is reported but never
+//! rewritten: no repair can fix it, and the store will not open until
+//! it is removed.
 //!
-//! With `--merge`, instead merges the given shard stores into a fresh
-//! destination store (the same canonical merge the fleet coordinator
-//! performs) and prints the per-shard contribution report.
-//!
-//! Exit status: 0 when the store is clean (or was just repaired, or the
-//! merge found no damaged shard), 2 when damage was found without
-//! `--repair` (or a merge input was damaged), 1 on usage or I/O errors.
+//! Exit status: 0 when the store opens and replays every intact record
+//! ([`FsckReport::is_sound`]: clean, or its log was just repaired), 2
+//! when damage remains (log damage without `--repair`, or a damaged
+//! segment), 1 on usage or I/O errors, including a missing directory.
 //! The report is deterministic for given store bytes.
 //!
-//! Usage:
-//! `store_fsck <dir> [--repair]`
-//! `store_fsck --merge <dest> <shard> [<shard> ...]`
+//! Usage: `store_fsck <dir> [--repair]`
 
 use optassign_obs::Obs;
 use optassign_store::io::RealIo;
-use optassign_store::merge::merge_campaigns;
 use optassign_store::{fsck, FsckReport};
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-const USAGE: &str = "usage: store_fsck <dir> [--repair]
-       store_fsck --merge <dest> <shard> [<shard> ...]";
+const USAGE: &str = "usage: store_fsck <dir> [--repair]";
 
 fn print_report(dir: &std::path::Path, report: &FsckReport) {
     println!("store_fsck: {}", dir.display());
@@ -44,50 +39,10 @@ fn print_report(dir: &std::path::Path, report: &FsckReport) {
     println!("  repaired            : {}", report.repaired);
 }
 
-fn merge(args: &[String]) -> ExitCode {
-    let [dest, shards @ ..] = args else {
-        eprintln!("{USAGE}");
-        return ExitCode::FAILURE;
-    };
-    if shards.is_empty() {
-        eprintln!("{USAGE}");
-        return ExitCode::FAILURE;
-    }
-    let dest = PathBuf::from(dest);
-    let shards: Vec<PathBuf> = shards.iter().map(PathBuf::from).collect();
-    match merge_campaigns(&shards, &dest) {
-        Ok(report) => {
-            println!(
-                "store_fsck: merged {} shard(s) into {}",
-                report.shards,
-                dest.display()
-            );
-            print!("{}", report.render_per_shard());
-            if report.damaged_shards == 0 {
-                ExitCode::SUCCESS
-            } else {
-                println!(
-                    "store_fsck: {} damaged shard(s) salvaged",
-                    report.damaged_shards
-                );
-                ExitCode::from(2)
-            }
-        }
-        Err(e) => {
-            eprintln!("store_fsck: merge into {}: {e}", dest.display());
-            ExitCode::FAILURE
-        }
-    }
-}
-
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    if args.first().map(String::as_str) == Some("--merge") {
-        return merge(&args[1..]);
-    }
     let mut dir: Option<PathBuf> = None;
     let mut repair = false;
-    for arg in &args {
+    for arg in std::env::args().skip(1) {
         if arg == "--repair" {
             repair = true;
         } else if !arg.starts_with("--") && dir.is_none() {
@@ -105,9 +60,15 @@ fn main() -> ExitCode {
     match fsck(&dir, &RealIo, repair, &Obs::disabled()) {
         Ok(report) => {
             print_report(&dir, &report);
-            if report.is_clean() || report.repaired {
+            if report.is_sound() {
                 println!("store_fsck: OK");
                 ExitCode::SUCCESS
+            } else if report.segments_damaged > 0 {
+                println!(
+                    "store_fsck: {} damaged snapshot segment(s); --repair cannot fix a segment",
+                    report.segments_damaged
+                );
+                ExitCode::from(2)
             } else {
                 println!("store_fsck: damage found (re-run with --repair)");
                 ExitCode::from(2)

@@ -348,14 +348,12 @@ impl<M: PerformanceModel + Sync> BatchBackend for LocalBackend<'_, M> {
         request: &BatchRequest<'_>,
         obs: &Obs,
     ) -> Result<Vec<SlotOutcome>, CoreError> {
-        let want = request.primaries.len();
         let journal = self.persist.map(|(store, campaign)| Journal {
             store,
             campaign,
             sequence: request.sequence,
-            width: want as u64,
         });
-        let slots: Vec<u64> = (0..want as u64).collect();
+        let slots: Vec<u64> = (0..request.primaries.len() as u64).collect();
         let measured = measure_slots(
             self.model,
             &slots,
@@ -474,9 +472,6 @@ pub struct LeaseRequest {
     pub sequence: u64,
     /// The batch's fault/redraw stream salt.
     pub batch_salt: u64,
-    /// Full batch width, journaled in the batch marker so shards from
-    /// partial leases fold identically to a whole-batch journal.
-    pub want: u64,
     /// Retries per assignment before it is abandoned and redrawn.
     pub max_retries: usize,
     /// Replacement draws per slot.
@@ -508,10 +503,11 @@ pub struct LeaseOutcome {
 /// (replay, nothing re-journaled), its evaluation cache, the federated
 /// peer caches, and only then the model via the same keyed retry/redraw
 /// ladder the in-process batch path uses. Freshly measured slots are
-/// journaled in lease order through the store (identical records to a
-/// single-node run of the same batch), followed by the batch marker at
-/// the *full* batch width, so independently leased shards of one batch
-/// merge into exactly the single-node journal.
+/// journaled in lease order through the worker's store (identical
+/// records to a single-node run of the same batch), followed by a batch
+/// marker with the lease's slot count. The store is the worker's own
+/// cache and replay log; the coordinator journals the campaign from the
+/// returned outcomes.
 ///
 /// The lease is timed into the `fleet_lease_measure_ns` histogram. Under
 /// a remote trace parent (`remote_parent != 0`, the worker-side server
@@ -550,7 +546,6 @@ pub fn measure_leased_slots<M: PerformanceModel + Sync>(
         store,
         campaign: lease.campaign,
         sequence: lease.sequence,
-        width: lease.want,
     };
     let measured = measure_slots(
         model,
@@ -1558,8 +1553,7 @@ mod tests {
     }
 
     #[test]
-    fn leased_slots_journal_identically_to_local_batch() {
-        use optassign_store::merge::merge_campaigns;
+    fn a_whole_batch_lease_journals_identically_to_the_local_batch() {
         use optassign_store::WAL_FILE;
 
         let m = model();
@@ -1581,8 +1575,8 @@ mod tests {
         local.sync();
         drop(local);
 
-        // Reproduce the same batch as two disjoint leases into two
-        // shards, exactly as the fleet coordinator would dispatch them.
+        // Reproduce the same batch as one lease of all its slots, built
+        // the way the fleet coordinator builds a lease.
         let campaign = persist::iterative_campaign_id(seed, &cfg, m.tasks(), m.topology());
         let mut rng = StdRng::seed_from_u64(seed);
         let primaries: Vec<Assignment> = (0..cfg.n_init)
@@ -1593,41 +1587,37 @@ mod tests {
             cfg.eval_budget
                 .div_ceil(cfg.n_init * (1 + cfg.max_eval_retries)),
         );
-        let shard_dirs = [root.join("s0"), root.join("s1")];
-        for (dir, part) in shard_dirs.iter().zip([0..70, 70..cfg.n_init]) {
-            let store = CampaignStore::open(dir).unwrap();
-            let lease = LeaseRequest {
-                campaign,
-                sequence: 0,
-                batch_salt,
-                want: cfg.n_init as u64,
-                max_retries: cfg.max_eval_retries,
-                draw_cap,
-                slots: part.clone().map(|i| i as u64).collect(),
-                primaries: primaries[part.clone()].to_vec(),
-            };
-            let out = measure_leased_slots(
-                &m,
-                &lease,
-                &store,
-                &NoPeers,
-                Parallelism::default(),
-                &Obs::disabled(),
-                0,
-            )
-            .unwrap();
-            assert_eq!(out.len(), part.len());
-            assert!(out
-                .iter()
-                .all(|o| o.resolution == LeaseResolution::Evaluated));
-            store.sync();
-        }
-        let merged = root.join("merged");
-        merge_campaigns(&[shard_dirs[0].clone(), shard_dirs[1].clone()], &merged).unwrap();
+        let leased_dir = root.join("leased");
+        let store = CampaignStore::open(&leased_dir).unwrap();
+        let lease = LeaseRequest {
+            campaign,
+            sequence: 0,
+            batch_salt,
+            max_retries: cfg.max_eval_retries,
+            draw_cap,
+            slots: (0..cfg.n_init as u64).collect(),
+            primaries,
+        };
+        let out = measure_leased_slots(
+            &m,
+            &lease,
+            &store,
+            &NoPeers,
+            Parallelism::default(),
+            &Obs::disabled(),
+            0,
+        )
+        .unwrap();
+        assert_eq!(out.len(), cfg.n_init);
+        assert!(out
+            .iter()
+            .all(|o| o.resolution == LeaseResolution::Evaluated));
+        store.sync();
+        drop(store);
         assert_eq!(
-            std::fs::read(merged.join(WAL_FILE)).unwrap(),
+            std::fs::read(leased_dir.join(WAL_FILE)).unwrap(),
             std::fs::read(local_dir.join(WAL_FILE)).unwrap(),
-            "two leased shards must merge to the single-node journal"
+            "a whole-batch lease must journal the single-node batch"
         );
         std::fs::remove_dir_all(&root).unwrap();
     }
@@ -1661,7 +1651,6 @@ mod tests {
             campaign: 9,
             sequence: 0,
             batch_salt: 1,
-            want: 4,
             max_retries: 2,
             draw_cap: 4,
             slots: (0..4).collect(),
@@ -1692,7 +1681,6 @@ mod tests {
             campaign: 9,
             sequence: 0,
             batch_salt: 1,
-            want: 3,
             max_retries: 0,
             draw_cap: 1,
             slots: vec![0, 1, 2],

@@ -12,7 +12,7 @@
 //! * the **measurement**: ground truth through `evaluate_batch`, or the
 //!   keyed retry/redraw [`Ladder`] with a batched first attempt;
 //! * the **journaling order**: freshly resolved, measured slots in slot
-//!   order, then the batch marker at the batch's full width.
+//!   order, then the batch marker with the call's slot count.
 
 use crate::model::{MeasureError, PerformanceModel};
 use crate::persist;
@@ -229,15 +229,12 @@ impl Measure {
     }
 }
 
-/// Where a batch journals: its campaign and sequence, and the batch's
-/// full width, which the batch marker records so that partial leases of
-/// one batch fold into exactly the single-node journal.
+/// Where a batch journals: its store, campaign and sequence.
 #[derive(Clone, Copy)]
 pub(crate) struct Journal<'a> {
     pub store: &'a CampaignStore,
     pub campaign: u64,
     pub sequence: u64,
-    pub width: u64,
 }
 
 /// Resolves, measures, and journals one batch of slots: slot `slots[i]`
@@ -250,8 +247,8 @@ pub(crate) struct Journal<'a> {
 /// precedes the parallel region, and cache inserts only happen at the
 /// batch marker, so what a slot sees never depends on scheduling. After
 /// the region, freshly resolved measured slots are journaled in slot
-/// order, then the batch marker; an abandoned slot journals nothing and
-/// re-measures deterministically on resume.
+/// order, then the batch marker with `slots.len()`; an abandoned slot
+/// journals nothing and re-measures deterministically on resume.
 ///
 /// # Errors
 ///
@@ -320,7 +317,8 @@ pub(crate) fn measure_slots<M: PerformanceModel + Sync>(
                 _ => {}
             }
         }
-        j.store.end_batch(j.campaign, j.sequence, j.width);
+        j.store
+            .end_batch(j.campaign, j.sequence, slots.len() as u64);
     }
     Ok(outcomes
         .into_iter()

@@ -26,7 +26,6 @@ use optassign_store::fingerprint;
 use optassign_store::record::MeasurementRecord;
 
 pub use optassign_store::io::{FaultyIo, IoFaultPlan, RealIo, StoreIo};
-pub use optassign_store::merge::{merge_campaigns, MergeReport};
 pub use optassign_store::{fsck, CampaignStore, FsckReport};
 
 /// Salt separating plain-study campaigns from every other campaign kind.

@@ -152,7 +152,6 @@ impl SampleStudy {
             store,
             campaign: persist::study_campaign_id(seed, n, model.tasks(), model.topology()),
             sequence: 0,
-            width: n as u64,
         });
         let slots = measure_slots(
             model,
@@ -294,7 +293,6 @@ impl SampleStudy {
                 model.topology(),
             ),
             sequence: 0,
-            width: n as u64,
         });
         let slots = measure_slots(
             model,

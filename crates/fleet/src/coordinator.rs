@@ -328,7 +328,6 @@ fn dispatch_lease(
         campaign,
         sequence: request.sequence,
         batch_salt: request.batch_salt,
-        want: request.primaries.len() as u64,
         max_retries: request.max_retries,
         draw_cap: request.draw_cap,
         slots: chunk.to_vec(),

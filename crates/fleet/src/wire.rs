@@ -55,14 +55,9 @@ pub fn encode_lease(lease: &LeaseRequest) -> String {
     let mut out = String::with_capacity(64 + lease.slots.len() * 48);
     let _ = write!(
         out,
-        "{{\"campaign\":{},\"sequence\":{},\"batch_salt\":{},\"want\":{},\
+        "{{\"campaign\":{},\"sequence\":{},\"batch_salt\":{},\
          \"max_retries\":{},\"draw_cap\":{},\"slots\":[",
-        lease.campaign,
-        lease.sequence,
-        lease.batch_salt,
-        lease.want,
-        lease.max_retries,
-        lease.draw_cap,
+        lease.campaign, lease.sequence, lease.batch_salt, lease.max_retries, lease.draw_cap,
     );
     for (i, (slot, primary)) in lease.slots.iter().zip(&lease.primaries).enumerate() {
         if i > 0 {
@@ -105,7 +100,6 @@ pub fn decode_lease(text: &str, topo: Topology) -> Result<LeaseRequest, String> 
         campaign: field_u64(&doc, "campaign")?,
         sequence: field_u64(&doc, "sequence")?,
         batch_salt: field_u64(&doc, "batch_salt")?,
-        want: field_u64(&doc, "want")?,
         max_retries: usize::try_from(field_u64(&doc, "max_retries")?)
             .map_err(|_| "\"max_retries\" out of range")?,
         draw_cap: usize::try_from(field_u64(&doc, "draw_cap")?)
@@ -227,7 +221,6 @@ mod tests {
             campaign: u64::MAX - 3,
             sequence: 4,
             batch_salt: 0xDEAD_BEEF_1234_5678,
-            want: 120,
             max_retries: 2,
             draw_cap: 5,
             slots: (17..24).collect(),
@@ -243,7 +236,6 @@ mod tests {
             campaign: 1,
             sequence: 2,
             batch_salt: 3,
-            want: 4,
             max_retries: 5,
             draw_cap: 6,
             slots: vec![7, 8],
@@ -254,7 +246,7 @@ mod tests {
         };
         assert_eq!(
             encode_lease(&lease),
-            "{\"campaign\":1,\"sequence\":2,\"batch_salt\":3,\"want\":4,\"max_retries\":5,\
+            "{\"campaign\":1,\"sequence\":2,\"batch_salt\":3,\"max_retries\":5,\
              \"draw_cap\":6,\"slots\":[{\"slot\":7,\"contexts\":[0,9]},\
              {\"slot\":8,\"contexts\":[3,4]}]}"
         );
@@ -310,7 +302,7 @@ mod tests {
             ("{}", "slots"),
             (r#"{"slots":[{"slot":1}]}"#, "contexts"),
             (
-                r#"{"slots":[],"campaign":1,"sequence":0,"batch_salt":2,"want":3}"#,
+                r#"{"slots":[],"campaign":1,"sequence":0,"batch_salt":2}"#,
                 "max_retries",
             ),
         ] {

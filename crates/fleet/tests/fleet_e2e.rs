@@ -13,9 +13,8 @@ use optassign_fleet::{
 use optassign_obs::{fleet_counters, Obs};
 use optassign_optd::client::http_call;
 use optassign_optd::spec::CampaignSpec;
-use optassign_store::io::RealIo;
-use optassign_store::merge::read_shard;
 use optassign_store::record::StoreRecord;
+use optassign_store::wal;
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
@@ -188,13 +187,13 @@ fn coordinator_cache_hits_journal_like_a_single_node() {
     drop(w0);
     drop(w1);
 
+    let fleet = wal_bytes(&outcome.merged_dir);
     assert_eq!(
-        digest(&wal_bytes(&outcome.merged_dir)),
+        digest(&fleet),
         digest(&reference),
         "fleet WAL (len, fnv1a64) diverged from the single-node journal"
     );
-    let cache_hits = read_shard(&outcome.merged_dir, &RealIo)
-        .unwrap()
+    let cache_hits = wal::scan_body(&fleet[wal::WAL_MAGIC.len()..])
         .records
         .iter()
         .filter(|r| matches!(r, StoreRecord::Measurement(m) if m.attempts == 0))

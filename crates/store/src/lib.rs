@@ -20,16 +20,13 @@
 //!    canonical-form assignment hash, with snapshot-segment compaction
 //!    ([`CampaignStore::compact`]).
 //!
-//! Two more pieces make failure a first-class citizen:
+//! A fourth piece makes failure a first-class citizen:
 //!
 //! 4. **Injectable I/O** ([`io`]). Every byte the store persists flows
 //!    through a [`io::StoreIo`] handle; [`io::FaultyIo`] injects a
 //!    seeded, deterministic schedule of storage faults so each recovery
-//!    path above is exercised reproducibly (see `chaos_soak`).
-//! 5. **Fault-tolerant shard merge** ([`merge`]). Campaign logs written
-//!    on different nodes are combined with
-//!    [`merge::merge_campaigns`] — order-invariant, idempotent, and
-//!    tolerant of torn or quarantined shards.
+//!    path above is exercised reproducibly (see `chaos_soak`), and
+//!    [`fsck`] checks and repairs a store offline.
 //!
 //! ## Batch-boundary cache visibility
 //!
@@ -54,7 +51,6 @@
 
 pub mod cache;
 pub mod io;
-pub mod merge;
 pub mod record;
 pub mod wal;
 
@@ -493,7 +489,8 @@ pub struct FsckReport {
     pub segments_ok: u64,
     /// Snapshot segments with bad magic or damaged frames. Segments are
     /// immutable, so damage in one is data loss fsck can report but not
-    /// repair; the shard merge salvages their intact frames.
+    /// repair, and [`CampaignStore::open`] refuses the store until the
+    /// segment is removed.
     pub segments_damaged: u64,
     /// Entries already in the quarantine sidecar before this check.
     pub sidecar_entries: u64,
@@ -507,6 +504,16 @@ impl FsckReport {
     pub fn is_clean(&self) -> bool {
         self.quarantined_frames == 0 && self.tail_truncated_bytes == 0 && self.segments_damaged == 0
     }
+
+    /// Whether [`CampaignStore::open`] will open the store and replay
+    /// every intact record: no snapshot segment is damaged, and the log
+    /// is either clean or was just repaired. Log damage alone does not
+    /// stop an open (the open repairs it), but a damaged segment does,
+    /// and no repair can fix one.
+    #[must_use]
+    pub fn is_sound(&self) -> bool {
+        self.segments_damaged == 0 && (self.is_clean() || self.repaired)
+    }
 }
 
 /// Checks the store at `dir` for damage. With `repair == false` this is
@@ -518,9 +525,9 @@ impl FsckReport {
 ///
 /// # Errors
 ///
-/// Returns [`StoreError::Io`] on filesystem failure and
-/// [`StoreError::Corrupt`] when the log file exists but is not a
-/// campaign log at all (wrong magic).
+/// Returns [`StoreError::Io`] on filesystem failure, including a
+/// directory that does not exist, and [`StoreError::Corrupt`] when the
+/// log file exists but is not a campaign log at all (wrong magic).
 pub fn fsck(
     dir: &Path,
     io: &dyn StoreIo,
@@ -558,7 +565,7 @@ pub fn fsck(
 
     let mut segment_paths: Vec<PathBuf> = io
         .list_dir(dir)
-        .unwrap_or_default()
+        .map_err(|e| StoreError::Io(format!("listing store dir: {e}")))?
         .into_iter()
         .filter(|p| {
             p.file_name()
@@ -809,6 +816,59 @@ mod tests {
         assert!(report.is_clean());
         assert_eq!(report.wal_records, 3); // 2 measurements + 1 batch end
         assert_eq!(report.sidecar_entries, 1);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn fsck_of_a_missing_directory_is_an_io_error() {
+        let dir = temp_dir("fsck-missing");
+        match fsck(&dir, &RealIo, false, &Obs::disabled()) {
+            Err(StoreError::Io(msg)) => assert!(msg.starts_with("listing store dir"), "{msg}"),
+            other => panic!("expected an I/O error, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn fsck_counts_snapshot_segments_and_never_rewrites_one() {
+        let dir = temp_dir("fsck-segments");
+        let store = CampaignStore::open(&dir).unwrap();
+        for slot in 0..3u64 {
+            store.append_measurement(&measurement(1, 0, slot, 100 + slot, slot as f64));
+        }
+        store.end_batch(1, 0, 3);
+        store.compact().unwrap();
+        let report = fsck(&dir, &RealIo, false, &Obs::disabled()).unwrap();
+        assert_eq!((report.segments_ok, report.segments_damaged), (1, 0));
+        assert!(report.is_sound());
+
+        // A second batch puts frames back in the log; then damage the
+        // segment's last byte and the log's first frame.
+        for slot in 0..3u64 {
+            store.append_measurement(&measurement(1, 1, slot, 200 + slot, slot as f64));
+        }
+        store.end_batch(1, 1, 3);
+        drop(store);
+        let segment = dir.join(segment_name(1));
+        let mut seg_bytes = std::fs::read(&segment).unwrap();
+        *seg_bytes.last_mut().unwrap() ^= 0x01;
+        std::fs::write(&segment, &seg_bytes).unwrap();
+        let wal_path = dir.join(WAL_FILE);
+        let mut bytes = std::fs::read(&wal_path).unwrap();
+        bytes[wal::WAL_MAGIC.len() + wal::FRAME_HEADER_LEN + 1] ^= 0x08;
+        std::fs::write(&wal_path, &bytes).unwrap();
+
+        let report = fsck(&dir, &RealIo, true, &Obs::disabled()).unwrap();
+        assert_eq!((report.segments_ok, report.segments_damaged), (0, 1));
+        assert_eq!(report.quarantined_frames, 1);
+        assert!(report.repaired);
+        assert!(!report.is_sound());
+        assert_eq!(std::fs::read(&segment).unwrap(), seg_bytes);
+        // The repaired log does not make the store open: the segment is
+        // read strictly.
+        assert!(matches!(
+            CampaignStore::open(&dir),
+            Err(StoreError::Corrupt(_))
+        ));
         std::fs::remove_dir_all(&dir).unwrap();
     }
 }

@@ -23,8 +23,8 @@
 //!
 //! Snapshot segments produced by compaction reuse the same framing with
 //! a different magic; segments are immutable, so a bad frame anywhere in
-//! a segment is an error under [`read_segment`], while fsck and the
-//! shard merge use [`scan_body`] to salvage what is intact.
+//! a segment is an error under [`read_segment`], while fsck uses
+//! [`scan_segment_lenient`] to count what is intact.
 
 use std::path::Path;
 
@@ -412,8 +412,8 @@ pub fn open_log_truncated(io: &dyn StoreIo, path: &Path) -> Result<Wal, StoreErr
 
 /// Reads an immutable snapshot segment in full. Any framing defect is an
 /// error: segments are written once and never appended to, so a torn tail
-/// cannot be crash debris. (Fsck and the shard merge use
-/// [`scan_segment_lenient`] to salvage intact frames instead.)
+/// cannot be crash debris. (Fsck uses [`scan_segment_lenient`] to count
+/// intact frames instead.)
 ///
 /// # Errors
 ///

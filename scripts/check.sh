@@ -129,9 +129,10 @@ if [[ "${FAST}" == "0" ]]; then
         "${METRICS_TMP}/serve.jsonl" >"${METRICS_TMP}/report2.out"
     diff "${METRICS_TMP}/report.out" "${METRICS_TMP}/report2.out"
 
-    # Chaos-fabric soak: seeded kill/corrupt/repair/merge loops under
-    # injected storage faults; the final campaign must be bit-identical
-    # to a fault-free run and the shard merge order-invariant.
+    # Chaos-fabric soak: seeded kill/corrupt/repair/resume rounds under
+    # injected storage faults plus a guaranteed quarantine round-trip;
+    # the final resumed campaign must be bit-identical to a fault-free
+    # run.
     echo "==> chaos_soak --scale smoke"
     cargo run -q --release -p optassign-bench --bin chaos_soak -- --scale smoke \
         2>/dev/null | grep -q '^chaos_soak: OK'
@@ -152,6 +153,9 @@ if [[ "${FAST}" == "0" ]]; then
         --scale 0.01 --workers 2 --checkpoint "${METRICS_TMP}/ckpt-clean" --resume \
         >"${METRICS_TMP}/repaired.out"
     diff "${METRICS_TMP}/clean.out" "${METRICS_TMP}/repaired.out"
+    # A store directory that does not exist is an I/O error (exit 1),
+    # not a clean store.
+    rc=0; target/release/store_fsck "${METRICS_TMP}/no-such-store" >/dev/null 2>&1 || rc=$?; [[ "${rc}" == 1 ]]
 
     # Online-service smoke: start the optd daemon (journaled, span
     # tracing on), drive a small fig13-style netapps campaign through

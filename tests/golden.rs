@@ -208,7 +208,6 @@ fn wal_bytes_of_every_measurement_path_match_goldens() {
         campaign: 0xC0FFEE,
         sequence: 3,
         batch_salt: 0x5EED,
-        want: 40,
         max_retries: 1,
         draw_cap: 4,
         slots,
@@ -228,7 +227,7 @@ fn wal_bytes_of_every_measurement_path_match_goldens() {
             (14_032, 0xa3b2_9e42_8fdf_ddea),
             (16_822, 0x9af1_16a7_ad15_7ca0),
             (9_345, 0x83e2_0d1c_5b27_efca),
-            (1_254, 0x73a3_498f_f86e_f88d),
+            (1_254, 0xb175_abae_6ca1_6ec6),
         ],
         "[study, resilient, iterative, leased] (len, fnv1a64) of campaign.wal"
     );
