@@ -4,19 +4,16 @@
 //! exactly the regime real measurement infrastructure corrupts: dropped
 //! runs, outlier spikes, quantized ties, stuck counters, and plain noise.
 //! [`FaultyModel`] wraps any [`PerformanceModel`] and injects such faults
-//! according to a [`FaultPlan`], fully determined by the plan's seed and
-//! the sequence of measurement calls, so every degraded experiment is
-//! replayable bit-for-bit.
+//! according to a [`FaultPlan`], fully determined by the plan's seed, the
+//! assignment and each measurement's `(stream, attempt)` key, so every
+//! degraded experiment is replayable bit-for-bit.
 //!
-//! Two fallible paths exist. [`PerformanceModel::try_evaluate`] keys its
-//! faults on a global call counter — exact sequential replayability, but
-//! order-dependent. [`PerformanceModel::try_evaluate_at`] keys them on an
-//! explicit `(stream, attempt)` pair instead, so the parallel runners can
-//! measure slots in any interleaving and still produce bit-identical
-//! results for every worker count.
-//!
-//! Faults only flow through the fallible path
-//! ([`PerformanceModel::try_evaluate`]); the infallible
+//! Faults are keyed on that explicit pair rather than on a call counter,
+//! so the parallel runners can measure slots in any interleaving and
+//! still produce bit-identical results for every worker count. They flow
+//! only through the fallible keyed path —
+//! [`PerformanceModel::try_evaluate_at`] and its batched twin
+//! [`PerformanceModel::try_evaluate_batch_at`]; the infallible
 //! [`PerformanceModel::evaluate`] passes through to the wrapped model
 //! untouched, which keeps ground truth available for relative-error
 //! reporting in robustness studies.
@@ -26,7 +23,6 @@ use crate::model::{MeasureError, PerformanceModel};
 use optassign_sim::Topology;
 use optassign_stats::rng::{Rng, StdRng};
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, PoisonError};
 
 /// What faults to inject, and how often.
@@ -66,8 +62,8 @@ pub struct FaultPlan {
 }
 
 impl FaultPlan {
-    /// No faults at all: the wrapped model behaves identically through
-    /// both evaluation paths.
+    /// No faults at all: the fallible path passes the wrapped model's
+    /// readings through unchanged.
     pub fn none(seed: u64) -> FaultPlan {
         FaultPlan {
             seed,
@@ -169,26 +165,17 @@ impl FaultStats {
 /// // The infallible path is untouched ground truth…
 /// assert!(faulty.evaluate(&a).is_finite());
 /// // …while the fallible path may fail or perturb (deterministically).
-/// let _ = faulty.try_evaluate(&a);
+/// let _ = faulty.try_evaluate_at(&a, 0, 0);
 /// ```
 #[derive(Debug)]
 pub struct FaultyModel<M> {
     inner: M,
     plan: FaultPlan,
-    /// Measurement-sequence counter: makes retries of the same assignment
-    /// draw fresh faults while keeping the whole sequence replayable.
-    /// Only the sequential [`PerformanceModel::try_evaluate`] path uses
-    /// it; the keyed [`PerformanceModel::try_evaluate_at`] path is
-    /// addressed by `(stream, attempt)` instead, so its outcomes do not
-    /// depend on cross-slot interleaving.
-    calls: AtomicU64,
-    /// Previous reading, for stuck-counter repeats on the sequential path.
-    last_value: Mutex<Option<f64>>,
-    /// Previous reading per stream, for stuck-counter repeats on the
-    /// keyed path. Calls within one stream are sequential (a slot's
-    /// attempts never run concurrently), so this is deterministic for
-    /// any worker count.
+    /// Previous reading per stream, for stuck-counter repeats. Calls
+    /// within one stream are sequential (a slot's attempts never run
+    /// concurrently), so this is deterministic for any worker count.
     stream_last: Mutex<HashMap<u64, f64>>,
+    /// Injection counts; sums, so order-free under any interleaving.
     stats: Mutex<FaultStats>,
 }
 
@@ -228,8 +215,6 @@ impl<M: PerformanceModel> FaultyModel<M> {
         FaultyModel {
             inner,
             plan,
-            calls: AtomicU64::new(0),
-            last_value: Mutex::new(None),
             stream_last: Mutex::new(HashMap::new()),
             stats: Mutex::new(FaultStats::default()),
         }
@@ -250,25 +235,11 @@ impl<M: PerformanceModel> FaultyModel<M> {
         *lock(&self.stats)
     }
 
-    /// Resets the measurement-sequence counter, stuck state and stats, so
-    /// a fresh experiment replays the same fault sequence.
+    /// Resets the per-stream stuck state and the stats, so a fresh
+    /// experiment replays the same faults.
     pub fn reset(&self) {
-        self.calls.store(0, Ordering::Relaxed);
-        *lock(&self.last_value) = None;
         lock(&self.stream_last).clear();
         *lock(&self.stats) = FaultStats::default();
-    }
-
-    /// The fault RNG for one measurement: keyed by plan seed, the
-    /// assignment's contexts, and the call sequence number.
-    fn fault_rng(&self, assignment: &Assignment, call: u64) -> StdRng {
-        let mut h: u64 = self.plan.seed ^ 0x9E37_79B9_7F4A_7C15;
-        for &c in assignment.contexts() {
-            h ^= c as u64 + 1;
-            h = h.wrapping_mul(0x0000_0100_0000_01B3);
-        }
-        h ^= call.wrapping_mul(0xD6E8_FEB8_6659_FD93);
-        StdRng::seed_from_u64(h)
     }
 
     /// The fault RNG for one keyed measurement: keyed by plan seed, the
@@ -289,8 +260,8 @@ impl<M: PerformanceModel> FaultyModel<M> {
     /// Applies the value-fault chain (stuck → spike → noise → heavy tail
     /// → quantize → floor → finite check) to one successful reading.
     /// `stuck_prev` supplies the "previous reading" the stuck-counter
-    /// fault would repeat; the RNG draw order is identical on both
-    /// measurement paths.
+    /// fault would repeat; the RNG draw order is identical on the scalar
+    /// and batched keyed paths.
     fn apply_value_faults(
         &self,
         rng: &mut StdRng,
@@ -350,29 +321,6 @@ impl<M: PerformanceModel> PerformanceModel for FaultyModel<M> {
     /// Ground truth: delegates to the wrapped model with no injection.
     fn evaluate(&self, assignment: &Assignment) -> f64 {
         self.inner.evaluate(assignment)
-    }
-
-    fn try_evaluate(&self, assignment: &Assignment) -> Result<f64, MeasureError> {
-        let call = self.calls.fetch_add(1, Ordering::Relaxed);
-        let mut rng = self.fault_rng(assignment, call);
-        let mut stats = FaultStats::default();
-        stats.attempts += 1;
-
-        let outcome = (|| {
-            if rng.gen_bool(self.plan.fail_rate) {
-                stats.failures += 1;
-                return Err(MeasureError::Failed(format!(
-                    "injected fault (measurement #{call})"
-                )));
-            }
-            let value = self.inner.try_evaluate(assignment)?;
-            let stuck_prev = *lock(&self.last_value);
-            let value = self.apply_value_faults(&mut rng, value, stuck_prev, &mut stats)?;
-            *lock(&self.last_value) = Some(value);
-            Ok(value)
-        })();
-        lock(&self.stats).merge(&stats);
-        outcome
     }
 
     fn try_evaluate_at(
@@ -527,58 +475,23 @@ mod tests {
     }
 
     #[test]
-    fn clean_plan_is_transparent() {
-        let m = FaultyModel::new(inner(), FaultPlan::none(1));
-        for a in assignments(50) {
-            assert_eq!(m.try_evaluate(&a).unwrap(), m.evaluate(&a));
-        }
-        assert!(m.plan().is_clean());
-        assert_eq!(m.stats().failures, 0);
-    }
-
-    #[test]
-    fn fault_sequence_is_deterministic() {
+    fn reset_replays_the_same_faults() {
+        // Ten streams with ascending attempts, so every stream has a
+        // previous reading (live stuck state) when `reset` clears it.
+        let m = FaultyModel::new(inner(), FaultPlan::harsh(3));
         let run = || {
-            let m = FaultyModel::new(inner(), FaultPlan::harsh(7));
-            assignments(300)
+            assignments(100)
                 .iter()
-                .map(|a| m.try_evaluate(a))
+                .enumerate()
+                .map(|(i, a)| m.try_evaluate_at(a, i as u64 % 10, (i / 10) as u32))
                 .collect::<Vec<_>>()
         };
-        assert_eq!(run(), run());
-    }
-
-    #[test]
-    fn reset_replays_the_same_faults() {
-        let m = FaultyModel::new(inner(), FaultPlan::harsh(3));
-        let xs: Vec<_> = assignments(100).iter().map(|a| m.try_evaluate(a)).collect();
+        let xs = run();
+        let stats = m.stats();
         m.reset();
-        let ys: Vec<_> = assignments(100).iter().map(|a| m.try_evaluate(a)).collect();
+        let ys = run();
         assert_eq!(xs, ys);
-    }
-
-    #[test]
-    fn retrying_a_failed_measurement_can_succeed() {
-        // With the call counter in the fault key, a failure is not sticky
-        // per assignment: retries draw fresh faults.
-        let m = FaultyModel::new(
-            inner(),
-            FaultPlan {
-                fail_rate: 0.5,
-                ..FaultPlan::none(11)
-            },
-        );
-        let a = &assignments(1)[0];
-        let mut saw_failure = false;
-        let mut saw_success = false;
-        for _ in 0..64 {
-            match m.try_evaluate(a) {
-                Ok(_) => saw_success = true,
-                Err(MeasureError::Failed(_)) => saw_failure = true,
-                Err(e) => panic!("unexpected error {e}"),
-            }
-        }
-        assert!(saw_failure && saw_success);
+        assert_eq!(m.stats(), stats);
     }
 
     #[test]
@@ -589,8 +502,8 @@ mod tests {
             ..FaultPlan::none(5)
         };
         let m = FaultyModel::new(inner(), plan);
-        for a in assignments(2000) {
-            let _ = m.try_evaluate(&a);
+        for (i, a) in assignments(2000).iter().enumerate() {
+            let _ = m.try_evaluate_at(a, i as u64, 0);
         }
         let s = m.stats();
         assert_eq!(s.attempts, 2000);
@@ -609,7 +522,8 @@ mod tests {
         let m = FaultyModel::new(inner(), plan);
         let values: Vec<f64> = assignments(300)
             .iter()
-            .map(|a| m.try_evaluate(a).unwrap())
+            .enumerate()
+            .map(|(i, a)| m.try_evaluate_at(a, i as u64, 0).unwrap())
             .collect();
         for v in &values {
             assert_eq!(v % 10_000.0, 0.0, "value {v} off-grid");
@@ -620,18 +534,20 @@ mod tests {
     }
 
     #[test]
-    fn stuck_repeats_previous_reading() {
+    fn stuck_repeats_the_streams_previous_reading() {
         let plan = FaultPlan {
             stuck_rate: 1.0,
             ..FaultPlan::none(4)
         };
         let m = FaultyModel::new(inner(), plan);
         let xs = assignments(10);
-        let first = m.try_evaluate(&xs[0]).unwrap();
-        // Every subsequent reading repeats the first.
-        for a in &xs[1..] {
-            assert_eq!(m.try_evaluate(a).unwrap(), first);
+        let first = m.try_evaluate_at(&xs[0], 0, 0).unwrap();
+        // Every later reading on the stream repeats its first.
+        for (attempt, a) in (1..).zip(&xs[1..]) {
+            assert_eq!(m.try_evaluate_at(a, 0, attempt).unwrap(), first);
         }
+        // Another stream has no previous reading to repeat.
+        assert_eq!(m.try_evaluate_at(&xs[1], 1, 0).unwrap(), m.evaluate(&xs[1]));
         assert_eq!(m.stats().stuck, 9);
     }
 
@@ -674,6 +590,8 @@ mod tests {
         for (i, a) in assignments(30).iter().enumerate() {
             assert_eq!(m.try_evaluate_at(a, i as u64, 0).unwrap(), m.evaluate(a));
         }
+        assert!(m.plan().is_clean());
+        assert_eq!(m.stats().failures, 0);
     }
 
     #[test]

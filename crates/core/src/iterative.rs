@@ -64,7 +64,8 @@ pub struct IterativeConfig {
     /// mis-specified target cannot loop forever.
     pub max_samples: usize,
     /// Retries per assignment when a measurement fails; after that the
-    /// assignment is abandoned and redrawn.
+    /// assignment is abandoned and redrawn. Must be below
+    /// [`IterativeConfig::eval_budget`].
     pub max_eval_retries: usize,
     /// Total measurement-attempt budget (successes *and* failures). On
     /// flaky infrastructure this, not `max_samples`, bounds the cost.
@@ -835,6 +836,15 @@ impl IterativeSession {
                 config.eval_budget, config.n_init
             )));
         }
+        // A slot's retries spend the campaign's attempt budget, so a
+        // larger limit could never take effect; the bound also keeps
+        // `1 + max_eval_retries` from overflowing.
+        if config.max_eval_retries >= config.eval_budget {
+            return Err(CoreError::Domain(format!(
+                "max_eval_retries {} must be below eval_budget {}",
+                config.max_eval_retries, config.eval_budget
+            )));
+        }
         if config.stall_rounds == 0 || config.estimate_failure_limit == 0 {
             return Err(CoreError::Domain(
                 "stall_rounds and estimate_failure_limit must be >= 1".into(),
@@ -1350,6 +1360,19 @@ mod tests {
             ..IterativeConfig::default()
         };
         assert!(run_iterative(&m, &bad_budget, 0).is_err());
+        for max_eval_retries in [IterativeConfig::default().eval_budget, usize::MAX] {
+            let bad_retries = IterativeConfig {
+                max_eval_retries,
+                ..IterativeConfig::default()
+            };
+            assert!(
+                matches!(
+                    run_iterative(&m, &bad_retries, 0),
+                    Err(CoreError::Domain(_))
+                ),
+                "max_eval_retries={max_eval_retries}"
+            );
+        }
         let bad_stall = IterativeConfig {
             stall_rounds: 0,
             ..IterativeConfig::default()

@@ -71,27 +71,6 @@ pub trait PerformanceModel {
     /// validated paths.
     fn evaluate(&self, assignment: &Assignment) -> f64;
 
-    /// Fallible measurement of the assignment.
-    ///
-    /// The default implementation wraps [`PerformanceModel::evaluate`] and
-    /// reports a non-finite result as [`MeasureError::NonFinite`] instead
-    /// of letting it corrupt downstream statistics. Models whose
-    /// measurements can be lost (real hardware, the fault-injecting
-    /// [`crate::fault::FaultyModel`]) override this with a path that can
-    /// return [`MeasureError::Failed`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MeasureError`] when the measurement is unusable.
-    fn try_evaluate(&self, assignment: &Assignment) -> Result<f64, MeasureError> {
-        let v = self.evaluate(assignment);
-        if v.is_finite() {
-            Ok(v)
-        } else {
-            Err(MeasureError::NonFinite(v))
-        }
-    }
-
     /// Fallible measurement addressed by an explicit `(stream, attempt)`
     /// key, for deterministic parallel measurement campaigns.
     ///
@@ -105,11 +84,14 @@ pub trait PerformanceModel {
     /// worker threads — the foundation of the workspace's bit-identical
     /// serial/parallel guarantee.
     ///
-    /// The default implementation ignores the key and delegates to
-    /// [`PerformanceModel::try_evaluate`], which is correct for every
-    /// deterministic model (same assignment → same value, regardless of
-    /// order). Only models with call-order-dependent state need to
-    /// override it (see [`crate::fault::FaultyModel`]).
+    /// The default implementation ignores the key, wraps
+    /// [`PerformanceModel::evaluate`] and reports a non-finite result as
+    /// [`MeasureError::NonFinite`] instead of letting it corrupt
+    /// downstream statistics; that is correct for every deterministic
+    /// model (same assignment → same value, regardless of order). Models
+    /// whose measurements can be lost (real hardware, the fault-injecting
+    /// [`crate::fault::FaultyModel`]) override it with a path that can
+    /// return [`MeasureError::Failed`].
     ///
     /// # Errors
     ///
@@ -121,7 +103,12 @@ pub trait PerformanceModel {
         attempt: u32,
     ) -> Result<f64, MeasureError> {
         let _ = (stream, attempt);
-        self.try_evaluate(assignment)
+        let v = self.evaluate(assignment);
+        if v.is_finite() {
+            Ok(v)
+        } else {
+            Err(MeasureError::NonFinite(v))
+        }
     }
 
     /// Performance of several assignments at once.
@@ -268,11 +255,10 @@ impl PerformanceModel for SimModel {
             keys.len(),
             "one (stream, attempt) key per assignment"
         );
-        // Deterministic model: the key is irrelevant, as in
-        // `try_evaluate_at`'s default. The scalar `try_evaluate` wraps
-        // `evaluate`, which panics on an incompatible assignment — so the
-        // batched path does too, and the only per-slot error left is a
-        // non-finite reading.
+        // Deterministic model: the key is irrelevant. `try_evaluate_at`'s
+        // default wraps `evaluate`, which panics on an incompatible
+        // assignment — so the batched path does too, and the only
+        // per-slot error left is a non-finite reading.
         self.evaluate_batch(assignments)
             .into_iter()
             .map(|v| {
@@ -305,10 +291,6 @@ impl<M: PerformanceModel> PerformanceModel for Unbatched<M> {
 
     fn evaluate(&self, assignment: &Assignment) -> f64 {
         self.0.evaluate(assignment)
-    }
-
-    fn try_evaluate(&self, assignment: &Assignment) -> Result<f64, MeasureError> {
-        self.0.try_evaluate(assignment)
     }
 
     fn try_evaluate_at(

@@ -183,7 +183,7 @@ impl SampleStudy {
     }
 
     /// Measures `n` assignments through the fallible
-    /// [`PerformanceModel::try_evaluate`] path, retrying failed
+    /// [`PerformanceModel::try_evaluate_at`] path, retrying failed
     /// measurements and redrawing assignments whose retry budget is
     /// exhausted.
     ///

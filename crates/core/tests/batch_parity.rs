@@ -21,7 +21,7 @@ use optassign_stats::rng::{Rng, StdRng};
 const BATCH_SIZES: [usize; 4] = [1, 3, 16, 1000];
 
 /// A wrapper that poisons some readings with NaN, so the parity
-/// properties cover non-finite slots too (the scalar `try_evaluate`
+/// properties cover non-finite slots too (the scalar `try_evaluate_at`
 /// maps them to `MeasureError::NonFinite`).
 struct NanPocked<M>(M);
 
@@ -115,9 +115,9 @@ fn try_batch_carries_nan_slots_exactly_like_scalar() {
     for seed in [3u64, 44] {
         for (tasks, assignments) in spaces(seed) {
             let model = NanPocked(SyntheticModel::new(Topology::ultrasparc_t2(), tasks, 1.0e6));
-            let scalar: Vec<_> = assignments
-                .iter()
-                .map(|a| canon(&model.try_evaluate(a)))
+            let scalar: Vec<_> = (0..)
+                .zip(&assignments)
+                .map(|(i, a)| canon(&model.try_evaluate_at(a, i, 0)))
                 .collect();
             assert!(
                 scalar.iter().any(Result::is_err),

@@ -80,10 +80,6 @@ impl Parallelism {
     /// [`Parallelism::max_available`].
     pub const ENV_VAR: &'static str = "OPTASSIGN_WORKERS";
 
-    /// Environment variable overriding the batch size in the non-const
-    /// constructors (floored at 1, so `0` reads as 1).
-    pub const BATCH_ENV_VAR: &'static str = "OPTASSIGN_BATCH";
-
     /// Default batch size: large enough to amortize per-batch setup
     /// (shared decode tables, cache prefill images), small enough that
     /// chunk-level work stealing still load-balances.
@@ -114,30 +110,11 @@ impl Parallelism {
         self
     }
 
-    /// Batch size requested through `OPTASSIGN_BATCH`, if set to a
-    /// non-negative integer (floored at 1).
-    #[must_use]
-    pub fn batch_from_env() -> Option<usize> {
-        std::env::var(Self::BATCH_ENV_VAR)
-            .ok()
-            .and_then(|raw| raw.trim().parse::<usize>().ok())
-            .map(|batch| batch.max(1))
-    }
-
-    /// Applies the `OPTASSIGN_BATCH` override, when present.
-    #[must_use]
-    fn with_env_batch(self) -> Self {
-        match Self::batch_from_env() {
-            Some(batch) => self.with_batch(batch),
-            None => self,
-        }
-    }
-
     /// All hardware threads the OS reports (at least 1).
     #[must_use]
     pub fn available() -> Self {
         let workers = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
-        Self::new(workers).with_env_batch()
+        Self::new(workers)
     }
 
     /// Worker count requested through `OPTASSIGN_WORKERS`, if the
@@ -146,7 +123,7 @@ impl Parallelism {
     pub fn from_env() -> Option<Self> {
         let raw = std::env::var(Self::ENV_VAR).ok()?;
         let workers: usize = raw.trim().parse().ok()?;
-        (workers > 0).then(|| Self::new(workers).with_env_batch())
+        (workers > 0).then(|| Self::new(workers))
     }
 
     /// Throughput-oriented default for experiment binaries:
@@ -629,7 +606,7 @@ mod tests {
     }
 
     #[test]
-    fn batch_knob_constructors_and_env() {
+    fn batch_knob_constructors() {
         assert_eq!(Parallelism::serial().batch, Parallelism::DEFAULT_BATCH);
         assert_eq!(Parallelism::new(3).batch, Parallelism::DEFAULT_BATCH);
         assert_eq!(Parallelism::new(3).with_batch(0).batch, 1);

@@ -423,6 +423,16 @@ mod tests {
         let (status, body) = call(&addr, "POST", "/v1/campaigns", Some("not json"));
         assert_eq!(status, 400);
         assert!(body.contains("malformed_spec"));
+        // A retry limit no budget can spend is refused before anything
+        // is stored.
+        let hostile = r#"{"tenant":"api","seed":9,"model":{"kind":"synthetic","tasks":8},
+            "config":{"n_init":300,"n_delta":100,"acceptable_loss":0.05,"eval_budget":20000,
+            "max_eval_retries":18446744073709551615}}"#;
+        let (status, body) = call(&addr, "POST", "/v1/campaigns", Some(hostile));
+        assert_eq!(status, 422, "{body}");
+        assert!(body.contains("invalid_spec"), "{body}");
+        let (status, body) = call(&addr, "GET", "/v1/campaigns", None);
+        assert_eq!((status, body.as_str()), (200, "{\"campaigns\":[]}"));
         let (status, _) = call(&addr, "GET", "/v1/campaigns/c999999", None);
         assert_eq!(status, 404);
         let (status, _) = call(&addr, "GET", "/v1/campaigns/c999999/best", None);

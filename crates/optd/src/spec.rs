@@ -180,13 +180,6 @@ impl PerformanceModel for TenantModel {
         }
     }
 
-    fn try_evaluate(&self, assignment: &Assignment) -> Result<f64, MeasureError> {
-        match self {
-            TenantModel::Synthetic(m) => m.try_evaluate(assignment),
-            TenantModel::Sim(m) => m.try_evaluate(assignment),
-        }
-    }
-
     fn try_evaluate_at(
         &self,
         assignment: &Assignment,

@@ -182,6 +182,11 @@ EOF
         sleep 0.1
     done
     [[ -s "${METRICS_TMP}/optd-addr" ]] || { echo "optd never came up"; exit 1; }
+    # A retry limit no attempt budget can spend is refused with a 422
+    # before anything is stored, so the real campaign is still c000001.
+    sed 's/"eval_budget":2000}/"eval_budget":2000,"max_eval_retries":18446744073709551615}/' \
+        "${METRICS_TMP}/optd-spec.json" >"${METRICS_TMP}/optd-hostile.json"
+    code=$(curl -s -o /dev/null -w '%{http_code}' -X POST --data-binary @"${METRICS_TMP}/optd-hostile.json" "http://$(cat "${METRICS_TMP}/optd-addr")/v1/campaigns"); [[ "${code}" == 422 ]]
     target/release/optd_client --addr "$(cat "${METRICS_TMP}/optd-addr")" \
         --spec "${METRICS_TMP}/optd-spec.json" --timeout-s 120 \
         --trace "${METRICS_TMP}/optd-client.jsonl" \
