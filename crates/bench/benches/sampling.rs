@@ -11,8 +11,8 @@ use optassign::model::Unbatched;
 use optassign::sampling::random_assignment;
 use optassign::study::SampleStudy;
 use optassign::{Parallelism, Topology};
+use optassign_bench::case_study_model_small;
 use optassign_bench::microbench::{bench, bench_report_json, group, BenchEntry};
-use optassign_bench::{case_study_model_small, BenchArgs};
 use optassign_netapps::Benchmark;
 use optassign_obs::Obs;
 
@@ -28,8 +28,6 @@ fn json_path() -> Option<String> {
 
 fn main() {
     let topo = Topology::ultrasparc_t2();
-    let scale = BenchArgs::from_args();
-    let _ = &scale;
 
     group("random_assignment");
     // Rejection rate grows with density: 24 tasks ~1% acceptance on 64

@@ -34,7 +34,7 @@
 use optassign_bench::print_table;
 use optassign_obs::stitch::stitch_journals;
 use optassign_obs::trace::{chrome_trace_json, spans_from_journal};
-use optassign_obs::{Histogram, Json};
+use optassign_obs::{Histogram, Json, MetricsRegistry};
 use std::path::PathBuf;
 use std::process::ExitCode;
 
@@ -119,9 +119,10 @@ fn main() -> ExitCode {
     );
     report_prom_sidecar(&path);
 
-    phase_latency_section(&events);
+    let snapshot = final_snapshot(&events);
+    phase_latency_section(snapshot.as_ref());
     convergence_section(&events);
-    cache_section(&events);
+    cache_section(snapshot.as_ref());
     degradation_section(&events);
 
     if let Some(out) = chrome_out {
@@ -225,31 +226,13 @@ fn report_prom_sidecar(journal: &std::path::Path) {
 }
 
 /// The last `metrics_snapshot` event's embedded registry, if any.
-fn final_snapshot(events: &[Json]) -> Option<&Json> {
+fn final_snapshot(events: &[Json]) -> Option<MetricsRegistry> {
     events
         .iter()
         .rev()
         .find(|e| e.kind() == Some("metrics_snapshot"))
         .and_then(|e| e.get("metrics"))
-}
-
-/// Rebuilds a [`Histogram`] from its snapshot-JSON rendering.
-fn histogram_from_json(value: &Json) -> Option<Histogram> {
-    let u64s = |key: &str| -> Option<Vec<u64>> {
-        value
-            .get(key)?
-            .as_array()?
-            .iter()
-            .map(Json::as_u64)
-            .collect()
-    };
-    Histogram::from_parts(
-        u64s("bounds")?,
-        u64s("counts")?,
-        value.get("sum").and_then(Json::as_u64)?,
-        value.get("min").and_then(Json::as_u64),
-        value.get("max").and_then(Json::as_u64),
-    )
+        .map(MetricsRegistry::from_json)
 }
 
 /// Interpolated quantile, rendered as integer nanoseconds.
@@ -258,32 +241,25 @@ fn fmt_quantile(hist: &Histogram, q: f64) -> String {
         .map_or_else(|| "-".into(), |v| format!("{v:.0}"))
 }
 
-fn phase_latency_section(events: &[Json]) {
+fn phase_latency_section(snapshot: Option<&MetricsRegistry>) {
     println!("\n== phase latency (ns) ==");
-    let Some(metrics) = final_snapshot(events) else {
+    let Some(metrics) = snapshot else {
         println!("no metrics_snapshot event (journal truncated before the final flush?)");
         return;
     };
-    let Some(histograms) = metrics.get("histograms").and_then(Json::as_object) else {
-        println!("snapshot carries no histograms");
-        return;
-    };
     let mut rows: Vec<Vec<String>> = Vec::new();
-    for (name, value) in histograms {
+    for (name, hist) in metrics.histograms() {
         // Phase timings end in `_ns` by workspace convention; value
         // histograms (queue depths, sample sizes) are not latencies.
         if !name.ends_with("_ns") {
             continue;
         }
-        let Some(hist) = histogram_from_json(value) else {
-            continue;
-        };
         rows.push(vec![
-            name.clone(),
+            name.to_string(),
             hist.count().to_string(),
-            fmt_quantile(&hist, 0.50),
-            fmt_quantile(&hist, 0.95),
-            fmt_quantile(&hist, 0.99),
+            fmt_quantile(hist, 0.50),
+            fmt_quantile(hist, 0.95),
+            fmt_quantile(hist, 0.99),
             hist.max().map_or_else(|| "-".into(), |v| v.to_string()),
         ]);
     }
@@ -351,15 +327,9 @@ fn convergence_section(events: &[Json]) {
     }
 }
 
-fn cache_section(events: &[Json]) {
+fn cache_section(snapshot: Option<&MetricsRegistry>) {
     println!("\n== evaluation cache ==");
-    let counter = |key: &str| -> u64 {
-        final_snapshot(events)
-            .and_then(|m| m.get("counters"))
-            .and_then(|c| c.get(key))
-            .and_then(Json::as_u64)
-            .unwrap_or(0)
-    };
+    let counter = |name: &str| snapshot.map_or(0, |m| m.counter(name));
     let hits = counter("exec_cache_hits_total");
     let misses = counter("exec_cache_misses_total");
     let total = hits + misses;

@@ -68,61 +68,60 @@ pub struct BenchArgs {
 
 impl BenchArgs {
     /// Parses `--scale <f>`, `--workers <n>`, `--metrics <path>`,
-    /// `--checkpoint <dir>`, and `--resume` from the process arguments;
-    /// scale defaults to 1.0 and also honours a bare positional float
-    /// for convenience, the metrics path falls back to the
-    /// `OPTASSIGN_METRICS` environment variable, and the checkpoint
-    /// directory to `OPTASSIGN_CHECKPOINT`.
+    /// `--checkpoint <dir>`, `--serve <addr>` and `--resume` from the
+    /// process arguments; scale defaults to 1.0, the metrics path falls
+    /// back to the `OPTASSIGN_METRICS` environment variable, and the
+    /// checkpoint directory to `OPTASSIGN_CHECKPOINT`. An argument that
+    /// [`BenchArgs::parse`] rejects prints the error and a usage line to
+    /// stderr and exits with status 2, before any work starts.
     pub fn from_args() -> BenchArgs {
-        Self::parse(std::env::args().skip(1))
+        let mut args = std::env::args();
+        let program = args.next().unwrap_or_default();
+        Self::parse(args).unwrap_or_else(|e| {
+            eprintln!("error: {e}");
+            eprintln!(
+                "usage: {program} [--scale F] [--workers N] [--metrics PATH] \
+                 [--checkpoint DIR] [--resume] [--serve ADDR]"
+            );
+            std::process::exit(2)
+        })
     }
 
     /// [`BenchArgs::from_args`] over an explicit argument list
     /// (testable; `std::env::args().skip(1)`-shaped).
-    pub fn parse<I: IntoIterator<Item = String>>(args: I) -> BenchArgs {
-        let args: Vec<String> = args.into_iter().collect();
+    ///
+    /// # Errors
+    ///
+    /// An unknown argument, a flag without its value, a scale that is not
+    /// a finite number, or a worker count that is not a positive integer.
+    pub fn parse<I: IntoIterator<Item = String>>(args: I) -> Result<BenchArgs, String> {
         let mut factor = 1.0f64;
         let mut workers = None;
         let mut metrics: Option<PathBuf> = None;
         let mut checkpoint: Option<PathBuf> = None;
         let mut resume = false;
         let mut serve: Option<String> = None;
-        let mut i = 0;
-        while i < args.len() {
-            if args[i] == "--scale" && i + 1 < args.len() {
-                factor = args[i + 1].parse().unwrap_or(1.0);
-                i += 2;
-                continue;
+        let mut args = args.into_iter();
+        while let Some(flag) = args.next() {
+            let mut value = || args.next().ok_or_else(|| format!("{flag} needs a value"));
+            match flag.as_str() {
+                "--scale" => {
+                    let v = value()?;
+                    let f = v.parse::<f64>().ok().filter(|f| f.is_finite());
+                    factor = f.ok_or_else(|| format!("--scale {v}: not a finite number"))?;
+                }
+                "--workers" => {
+                    let v = value()?;
+                    let n = v.parse::<usize>().ok().filter(|&w| w > 0);
+                    workers =
+                        Some(n.ok_or_else(|| format!("--workers {v}: not a positive integer"))?);
+                }
+                "--metrics" => metrics = Some(PathBuf::from(value()?)),
+                "--checkpoint" => checkpoint = Some(PathBuf::from(value()?)),
+                "--serve" => serve = Some(value()?),
+                "--resume" => resume = true,
+                _ => return Err(format!("unknown argument {flag}")),
             }
-            if args[i] == "--workers" && i + 1 < args.len() {
-                workers = args[i + 1].parse::<usize>().ok().filter(|&w| w > 0);
-                i += 2;
-                continue;
-            }
-            if args[i] == "--metrics" && i + 1 < args.len() {
-                metrics = Some(PathBuf::from(&args[i + 1]));
-                i += 2;
-                continue;
-            }
-            if args[i] == "--checkpoint" && i + 1 < args.len() {
-                checkpoint = Some(PathBuf::from(&args[i + 1]));
-                i += 2;
-                continue;
-            }
-            if args[i] == "--resume" {
-                resume = true;
-                i += 1;
-                continue;
-            }
-            if args[i] == "--serve" && i + 1 < args.len() {
-                serve = Some(args[i + 1].clone());
-                i += 2;
-                continue;
-            }
-            if let Ok(v) = args[i].parse::<f64>() {
-                factor = v;
-            }
-            i += 1;
         }
         if metrics.is_none() {
             metrics = std::env::var_os("OPTASSIGN_METRICS")
@@ -142,14 +141,14 @@ impl BenchArgs {
                 .ok()
                 .filter(|v| !v.is_empty());
         }
-        BenchArgs {
+        Ok(BenchArgs {
             factor: factor.clamp(0.01, 10.0),
             workers,
             metrics,
             checkpoint,
             resume,
             serve,
-        }
+        })
     }
 
     /// The worker policy for this run: `--workers` if given, then
@@ -560,22 +559,37 @@ mod tests {
                 "/tmp/run.jsonl",
             ]
             .map(String::from),
-        );
+        )
+        .unwrap();
         assert_eq!(args.factor, 0.5);
         assert_eq!(args.workers, Some(2));
         assert_eq!(args.metrics, Some(PathBuf::from("/tmp/run.jsonl")));
-        // Bare positional float still works; bad worker counts are ignored.
-        let args = BenchArgs::parse(["2.0", "--workers", "0"].map(String::from));
-        assert_eq!(args.factor, 2.0);
-        assert_eq!(args.workers, None);
+        // A bare number, a bad worker count, a misspelt flag, a flag
+        // without its value and a scale that is not a number are errors,
+        // never a silently rescaled run.
+        let bad: [&[&str]; 9] = [
+            &["2.0"],
+            &["--workers", "0"],
+            &["--workers", "two"],
+            &["--worker", "8"],
+            &["--scale", "O.1"],
+            &["--scale", "inf"],
+            &["--scale"],
+            &["--metrics"],
+            &["--scale", "0.5", "--resume", "extra"],
+        ];
+        for args in bad {
+            let parsed = BenchArgs::parse(args.iter().map(|a| a.to_string()));
+            assert!(parsed.is_err(), "{args:?} parsed as {parsed:?}");
+        }
     }
 
     #[test]
     fn parse_serve_flag() {
-        let args = BenchArgs::parse(["--serve", "127.0.0.1:0"].map(String::from));
+        let args = BenchArgs::parse(["--serve", "127.0.0.1:0"].map(String::from)).unwrap();
         assert_eq!(args.serve.as_deref(), Some("127.0.0.1:0"));
         if std::env::var_os("OPTASSIGN_SERVE").is_none() {
-            assert_eq!(BenchArgs::parse(Vec::<String>::new()).serve, None);
+            assert_eq!(BenchArgs::parse(Vec::<String>::new()).unwrap().serve, None);
         }
     }
 
@@ -643,10 +657,11 @@ mod tests {
 
     #[test]
     fn parse_checkpoint_and_resume() {
-        let args = BenchArgs::parse(["--checkpoint", "/tmp/ckpt", "--resume"].map(String::from));
+        let args =
+            BenchArgs::parse(["--checkpoint", "/tmp/ckpt", "--resume"].map(String::from)).unwrap();
         assert_eq!(args.checkpoint, Some(PathBuf::from("/tmp/ckpt")));
         assert!(args.resume);
-        let args = BenchArgs::parse(["--scale", "0.5"].map(String::from));
+        let args = BenchArgs::parse(["--scale", "0.5"].map(String::from)).unwrap();
         assert!(!args.resume);
         // No checkpoint root configured: no store, regardless of scope.
         if std::env::var_os("OPTASSIGN_CHECKPOINT").is_none() {
@@ -674,11 +689,15 @@ mod tests {
     #[test]
     fn scale_factor_is_clamped() {
         assert_eq!(
-            BenchArgs::parse(["--scale", "1000"].map(String::from)).factor,
+            BenchArgs::parse(["--scale", "1000"].map(String::from))
+                .unwrap()
+                .factor,
             10.0
         );
         assert_eq!(
-            BenchArgs::parse(["--scale", "0.000001"].map(String::from)).factor,
+            BenchArgs::parse(["--scale", "0.000001"].map(String::from))
+                .unwrap()
+                .factor,
             0.01
         );
     }

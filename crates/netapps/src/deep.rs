@@ -85,40 +85,37 @@ pub fn build_deep_ipfwd(instances: usize, p_stages: usize, seed: u64) -> Workloa
         // Final programs. The total per-packet P budget matches a single
         // ~900-cycle stage, divided across the stages (plus queue hops).
         let per_stage_ints = (720 / p_stages).max(40) as u16;
-        let mut fresh = WorkloadSpec::new(w.seed());
-        for reg in w.regions() {
-            fresh.add_region(reg.name.clone(), reg.bytes, reg.pattern);
-        }
-        for (i, task) in w.tasks().iter().enumerate() {
-            let id = optassign_sim::program::TaskId(i);
-            let program = if id == r {
+        w.set_program(
+            r,
+            ProgramBuilder::new()
+                .niu_rx()
+                .int(26)
+                .store(pktbuf)
+                .store(pktbuf)
+                .push(queues[0])
+                .build(),
+        );
+        for (s, &p) in p_ids.iter().enumerate() {
+            w.set_program(
+                p,
                 ProgramBuilder::new()
-                    .niu_rx()
-                    .int(26)
-                    .store(pktbuf)
-                    .store(pktbuf)
-                    .push(queues[0])
-                    .build()
-            } else if let Some(pos) = p_ids.iter().position(|&p| p == id) {
-                let mut b = ProgramBuilder::new().pop(queues[pos]);
-                b = b.load(pktbuf).int(per_stage_ints / 2);
-                b = b.load(p_tables[pos]).int(per_stage_ints / 2);
-                b.push(queues[pos + 1]).build()
-            } else if id == t {
-                ProgramBuilder::new()
-                    .pop(queues[queues.len() - 1])
-                    .int(20)
-                    .transmit()
-                    .build()
-            } else {
-                task.program.clone()
-            };
-            fresh.add_task(task.name.clone(), program, task.code_bytes);
+                    .pop(queues[s])
+                    .load(pktbuf)
+                    .int(per_stage_ints / 2)
+                    .load(p_tables[s])
+                    .int(per_stage_ints / 2)
+                    .push(queues[s + 1])
+                    .build(),
+            );
         }
-        for q in w.queues() {
-            fresh.add_queue(q.producer, q.consumer, q.capacity);
-        }
-        w = fresh;
+        w.set_program(
+            t,
+            ProgramBuilder::new()
+                .pop(queues[p_stages])
+                .int(20)
+                .transmit()
+                .build(),
+        );
     }
     debug_assert!(w.validate().is_ok());
     w

@@ -111,21 +111,12 @@ impl Benchmark {
                 AccessPattern::Sequential { stride: 64 },
             );
 
-            // --- R: receive ------------------------------------------------
-            // Per-packet descriptor handling, buffer management and header
-            // sanity checks: a real R thread is not free, and its issue
-            // pressure is what makes co-locating it with a compute-bound P
-            // thread costly (the Figure 1 mechanism).
-            let r_prog = ProgramBuilder::new()
-                .niu_rx()
-                .int(170)
-                .store(pktbuf)
-                .store(pktbuf)
-                .build();
-            let r = w.add_task(format!("{tag}.R"), r_prog, 2_560);
+            // Tasks first, then the queues between them, then the programs
+            // that name the queues.
+            let r = w.add_task(format!("{tag}.R"), ProgramBuilder::new().build(), 2_560);
 
-            // --- P: benchmark-specific processing --------------------------
-            let (p_builder, p_code) = match self {
+            // P's body: the benchmark-specific processing.
+            let (p_body, p_code) = match self {
                 Benchmark::IpFwdL1 => {
                     // 256-entry next-hop table: 4 KB, comfortably L1-resident.
                     let table = w.add_region(
@@ -250,68 +241,46 @@ impl Benchmark {
                 }
             };
             let p = w.add_task(format!("{tag}.P"), ProgramBuilder::new().build(), p_code);
-
-            // --- T: transmit ------------------------------------------------
             let t = w.add_task(format!("{tag}.T"), ProgramBuilder::new().build(), 2_560);
-
-            // Queues and final programs (queue ids exist only now).
             let q_rp = w.add_queue(r, p, 128);
             let q_pt = w.add_queue(p, t, 128);
 
-            let tasks_snapshot = rebuild_with_queues(w, r, p, t, q_rp, q_pt, p_builder);
-            w = tasks_snapshot;
+            // --- R: receive ------------------------------------------------
+            // Fetch from the DMA channel, stage the packet, enqueue.
+            // Per-packet descriptor handling, buffer management and header
+            // sanity checks: a real R thread is not free, and its issue
+            // pressure is what makes co-locating it with a compute-bound P
+            // thread costly (the Figure 1 mechanism).
+            w.set_program(
+                r,
+                ProgramBuilder::new()
+                    .niu_rx()
+                    .int(170)
+                    .store(pktbuf)
+                    .store(pktbuf)
+                    .push(q_rp)
+                    .build(),
+            );
+
+            // --- P: dequeue, process, enqueue for transmit -----------------
+            w.set_program(
+                p,
+                ProgramBuilder::new()
+                    .pop(q_rp)
+                    .append(p_body)
+                    .push(q_pt)
+                    .build(),
+            );
+
+            // --- T: dequeue, rebuild the egress descriptor, transmit -------
+            w.set_program(
+                t,
+                ProgramBuilder::new().pop(q_pt).int(130).transmit().build(),
+            );
         }
         debug_assert!(w.validate().is_ok(), "suite produced invalid workload");
         w
     }
-}
-
-/// Installs the queue-aware programs for one instance's R/P/T tasks.
-///
-/// `WorkloadSpec` has no in-place program mutation (programs are normally
-/// built in one pass); queue ids are only known after `add_queue`, so the
-/// suite rebuilds the spec with the final programs.
-fn rebuild_with_queues(
-    w: WorkloadSpec,
-    r: optassign_sim::program::TaskId,
-    p: optassign_sim::program::TaskId,
-    t: optassign_sim::program::TaskId,
-    q_rp: optassign_sim::program::QueueId,
-    q_pt: optassign_sim::program::QueueId,
-    p_builder: ProgramBuilder,
-) -> WorkloadSpec {
-    let mut fresh = WorkloadSpec::new(w.seed());
-    for reg in w.regions() {
-        fresh.add_region(reg.name.clone(), reg.bytes, reg.pattern);
-    }
-    for (i, task) in w.tasks().iter().enumerate() {
-        let id = optassign_sim::program::TaskId(i);
-        let program = if id == r {
-            // R: fetch from the DMA channel, stage the packet, enqueue.
-            let mut b = ProgramBuilder::new();
-            for op in task.program.ops() {
-                b = b.op(*op);
-            }
-            b.push(q_rp).build()
-        } else if id == p {
-            // P: dequeue, process, enqueue for transmit.
-            let mut b = ProgramBuilder::new().pop(q_rp);
-            for op in p_builder.clone().build().ops() {
-                b = b.op(*op);
-            }
-            b.push(q_pt).build()
-        } else if id == t {
-            // T: dequeue, rebuild the egress descriptor, transmit.
-            ProgramBuilder::new().pop(q_pt).int(130).transmit().build()
-        } else {
-            task.program.clone()
-        };
-        fresh.add_task(task.name.clone(), program, task.code_bytes);
-    }
-    for q in w.queues() {
-        fresh.add_queue(q.producer, q.consumer, q.capacity);
-    }
-    fresh
 }
 
 #[cfg(test)]

@@ -1014,69 +1014,42 @@ mod tests {
                 hot_prob: 0.9,
             },
         );
-        let rx = w.add_task(
-            "rx",
-            ProgramBuilder::new().niu_rx().int(6).loads(seq, 2).build(),
-            4096,
-        );
-        let work = w.add_task(
-            "work",
+        let rx = w.add_task("rx", ProgramBuilder::new().build(), 4096);
+        let work = w.add_task("work", ProgramBuilder::new().build(), 8192);
+        let tx = w.add_task("tx", ProgramBuilder::new().build(), 4096);
+        let q1 = w.add_queue(rx, work, 16);
+        let q2 = w.add_queue(work, tx, 16);
+        w.set_program(
+            rx,
             ProgramBuilder::new()
+                .niu_rx()
+                .int(6)
+                .loads(seq, 2)
+                .push(q1)
+                .build(),
+        );
+        w.set_program(
+            work,
+            ProgramBuilder::new()
+                .pop(q1)
                 .int(4)
                 .loads(uni, 3)
                 .mul(3)
                 .fp(2)
                 .store(hot)
+                .push(q2)
                 .build(),
-            8192,
         );
-        let tx = w.add_task(
-            "tx",
+        w.set_program(
+            tx,
             ProgramBuilder::new()
+                .pop(q2)
                 .crypto(2)
                 .loads(hot, 2)
                 .transmit()
                 .build(),
-            4096,
         );
-        let q1 = w.add_queue(rx, work, 16);
-        let q2 = w.add_queue(work, tx, 16);
-        // Wire the queues into the programs.
-        let mut tasks: Vec<_> = w.tasks().to_vec();
-        tasks[rx.0].program = ProgramBuilder::new()
-            .niu_rx()
-            .int(6)
-            .loads(seq, 2)
-            .push(q1)
-            .build();
-        tasks[work.0].program = ProgramBuilder::new()
-            .pop(q1)
-            .int(4)
-            .loads(uni, 3)
-            .mul(3)
-            .fp(2)
-            .store(hot)
-            .push(q2)
-            .build();
-        tasks[tx.0].program = ProgramBuilder::new()
-            .pop(q2)
-            .crypto(2)
-            .loads(hot, 2)
-            .transmit()
-            .build();
-        let regions = w.regions().to_vec();
-        let queues = w.queues().to_vec();
-        let mut fresh = WorkloadSpec::new(w.seed());
-        for r in regions {
-            fresh.add_region(r.name, r.bytes, r.pattern);
-        }
-        for t in tasks {
-            fresh.add_task(t.name, t.program, t.code_bytes);
-        }
-        for q in queues {
-            fresh.add_queue(q.producer, q.consumer, q.capacity);
-        }
-        fresh
+        w
     }
 
     #[test]

@@ -612,16 +612,8 @@ mod tests {
         let r = w.add_task("r", ProgramBuilder::new().build(), 2048);
         let t = w.add_task("t", ProgramBuilder::new().build(), 2048);
         let q = w.add_queue(r, t, 32);
-        set_program(
-            &mut w,
-            r,
-            ProgramBuilder::new().niu_rx().int(50).push(q).build(),
-        );
-        set_program(
-            &mut w,
-            t,
-            ProgramBuilder::new().pop(q).int(2).transmit().build(),
-        );
+        w.set_program(r, ProgramBuilder::new().niu_rx().int(50).push(q).build());
+        w.set_program(t, ProgramBuilder::new().pop(q).int(2).transmit().build());
         let sim = Simulator::new(&m, &w, &[0, 8]).unwrap();
         let rep = sim.run(2_000, 100_000);
         // R needs ~75 cycles per packet (rx 24 + 50 int + push); T is much
@@ -633,33 +625,6 @@ mod tests {
         );
     }
 
-    /// Test helper: overwrite a task's program (the netapps crate builds
-    /// programs in one pass; tests sometimes need to patch).
-    fn set_program(
-        w: &mut WorkloadSpec,
-        task: crate::program::TaskId,
-        program: crate::program::StageProgram,
-    ) {
-        // Rebuild the workload with the new program. WorkloadSpec fields
-        // are private, so go through the public API.
-        let mut tasks: Vec<_> = w.tasks().to_vec();
-        tasks[task.0].program = program;
-        let regions = w.regions().to_vec();
-        let queues = w.queues().to_vec();
-        let mut fresh = WorkloadSpec::new(w.seed());
-        for r in regions {
-            fresh.add_region(r.name, r.bytes, r.pattern);
-        }
-        let mut ids = Vec::new();
-        for t in tasks {
-            ids.push(fresh.add_task(t.name, t.program, t.code_bytes));
-        }
-        for q in queues {
-            fresh.add_queue(q.producer, q.consumer, q.capacity);
-        }
-        *w = fresh;
-    }
-
     #[test]
     fn queue_locality_matters() {
         // Producer/consumer on the same core should beat cross-core when
@@ -669,16 +634,8 @@ mod tests {
         let r = w.add_task("r", ProgramBuilder::new().build(), 1024);
         let t = w.add_task("t", ProgramBuilder::new().build(), 1024);
         let q = w.add_queue(r, t, 16);
-        set_program(
-            &mut w,
-            r,
-            ProgramBuilder::new().niu_rx().int(2).push(q).build(),
-        );
-        set_program(
-            &mut w,
-            t,
-            ProgramBuilder::new().pop(q).int(2).transmit().build(),
-        );
+        w.set_program(r, ProgramBuilder::new().niu_rx().int(2).push(q).build());
+        w.set_program(t, ProgramBuilder::new().pop(q).int(2).transmit().build());
         // Same core, different pipes (no issue-slot conflict): 0 and 4.
         let near = Simulator::new(&m, &w, &[0, 4]).unwrap().run(2_000, 60_000);
         // Different cores: 0 and 8.

@@ -224,9 +224,9 @@ impl ProgramBuilder {
         self
     }
 
-    /// Appends an arbitrary op.
-    pub fn op(mut self, op: Op) -> Self {
-        self.ops.push(op);
+    /// Appends every op of `body`, in order.
+    pub fn append(mut self, body: ProgramBuilder) -> Self {
+        self.ops.extend(body.ops);
         self
     }
 
@@ -256,12 +256,16 @@ pub struct TaskSpec {
 ///
 /// let mut w = WorkloadSpec::new(7);
 /// let table = w.add_region("lookup", 4096, AccessPattern::Uniform);
-/// let rx = w.add_task("r", ProgramBuilder::new().niu_rx().int(5).build(), 2048);
-/// let tx = w.add_task("t", ProgramBuilder::new().int(5).transmit().build(), 2048);
+/// // Tasks first, then the queues between them, then the programs that
+/// // name the queues.
+/// let rx = w.add_task("r", ProgramBuilder::new().build(), 2048);
+/// let tx = w.add_task("t", ProgramBuilder::new().build(), 2048);
 /// let q = w.add_queue(rx, tx, 64);
+/// w.set_program(rx, ProgramBuilder::new().niu_rx().int(5).push(q).build());
+/// w.set_program(tx, ProgramBuilder::new().pop(q).load(table).transmit().build());
 /// assert_eq!(w.tasks().len(), 2);
 /// assert_eq!(w.queues().len(), 1);
-/// let _ = (table, q);
+/// assert!(w.validate().is_ok());
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct WorkloadSpec {
@@ -328,6 +332,18 @@ impl WorkloadSpec {
             capacity: capacity.max(1),
         });
         QueueId(self.queues.len() - 1)
+    }
+
+    /// Replaces the program of `task`. A pipeline stage's program names
+    /// queues that exist only once both endpoint tasks do, so stages are
+    /// added with empty programs and set here after [`Self::add_queue`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `task` was not returned by this spec's
+    /// [`Self::add_task`], like slice indexing.
+    pub fn set_program(&mut self, task: TaskId, program: StageProgram) {
+        self.tasks[task.0].program = program;
     }
 
     /// The tasks, in id order.
@@ -426,20 +442,14 @@ mod tests {
     fn tiny_workload() -> WorkloadSpec {
         let mut w = WorkloadSpec::new(1);
         let region = w.add_region("tbl", 1024, AccessPattern::Uniform);
-        let a = w.add_task(
-            "producer",
-            ProgramBuilder::new().niu_rx().int(4).build(),
-            1024,
-        );
-        let b = w.add_task(
-            "consumer",
-            ProgramBuilder::new().load(region).transmit().build(),
-            1024,
-        );
-        // Patch the producer's program to push to the queue we create now.
+        let a = w.add_task("producer", StageProgram::default(), 1024);
+        let b = w.add_task("consumer", StageProgram::default(), 1024);
         let q = w.add_queue(a, b, 16);
-        w.tasks[a.0].program = ProgramBuilder::new().niu_rx().int(4).push(q).build();
-        w.tasks[b.0].program = ProgramBuilder::new().pop(q).load(region).transmit().build();
+        w.set_program(a, ProgramBuilder::new().niu_rx().int(4).push(q).build());
+        w.set_program(
+            b,
+            ProgramBuilder::new().pop(q).load(region).transmit().build(),
+        );
         w
     }
 
@@ -475,7 +485,7 @@ mod tests {
         let b = w.add_task("b", ProgramBuilder::new().int(1).build(), 0);
         let q = w.add_queue(a, b, 4);
         // Task b pushes, but it is the consumer.
-        w.tasks[b.0].program = ProgramBuilder::new().push(q).build();
+        w.set_program(b, ProgramBuilder::new().push(q).build());
         assert!(w.validate().is_err());
     }
 

@@ -31,35 +31,22 @@ fn build_crypto_gateway(instances: usize, seed: u64) -> WorkloadSpec {
         let back = w.add_task(format!("gw{i}.csum"), ProgramBuilder::new().build(), 3_072);
         let q = w.add_queue(front, back, 64);
         // Front stage: receive, look up the session, run the crypto unit.
-        let front_prog = ProgramBuilder::new()
-            .niu_rx()
-            .load(session_table)
-            .int(60)
-            .crypto(12)
-            .int(40)
-            .push(q)
-            .build();
+        w.set_program(
+            front,
+            ProgramBuilder::new()
+                .niu_rx()
+                .load(session_table)
+                .int(60)
+                .crypto(12)
+                .int(40)
+                .push(q)
+                .build(),
+        );
         // Back stage: checksum (integer) and transmit.
-        let back_prog = ProgramBuilder::new().pop(q).int(180).transmit().build();
-        // Rebuild with the final programs (queue ids now known).
-        let mut fresh = WorkloadSpec::new(w.seed());
-        for r in w.regions() {
-            fresh.add_region(r.name.clone(), r.bytes, r.pattern);
-        }
-        for (idx, t) in w.tasks().iter().enumerate() {
-            let prog = if idx == front.0 {
-                front_prog.clone()
-            } else if idx == back.0 {
-                back_prog.clone()
-            } else {
-                t.program.clone()
-            };
-            fresh.add_task(t.name.clone(), prog, t.code_bytes);
-        }
-        for qq in w.queues() {
-            fresh.add_queue(qq.producer, qq.consumer, qq.capacity);
-        }
-        w = fresh;
+        w.set_program(
+            back,
+            ProgramBuilder::new().pop(q).int(180).transmit().build(),
+        );
     }
     w
 }

@@ -114,6 +114,12 @@ if [[ "${FAST}" == "0" ]]; then
     grep -q '^iter_round ' "${METRICS_TMP}/mid.prom" "${METRICS_TMP}/serve.jsonl.prom"
     diff "${METRICS_TMP}/serve-off.out" "${METRICS_TMP}/serve-on.out"
 
+    # A mistyped flag is a usage error (exit 2) before any work starts.
+    # `--scale 0.01` comes last, so a parser that skipped the typo would
+    # run a tiny experiment and fail here in seconds, not at full scale.
+    echo "==> fig13 mistyped-flag smoke"
+    rc=0; target/release/fig13 --workerz 2 --scale 0.01 >/dev/null 2>&1 || rc=$?; [[ "${rc}" == 2 ]]
+
     # obs_report smoke: deterministic tables from the serve run's journal,
     # tolerant of its exact content; chrome trace export parses as JSON.
     echo "==> obs_report smoke"
