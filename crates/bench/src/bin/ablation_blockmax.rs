@@ -7,7 +7,7 @@
 //!
 //! Run: `cargo run --release -p optassign-bench --bin ablation_blockmax [--scale f]`
 
-use optassign_bench::{fmt_pps, measured_pool, print_table, BenchArgs};
+use optassign_bench::{fmt_pps, print_table, BenchArgs};
 use optassign_evt::block_maxima::fit_block_maxima;
 use optassign_evt::gpd::Gpd;
 use optassign_evt::pot::{PotAnalysis, PotConfig};
@@ -15,6 +15,7 @@ use optassign_netapps::Benchmark;
 
 fn main() {
     let scale = BenchArgs::from_args();
+    let obs = scale.obs();
 
     println!("POT vs block maxima, part 1: known truth\n");
     let truth = 24.0;
@@ -49,7 +50,8 @@ fn main() {
     print_table(&["method", "data used", "estimate", "error"], &rows);
 
     println!("\nPOT vs block maxima, part 2: measured pool (Stateful)\n");
-    let pool = measured_pool(Benchmark::Stateful, scale.sample(4000))
+    let pool = scale
+        .pool(Benchmark::Stateful, scale.sample(4000), &obs)
         .expect("case-study workloads fit the machine");
     let pot = PotAnalysis::run(pool.performances(), &PotConfig::default()).expect("tail");
     let mut rows = vec![vec![
@@ -74,4 +76,5 @@ fn main() {
          information per measured assignment (hundreds of exceedances vs dozens of\n\
          block maxima), which is why the paper builds on POT."
     );
+    scale.finish(&obs);
 }

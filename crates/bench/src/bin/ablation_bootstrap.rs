@@ -8,7 +8,7 @@
 //!
 //! Run: `cargo run --release -p optassign-bench --bin ablation_bootstrap [--scale f]`
 
-use optassign_bench::{fmt_pps, measured_pool, print_table, BenchArgs};
+use optassign_bench::{fmt_pps, print_table, BenchArgs};
 use optassign_evt::bootstrap::bootstrap_max;
 use optassign_evt::gpd::Gpd;
 use optassign_evt::pot::{PotAnalysis, PotConfig};
@@ -16,6 +16,7 @@ use optassign_netapps::Benchmark;
 
 fn main() {
     let scale = BenchArgs::from_args();
+    let obs = scale.obs();
 
     println!("Bootstrap-vs-EVT ablation, part 1: known truth\n");
     let truth = 105.0;
@@ -51,7 +52,8 @@ fn main() {
     print_table(&["method", "point", "95% CI", "error vs truth"], &rows);
 
     println!("\nBootstrap-vs-EVT ablation, part 2: measured pool (IPFwd-L1)\n");
-    let big = measured_pool(Benchmark::IpFwdL1, scale.sample(5000))
+    let big = scale
+        .pool(Benchmark::IpFwdL1, scale.sample(5000), &obs)
         .expect("case-study workloads fit the machine");
     let small = big.prefix(scale.sample(1000)).expect("within pool");
     let truth_proxy = big.best_performance();
@@ -83,4 +85,5 @@ fn main() {
          and therefore underestimates the pool optimum; the EVT estimate\n\
          extrapolates to (or slightly above) it — which is why the paper needs EVT."
     );
+    scale.finish(&obs);
 }

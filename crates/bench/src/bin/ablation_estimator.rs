@@ -3,7 +3,7 @@
 //!
 //! Run: `cargo run --release -p optassign-bench --bin ablation_estimator [--scale f]`
 
-use optassign_bench::{fmt_pps, measured_pool, print_table, BenchArgs};
+use optassign_bench::{fmt_pps, print_table, BenchArgs};
 use optassign_evt::fit::FitMethod;
 use optassign_evt::gpd::Gpd;
 use optassign_evt::pot::{PotAnalysis, PotConfig};
@@ -11,6 +11,7 @@ use optassign_netapps::Benchmark;
 
 fn main() {
     let scale = BenchArgs::from_args();
+    let obs = scale.obs();
 
     // Part 1: ground truth known — synthetic bounded tails.
     println!("Estimator ablation, part 1: synthetic data (true optimum known)\n");
@@ -44,8 +45,9 @@ fn main() {
     println!("\nEstimator ablation, part 2: measured pools\n");
     let mut rows = Vec::new();
     for bench in [Benchmark::IpFwdL1, Benchmark::Stateful] {
-        let pool =
-            measured_pool(bench, scale.sample(2000)).expect("case-study workloads fit the machine");
+        let pool = scale
+            .pool(bench, scale.sample(2000), &obs)
+            .expect("case-study workloads fit the machine");
         let mut upbs = Vec::new();
         for method in [
             FitMethod::MaximumLikelihood,
@@ -78,4 +80,5 @@ fn main() {
         "\nExpected: both estimators recover synthetic truths within ~1-2% and agree\n\
          on measured data; MLE (the paper's choice) attains the higher likelihood."
     );
+    scale.finish(&obs);
 }

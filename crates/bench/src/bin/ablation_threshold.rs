@@ -7,13 +7,15 @@
 //!
 //! Run: `cargo run --release -p optassign-bench --bin ablation_threshold [--scale f]`
 
-use optassign_bench::{fmt_pps, measured_pool, print_table, BenchArgs};
+use optassign_bench::{fmt_pps, print_table, BenchArgs};
 use optassign_evt::pot::{PotAnalysis, PotConfig, ThresholdRule};
 use optassign_netapps::Benchmark;
 
 fn main() {
     let scale = BenchArgs::from_args();
-    let pool = measured_pool(Benchmark::IpFwdL1, scale.sample(5000))
+    let obs = scale.obs();
+    let pool = scale
+        .pool(Benchmark::IpFwdL1, scale.sample(5000), &obs)
         .expect("case-study workloads fit the machine");
 
     println!("Threshold ablation (IPFwd-L1, n = {})\n", pool.len());
@@ -72,4 +74,5 @@ fn main() {
          thresholds; very low thresholds (10%) bias the fit toward the\n\
          distribution's median — the reason for the paper's 5% cap."
     );
+    scale.finish(&obs);
 }

@@ -10,18 +10,20 @@
 
 use optassign::model::PerformanceModel;
 use optassign::schedulers::{best_of_sample, linux_like, local_search, naive};
-use optassign_bench::{case_study_model, fmt_pps, measured_pool, print_table, BenchArgs};
+use optassign_bench::{case_study_model, fmt_pps, print_table, BenchArgs};
 use optassign_evt::pot::{PotAnalysis, PotConfig};
 use optassign_netapps::Benchmark;
 
 fn main() {
     let scale = BenchArgs::from_args();
     let budget = scale.sample(600); // evaluations granted to each strategy
+    let obs = scale.obs();
     let mut rows = Vec::new();
     for bench in [Benchmark::IpFwdL1, Benchmark::Stateful] {
         let model = case_study_model(bench);
-        let pool =
-            measured_pool(bench, scale.sample(3000)).expect("case-study workloads fit the machine");
+        let pool = scale
+            .pool(bench, scale.sample(3000), &obs)
+            .expect("case-study workloads fit the machine");
         let upb = PotAnalysis::run(pool.performances(), &PotConfig::default())
             .expect("bounded tail")
             .upb
@@ -65,4 +67,5 @@ fn main() {
          with it, each strategy's remaining headroom is explicit — the paper's\n\
          §2 argument, operationalized."
     );
+    scale.finish(&obs);
 }

@@ -21,7 +21,7 @@ fn main() {
     for bench in Benchmark::paper_suite() {
         // Only the per-prefix best values are needed here; the analyses
         // ride along for free.
-        let points = sample_size_analysis(bench, &sizes, scale.parallelism(), &obs)
+        let points = sample_size_analysis(&scale, bench, &obs)
             .expect("case-study workloads fit the machine");
         let best_small = points[0].best;
         let best_large = points[points.len() - 1].best;

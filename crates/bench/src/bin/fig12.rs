@@ -21,7 +21,7 @@ fn main() {
     let mut rows = Vec::new();
     let mut worst_large = 0.0f64;
     for bench in Benchmark::paper_suite() {
-        let points = sample_size_analysis(bench, &sizes, scale.parallelism(), &obs)
+        let points = sample_size_analysis(&scale, bench, &obs)
             .expect("case-study workloads fit the machine");
         let mut row = vec![bench.name().to_string()];
         for p in &points {

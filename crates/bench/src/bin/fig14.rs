@@ -10,7 +10,7 @@
 //! Run: `cargo run --release -p optassign-bench --bin fig14
 //! [--scale f] [--metrics run.jsonl] [--checkpoint dir] [--resume]`
 
-use optassign_bench::{measured_pool_persistent, print_table, report_store, BenchArgs};
+use optassign_bench::{print_table, BenchArgs};
 use optassign_evt::pot::{PotAnalysis, PotConfig};
 use optassign_netapps::Benchmark;
 use optassign_obs::{Event, Obs};
@@ -64,15 +64,9 @@ fn main() {
     let obs = scale.obs();
     let mut rows = Vec::new();
     for bench in Benchmark::paper_suite() {
-        // One store per benchmark: the campaign identity cannot cover the
-        // model, so distinct workloads must not share cache entries.
-        let store = scale.store(&format!("fig14-{}", bench.name()), &obs);
-        let pool =
-            measured_pool_persistent(bench, pool_size, scale.parallelism(), store.as_ref(), &obs)
-                .expect("case-study workloads fit the machine");
-        if let Some(store) = &store {
-            report_store(store);
-        }
+        let pool = scale
+            .pool(bench, pool_size, &obs)
+            .expect("case-study workloads fit the machine");
         let mut row = vec![bench.name().to_string()];
         for &t in &targets {
             row.push(

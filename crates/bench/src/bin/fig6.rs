@@ -6,14 +6,16 @@
 //!
 //! Run: `cargo run --release -p optassign-bench --bin fig6 [--scale f]`
 
-use optassign_bench::{fmt_pps, measured_pool, print_table, BenchArgs};
+use optassign_bench::{fmt_pps, print_table, BenchArgs};
 use optassign_evt::mean_excess::MeanExcessPlot;
 use optassign_netapps::Benchmark;
 
 fn main() {
     let scale = BenchArgs::from_args();
-    let n = scale.sample(5000);
-    let study = measured_pool(Benchmark::IpFwdL1, n).expect("case-study workloads fit the machine");
+    let obs = scale.obs();
+    let study = scale
+        .pool(Benchmark::IpFwdL1, scale.sample(5000), &obs)
+        .expect("case-study workloads fit the machine");
     let sorted = optassign_stats::descriptive::sorted(study.performances());
 
     println!(
@@ -81,4 +83,5 @@ fn main() {
         }
         Err(e) => println!("\ntail linearity unavailable: {e}"),
     }
+    scale.finish(&obs);
 }

@@ -7,14 +7,16 @@
 //!
 //! Run: `cargo run --release -p optassign-bench --bin fig7 [--scale f]`
 
-use optassign_bench::{fmt_pps, measured_pool, print_table, BenchArgs};
+use optassign_bench::{fmt_pps, print_table, BenchArgs};
 use optassign_evt::pot::{PotAnalysis, PotConfig};
 use optassign_evt::profile::ProfileLikelihood;
 use optassign_netapps::Benchmark;
 
 fn main() {
     let scale = BenchArgs::from_args();
-    let study = measured_pool(Benchmark::IpFwdL1, scale.sample(5000))
+    let obs = scale.obs();
+    let study = scale
+        .pool(Benchmark::IpFwdL1, scale.sample(5000), &obs)
         .expect("case-study workloads fit the machine");
     let analysis = PotAnalysis::run(study.performances(), &PotConfig::default())
         .expect("large, bounded sample");
@@ -28,6 +30,13 @@ fn main() {
 
     println!("Figure 7: profile log-likelihood of the Upper Performance Bound\n");
     println!("threshold u        : {}", fmt_pps(u));
+    println!(
+        "GPD fit            : {} exceedances, shape {:.3}, Q-Q R^2 {:.3}, KS {:.3}",
+        analysis.exceedances.len(),
+        analysis.fit.gpd.shape(),
+        analysis.quantile_plot_r2,
+        analysis.ks_distance
+    );
     println!("UPB point estimate : {}", fmt_pps(analysis.upb.point));
     println!(
         "95% CI             : [{}, {}]",
@@ -73,4 +82,5 @@ fn main() {
         "\nThe curve peaks at the point estimate and the confidence interval is the\n\
          contiguous region above the cut — the construction of the paper's Figure 7."
     );
+    scale.finish(&obs);
 }

@@ -22,18 +22,18 @@
 //! With `--checkpoint`, each benchmark × fault-profile cell journals its
 //! resilient campaign into its own store subdirectory (campaign
 //! identities cannot cover the fault plan, so cells must not share
-//! stores) and resumes bit-identically after an interruption.
+//! stores) and resumes bit-identically after an interruption. The clean
+//! reference is the benchmark's case-study pool
+//! ([`optassign_bench::BenchArgs::pool`]), shared with the figure binaries.
 
 use optassign::fault::{FaultPlan, FaultyModel};
 use optassign::study::SampleStudy;
 use optassign_bench::{
-    case_study_model, fmt_pps, print_table, report_store, seed_tag, stderr_obs, BenchArgs,
-    BASE_SEED,
+    case_study_model, fmt_pps, print_table, report_store, seed_tag, BenchArgs, BASE_SEED,
 };
 use optassign_evt::pot::PotConfig;
 use optassign_evt::resilient::{FallbackPolicy, ResilientConfig};
 use optassign_netapps::Benchmark;
-use optassign_obs::Obs;
 
 const MAX_RETRIES: usize = 3;
 
@@ -41,6 +41,7 @@ fn main() {
     let scale = BenchArgs::from_args();
     let n = scale.sample(1000);
     let par = scale.parallelism();
+    let obs = scale.obs();
     let policies = [
         ("strict", FallbackPolicy::Strict),
         ("profile", FallbackPolicy::Profile),
@@ -56,10 +57,9 @@ fn main() {
     let mut rows = Vec::new();
     for bench in Benchmark::paper_suite() {
         let seed = BASE_SEED ^ seed_tag(bench);
-        eprintln!("[robustness] {}: clean reference…", bench.name());
-        let model = case_study_model(bench);
-        let clean = SampleStudy::run_with(&model, n, seed, par, &Obs::disabled(), None)
-            .expect("case-study workloads fit");
+        let clean = scale
+            .pool(bench, n, &obs)
+            .expect("case-study workloads fit the machine");
         let clean_upb = clean
             .estimate_optimal(&PotConfig::default())
             .map(|a| a.upb.point)
@@ -72,15 +72,7 @@ fn main() {
         ] {
             eprintln!("[robustness] {}: {fault_name} faults…", bench.name());
             let faulty = FaultyModel::new(case_study_model(bench), plan);
-            let store = scale.store(
-                &format!("robustness-{}-{fault_name}", bench.name()),
-                &stderr_obs(),
-            );
-            let obs = if store.is_some() {
-                stderr_obs()
-            } else {
-                Obs::disabled()
-            };
+            let store = scale.store(&format!("robustness-{}-{fault_name}", bench.name()), &obs);
             let campaign = SampleStudy::run_resilient_with(
                 &faulty,
                 n,
@@ -159,4 +151,5 @@ fn main() {
         "\nrel err compares each estimate against the clean-infrastructure \
          profile-MLE reference for the same benchmark and sample size."
     );
+    scale.finish(&obs);
 }

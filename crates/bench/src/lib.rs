@@ -294,6 +294,53 @@ impl BenchArgs {
             }
         }
     }
+
+    /// Measures the case-study pool of `n` random assignments for `bench`:
+    /// [`case_study_model`] at seed `BASE_SEED ^ seed_tag(bench)`, on this
+    /// run's worker policy, journaled into the benchmark's store scope
+    /// `pool-<bench>` under `--checkpoint`. Every pool of a benchmark is a
+    /// prefix of one seeded draw sequence, so binaries that share a
+    /// checkpoint measure each draw once: a pool of the same size replays
+    /// from the journal, and a larger one finds its prefix in the
+    /// evaluation cache (exact while no assignment class repeats inside
+    /// the pool; DESIGN.md §8). Progress events go to `obs` and the pool's
+    /// wall time to its `pool_ns` histogram. The pool is bit-identical
+    /// however it is observed, stored or parallelized.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CoreError::Infeasible`] when the case-study workload does
+    /// not fit the machine (a build misconfiguration, not a runtime hazard).
+    pub fn pool(&self, bench: Benchmark, n: usize, obs: &Obs) -> Result<SampleStudy, CoreError> {
+        let parallelism = self.parallelism();
+        let scope = format!("pool-{}", bench.name().to_lowercase().replace(' ', "-"));
+        let store = self.store(&scope, obs);
+        obs.emit(|| {
+            progress(
+                "pool",
+                format!(
+                    "{}: measuring {n} random assignments ({} workers)…",
+                    bench.name(),
+                    parallelism.workers
+                ),
+            )
+        });
+        let span = obs.span("pool_ns");
+        let seed = BASE_SEED ^ seed_tag(bench);
+        let model = case_study_model(bench);
+        let study = SampleStudy::run_with(&model, n, seed, parallelism, obs, store.as_ref())?;
+        let elapsed = span.finish();
+        if let Some(store) = &store {
+            report_store(store);
+        }
+        obs.emit(|| {
+            progress(
+                "pool",
+                format!("{}: done in {:.1}s", bench.name(), elapsed as f64 / 1.0e9),
+            )
+        });
+        Ok(study)
+    }
 }
 
 /// Starts the live `--serve` endpoint on `addr`: `/progress` and
@@ -349,62 +396,6 @@ pub fn case_study_model_small(bench: Benchmark, instances: usize) -> SimModel {
     SimModel::new(machine, workload).with_windows(WARMUP_CYCLES, 3 * MEASURE_CYCLES)
 }
 
-/// Measures a pool of `n` random assignments for one benchmark, printing
-/// progress to stderr. Uses every available core (or `OPTASSIGN_WORKERS`)
-/// — the pool is bit-identical to a serial run either way.
-///
-/// # Errors
-///
-/// Returns [`CoreError::Infeasible`] when the case-study workload does
-/// not fit the machine (a build misconfiguration, not a runtime hazard).
-pub fn measured_pool(bench: Benchmark, n: usize) -> Result<SampleStudy, CoreError> {
-    measured_pool_persistent(bench, n, Parallelism::max_available(), None, &stderr_obs())
-}
-
-/// [`measured_pool`] with an explicit worker policy and observability
-/// handle, journaled through a durable [`CampaignStore`] when one is
-/// given. Progress events go to `obs`, pool wall time lands in the
-/// `pool_ns` histogram, and the underlying campaign runs through
-/// [`SampleStudy::run_with`]. With a store, measurements append to its
-/// write-ahead log, an interrupted pool resumes bit-identically, and a
-/// repeated pool replays without touching the simulator. The pool itself
-/// is bit-identical however it is observed or stored.
-///
-/// # Errors
-///
-/// As [`measured_pool`].
-pub fn measured_pool_persistent(
-    bench: Benchmark,
-    n: usize,
-    parallelism: Parallelism,
-    store: Option<&CampaignStore>,
-    obs: &Obs,
-) -> Result<SampleStudy, CoreError> {
-    let model = case_study_model(bench);
-    obs.emit(|| {
-        progress(
-            "pool",
-            format!(
-                "{}: measuring {} random assignments ({} workers)…",
-                bench.name(),
-                n,
-                parallelism.workers
-            ),
-        )
-    });
-    let span = obs.span("pool_ns");
-    let seed = BASE_SEED ^ seed_tag(bench);
-    let study = SampleStudy::run_with(&model, n, seed, parallelism, obs, store)?;
-    let elapsed = span.finish();
-    obs.emit(|| {
-        progress(
-            "pool",
-            format!("{}: done in {:.1}s", bench.name(), elapsed as f64 / 1.0e9),
-        )
-    });
-    Ok(study)
-}
-
 /// Prints a one-line store summary to stderr (stdout stays reserved for
 /// the experiment's deterministic table output, so interrupted-vs-clean
 /// runs can be diffed on stdout alone).
@@ -421,12 +412,6 @@ pub fn report_store(store: &CampaignStore) {
     );
 }
 
-/// A stderr-progress-only observability handle, for binaries that did
-/// not opt into a journal.
-pub fn stderr_obs() -> Obs {
-    Obs::new(Box::new(StderrProgress), Box::<MonotonicClock>::default())
-}
-
 /// One benchmark's Figure-10/11/12 numbers at one sample size.
 #[derive(Debug, Clone)]
 pub struct SizePoint {
@@ -440,26 +425,23 @@ pub struct SizePoint {
     pub analysis: Option<optassign_evt::pot::PotAnalysis>,
 }
 
-/// Measures one 24-thread pool per benchmark and analyzes its prefixes at
-/// the given sample sizes (iid prefixes of one pool are statistically
+/// Measures one benchmark's 24-thread pool ([`BenchArgs::pool`]) at the
+/// largest of `args`' Figure-10/11/12 sample sizes and analyzes its
+/// prefixes at all three (iid prefixes of one pool are statistically
 /// equivalent to the paper's independent draws; see DESIGN.md §14).
 ///
 /// # Errors
 ///
-/// Returns [`CoreError::Domain`] for an empty or zero-containing `sizes`
-/// list and propagates pool-measurement failures.
+/// Propagates pool-measurement failures.
 pub fn sample_size_analysis(
+    args: &BenchArgs,
     bench: Benchmark,
-    sizes: &[usize],
-    parallelism: Parallelism,
     obs: &Obs,
 ) -> Result<Vec<SizePoint>, CoreError> {
     use optassign_evt::pot::{PotAnalysis, PotConfig};
-    let max = *sizes
-        .iter()
-        .max()
-        .ok_or_else(|| CoreError::Domain("sample_size_analysis needs at least one size".into()))?;
-    let pool = measured_pool_persistent(bench, max, parallelism, None, obs)?;
+    let sizes = args.sample_sizes();
+    let [.., largest] = sizes;
+    let pool = args.pool(bench, largest, obs)?;
     sizes
         .iter()
         .map(|&n| {
@@ -683,6 +665,37 @@ mod tests {
         drop((a, b));
         assert!(root.join("cell-a").is_dir());
         assert!(root.join("cell-b").is_dir());
+        std::fs::remove_dir_all(&root).unwrap();
+    }
+
+    #[test]
+    fn a_larger_pool_measures_only_the_draws_the_checkpoint_lacks() {
+        let root =
+            std::env::temp_dir().join(format!("optassign-bench-pool-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&root);
+        let stored = BenchArgs {
+            checkpoint: Some(root.clone()),
+            ..plain(1.0, None)
+        };
+        let bench = Benchmark::IpFwdL1;
+        stored.pool(bench, 20, &Obs::disabled()).expect("fits");
+        // The 30-draw pool is a new campaign: its first 20 draws come
+        // from the evaluation cache, the other 10 from the simulator.
+        let obs = Obs::metrics_only();
+        let grown = stored.pool(bench, 30, &obs).expect("fits");
+        assert_eq!(obs.metrics().counter("exec_cache_misses_total"), 10);
+        assert_eq!(obs.metrics().counter("exec_cache_hits_total"), 20);
+        let fresh = plain(1.0, None)
+            .pool(bench, 30, &Obs::disabled())
+            .expect("fits");
+        let bits = |s: &SampleStudy| {
+            s.performances()
+                .iter()
+                .map(|p| p.to_bits())
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(bits(&grown), bits(&fresh));
+        assert_eq!(grown.assignments(), fresh.assignments());
         std::fs::remove_dir_all(&root).unwrap();
     }
 

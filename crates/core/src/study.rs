@@ -121,10 +121,14 @@ impl SampleStudy {
     ///
     /// **Resume contract:** a run killed at any point and re-invoked with
     /// the same arguments produces the study an uninterrupted run would
-    /// have, bit for bit, at any worker count. Cache hits may substitute
-    /// the measurement of an *equivalent* assignment recorded earlier in
-    /// the same store; use a fresh store directory per model if the model
-    /// is not invariant under hardware symmetry.
+    /// have, bit for bit, at any worker count. A cache hit returns the
+    /// value of whichever *equivalent* assignment (same canonical class)
+    /// the store measured first. Neither the simulator nor
+    /// `SyntheticModel` is invariant under the machine's symmetry, so a
+    /// run that resolves draws through the cache matches a store-free run
+    /// only while no class repeats among them; small spaces repeat often
+    /// (fig3's 6-task space has 1,526 classes). Distinct models need
+    /// distinct store directories (DESIGN.md §8).
     ///
     /// # Errors
     ///

@@ -267,8 +267,8 @@ fn select_threshold(sorted: &[f64], rule: &ThresholdRule) -> Result<f64, EvtErro
 }
 
 /// The threshold below which exactly (up to ties) `fraction` of the sorted
-/// sample lies above.
-fn threshold_for_fraction(sorted: &[f64], fraction: f64) -> f64 {
+/// sample lies above. `sorted` must hold at least two observations.
+pub(crate) fn threshold_for_fraction(sorted: &[f64], fraction: f64) -> f64 {
     let n = sorted.len();
     let k = ((n as f64 * fraction).round() as usize).clamp(1, n - 1);
     // Exceedances are the top k observations; threshold sits at the element

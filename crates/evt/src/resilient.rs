@@ -34,7 +34,7 @@
 
 use crate::bootstrap::bootstrap_max;
 use crate::fit::{self, FitMethod};
-use crate::pot::{PotAnalysis, PotConfig, ThresholdRule};
+use crate::pot::{self, PotAnalysis, PotConfig, ThresholdRule};
 use crate::profile::{estimate_upb, UpbEstimate};
 use crate::EvtError;
 use optassign_obs::{Event, Obs};
@@ -423,16 +423,14 @@ fn diagnostics_of(a: &PotAnalysis) -> GofDiagnostics {
     }
 }
 
-/// The threshold below which the top `fraction` of the ascending-sorted
-/// sample lies (the strict pipeline's rule, restated here because the
-/// ladder needs raw exceedances, not a full analysis).
+/// The strict pipeline's threshold for the top `fraction` of the
+/// ascending-sorted sample, with the exceedances over it (the ladder needs
+/// raw exceedances, not a full analysis).
 fn exceedances_at(sorted: &[f64], fraction: f64) -> Option<(f64, Vec<f64>)> {
-    let n = sorted.len();
-    if n < 2 || !(fraction > 0.0 && fraction < 1.0) {
+    if sorted.len() < 2 || !(fraction > 0.0 && fraction < 1.0) {
         return None;
     }
-    let k = ((n as f64 * fraction).round() as usize).clamp(1, n - 1);
-    let u = sorted[n - k - 1];
+    let u = pot::threshold_for_fraction(sorted, fraction);
     let ys: Vec<f64> = sorted
         .iter()
         .copied()

@@ -36,7 +36,6 @@ pub mod chi2;
 pub mod descriptive;
 pub mod ecdf;
 pub mod error;
-pub mod histogram;
 pub mod linreg;
 pub mod neldermead;
 pub mod rng;

@@ -17,6 +17,9 @@ FAST=0
 echo "==> cargo fmt --check"
 cargo fmt --all --check
 
+echo "==> bash -n scripts/repro_all.sh"
+bash -n scripts/repro_all.sh
+
 # Library crates: panic-free discipline on top of the standard lints.
 LIB_CRATES=(optassign-obs optassign-exec optassign-store optassign-stats optassign-sim optassign-evt optassign-netapps optassign-httpd optassign-optd optassign-fleet optassign)
 for crate in "${LIB_CRATES[@]}"; do
@@ -119,6 +122,20 @@ if [[ "${FAST}" == "0" ]]; then
     # run a tiny experiment and fail here in seconds, not at full scale.
     echo "==> fig13 mistyped-flag smoke"
     rc=0; target/release/fig13 --workerz 2 --scale 0.01 >/dev/null 2>&1 || rc=$?; [[ "${rc}" == 2 ]]
+
+    # Pool-sharing smoke: fig10 measures every benchmark's case-study pool
+    # into a checkpoint; fig12 on the same checkpoint must replay them all
+    # without one simulator evaluation and print exactly what a
+    # checkpoint-free fig12 prints.
+    echo "==> fig10/fig12 shared-pool smoke"
+    cargo run -q --release -p optassign-bench --bin fig10 -- \
+        --scale 0.01 --workers 2 --checkpoint "${METRICS_TMP}/ckpt-pools" >/dev/null
+    cargo run -q --release -p optassign-bench --bin fig12 -- \
+        --scale 0.01 --workers 2 --checkpoint "${METRICS_TMP}/ckpt-pools" \
+        --metrics "${METRICS_TMP}/fig12.jsonl" >"${METRICS_TMP}/fig12-shared.out"
+    grep -qx 'exec_cache_misses_total 0' "${METRICS_TMP}/fig12.jsonl.prom"
+    target/release/fig12 --scale 0.01 --workers 2 >"${METRICS_TMP}/fig12-plain.out"
+    diff "${METRICS_TMP}/fig12-plain.out" "${METRICS_TMP}/fig12-shared.out"
 
     # obs_report smoke: deterministic tables from the serve run's journal,
     # tolerant of its exact content; chrome trace export parses as JSON.

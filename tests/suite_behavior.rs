@@ -91,6 +91,29 @@ fn pipeline_locality_is_visible() {
     );
 }
 
+/// The simulator is not invariant under the machine's symmetry: both
+/// engines seed every strand from a hash of the exact contexts, so moving
+/// a placement one core over gives an equivalent assignment (the same
+/// canonical class, the same evaluation-cache key) that measures
+/// differently. A cache hit therefore returns whichever equivalent
+/// placement was measured first (DESIGN.md §8).
+#[test]
+fn core_rotation_changes_the_measurement() {
+    let m = model(Benchmark::IpFwdL1, 2, 8_000);
+    let topo = m.topology();
+    let a = linux_like(6, topo).unwrap();
+    let rotated: Vec<usize> = a
+        .contexts()
+        .iter()
+        .map(|&c| (c + topo.strands_per_core()) % topo.contexts())
+        .collect();
+    let rotated = Assignment::new(rotated, topo).unwrap();
+    assert!(a.is_equivalent(&rotated));
+    assert_eq!(a.canonical_hash(), rotated.canonical_hash());
+    let (p, q) = (m.evaluate(&a), m.evaluate(&rotated));
+    assert!(p != q, "a core rotation measured identically: {p}");
+}
+
 /// Every suite benchmark runs end-to-end on the full 24-thread setup and
 /// produces plausible throughput (order of magnitude of the paper's MPPS
 /// regime).
