@@ -8,6 +8,10 @@
 //! (c) how good the predictor-chosen assignment actually is when measured.
 //!
 //! Run: `cargo run --release -p optassign-bench --bin ablation_predictor [--scale f]`
+//!
+//! `--workers`, `--metrics` and `--serve` apply to both studies.
+//! `--checkpoint` and `--resume` are usage errors: the speedup column
+//! times the simulator study, which a stored pool would replay.
 
 use optassign::model::{AnalyticModel, PerformanceModel};
 use optassign::study::SampleStudy;
@@ -17,7 +21,9 @@ use optassign_netapps::Benchmark;
 use optassign_sim::MachineConfig;
 
 fn main() {
-    let scale = BenchArgs::from_args();
+    let scale = BenchArgs::from_args_honouring(&["--scale", "--workers", "--metrics", "--serve"]);
+    let obs = scale.obs();
+    let parallelism = scale.parallelism();
     let n = scale.sample(1500);
     let mut rows = Vec::new();
     for bench in [
@@ -34,10 +40,12 @@ fn main() {
 
         // Same seed => both studies draw identical assignments.
         let t0 = std::time::Instant::now();
-        let sim_study = SampleStudy::run(&sim_model, n, 77).expect("fits");
+        let sim_study =
+            SampleStudy::run_with(&sim_model, n, 77, parallelism, &obs, None).expect("fits");
         let sim_time = t0.elapsed().as_secs_f64();
         let t1 = std::time::Instant::now();
-        let ana_study = SampleStudy::run(&ana_model, n, 77).expect("fits");
+        let ana_study =
+            SampleStudy::run_with(&ana_model, n, 77, parallelism, &obs, None).expect("fits");
         let ana_time = t1.elapsed().as_secs_f64().max(1e-9);
 
         let cfg = PotConfig::default();
@@ -83,4 +91,5 @@ fn main() {
          the integrated approach is bounded by the predictor's bias — visible as\n\
          the UPB deviation between the two columns."
     );
+    scale.finish(&obs);
 }

@@ -7,6 +7,10 @@
 //! exhaustive check of how close the estimate lands.
 //!
 //! Run: `cargo run --release -p optassign-bench --bin ext_selection [--scale f]`
+//!
+//! `--scale` is its only flag: the sample and the exhaustive sweep run
+//! serially, with no store and no events, so `--workers`, `--metrics`,
+//! `--checkpoint`, `--resume` and `--serve` are usage errors.
 
 use optassign::selection::{SelectionModel, SelectionStudy, SmtMixModel};
 use optassign_bench::{fmt_pps, print_table, BenchArgs};
@@ -41,7 +45,7 @@ fn exhaustive_best(model: &SmtMixModel) -> (Vec<usize>, f64) {
 }
 
 fn main() {
-    let scale = BenchArgs::from_args();
+    let scale = BenchArgs::from_args_honouring(&["--scale"]);
     let model = SmtMixModel::default_pool(8, 3);
     let n = scale.sample(800);
 

@@ -7,7 +7,8 @@
 //!   histograms, interpolated like `histogram_quantile`),
 //! * the round-by-round convergence trace of the iterative loop
 //!   (the Figure 14 gap trace, from `iteration` events),
-//! * evaluation-cache hit/miss rates (from the store counters),
+//! * journal replays and evaluation-cache hit/miss rates (from the
+//!   resolution counters),
 //! * the fault/degradation timeline (`degradation` and
 //!   `recorder_io_errors` events, in order of occurrence).
 //!
@@ -330,20 +331,24 @@ fn convergence_section(events: &[Json]) {
 fn cache_section(snapshot: Option<&MetricsRegistry>) {
     println!("\n== evaluation cache ==");
     let counter = |name: &str| snapshot.map_or(0, |m| m.counter(name));
+    let replayed = counter("exec_replayed_total");
     let hits = counter("exec_cache_hits_total");
     let misses = counter("exec_cache_misses_total");
     let total = hits + misses;
-    if total == 0 {
+    if replayed + total == 0 {
         println!("no cached evaluations (run without a campaign store?)");
         return;
     }
+    // Replays restore a campaign's own journal; they are not cache hits.
+    println!("{replayed} replayed from the journal");
     // Integer permille avoids float formatting drift across platforms.
-    let permille = hits.saturating_mul(1000) / total;
-    println!(
-        "{hits} hits, {misses} misses ({}.{}% hit rate)",
-        permille / 10,
-        permille % 10
-    );
+    if let Some(permille) = hits.saturating_mul(1000).checked_div(total) {
+        println!(
+            "{hits} hits, {misses} misses ({}.{}% hit rate)",
+            permille / 10,
+            permille % 10
+        );
+    }
 }
 
 fn degradation_section(events: &[Json]) {

@@ -66,6 +66,16 @@ pub struct BenchArgs {
     pub serve: Option<String>,
 }
 
+/// Every flag of the experiment binaries, with the name of its value.
+const FLAGS: [(&str, &str); 6] = [
+    ("--scale", " F"),
+    ("--workers", " N"),
+    ("--metrics", " PATH"),
+    ("--checkpoint", " DIR"),
+    ("--resume", ""),
+    ("--serve", " ADDR"),
+];
+
 impl BenchArgs {
     /// Parses `--scale <f>`, `--workers <n>`, `--metrics <path>`,
     /// `--checkpoint <dir>`, `--serve <addr>` and `--resume` from the
@@ -75,14 +85,23 @@ impl BenchArgs {
     /// [`BenchArgs::parse`] rejects prints the error and a usage line to
     /// stderr and exits with status 2, before any work starts.
     pub fn from_args() -> BenchArgs {
+        Self::from_args_honouring(&FLAGS.map(|(flag, _)| flag))
+    }
+
+    /// [`BenchArgs::from_args`] for a binary that honours only the flags
+    /// in `honoured`: any other flag is a usage error (exit status 2)
+    /// whose usage line lists the honoured flags.
+    pub fn from_args_honouring(honoured: &[&str]) -> BenchArgs {
         let mut args = std::env::args();
         let program = args.next().unwrap_or_default();
-        Self::parse(args).unwrap_or_else(|e| {
+        Self::parse_honouring(args, honoured).unwrap_or_else(|e| {
+            let usage: String = FLAGS
+                .iter()
+                .filter(|(flag, _)| honoured.contains(flag))
+                .map(|(flag, value)| format!(" [{flag}{value}]"))
+                .collect();
             eprintln!("error: {e}");
-            eprintln!(
-                "usage: {program} [--scale F] [--workers N] [--metrics PATH] \
-                 [--checkpoint DIR] [--resume] [--serve ADDR]"
-            );
+            eprintln!("usage: {program}{usage}");
             std::process::exit(2)
         })
     }
@@ -95,6 +114,15 @@ impl BenchArgs {
     /// An unknown argument, a flag without its value, a scale that is not
     /// a finite number, or a worker count that is not a positive integer.
     pub fn parse<I: IntoIterator<Item = String>>(args: I) -> Result<BenchArgs, String> {
+        Self::parse_honouring(args, &FLAGS.map(|(flag, _)| flag))
+    }
+
+    /// [`BenchArgs::parse`] that also rejects a flag missing from
+    /// `honoured`.
+    fn parse_honouring<I: IntoIterator<Item = String>>(
+        args: I,
+        honoured: &[&str],
+    ) -> Result<BenchArgs, String> {
         let mut factor = 1.0f64;
         let mut workers = None;
         let mut metrics: Option<PathBuf> = None;
@@ -103,6 +131,9 @@ impl BenchArgs {
         let mut serve: Option<String> = None;
         let mut args = args.into_iter();
         while let Some(flag) = args.next() {
+            if FLAGS.iter().any(|(known, _)| *known == flag) && !honoured.contains(&&*flag) {
+                return Err(format!("{flag} is not supported by this binary"));
+            }
             let mut value = || args.next().ok_or_else(|| format!("{flag} needs a value"));
             match flag.as_str() {
                 "--scale" => {
@@ -563,6 +594,11 @@ mod tests {
         for args in bad {
             let parsed = BenchArgs::parse(args.iter().map(|a| a.to_string()));
             assert!(parsed.is_err(), "{args:?} parsed as {parsed:?}");
+        }
+        // A binary that honours only `--scale` rejects every other flag.
+        for &(flag, _) in &FLAGS[1..] {
+            let parsed = BenchArgs::parse_honouring([flag, "1"].map(String::from), &["--scale"]);
+            assert!(parsed.is_err_and(|e| e.contains("not supported")), "{flag}");
         }
     }
 

@@ -279,11 +279,13 @@ struct Batch {
     budget_exhausted: bool,
 }
 
-/// One batch of slot measurements as handed to a [`BatchBackend`]: the
-/// deterministic inputs that make each slot a pure function of
-/// `(batch_salt, slot)`, independent of where it executes.
+/// The slots of one batch that nothing resolved, as handed to a
+/// [`BatchBackend`]: the deterministic inputs that make each slot a pure
+/// function of `(batch_salt, slot)`, independent of where it executes.
 #[derive(Debug)]
 pub struct BatchRequest<'a> {
+    /// Campaign fingerprint the batch journals under.
+    pub campaign: u64,
     /// Journal sequence number of the batch (0 for the initial sample,
     /// the round index for extension batches).
     pub sequence: u64,
@@ -293,27 +295,32 @@ pub struct BatchRequest<'a> {
     pub max_retries: usize,
     /// Replacement draws per slot.
     pub draw_cap: usize,
-    /// The slots' primary assignments, drawn from the campaign stream.
+    /// Global batch indices of the slots to measure, ascending (each
+    /// keys its slot's fault stream).
+    pub slots: &'a [u64],
+    /// Their primary assignments, drawn from the campaign stream:
+    /// `primaries[i]` belongs to `slots[i]`.
     pub primaries: &'a [Assignment],
 }
 
 /// Where a session's measurement batches execute.
 ///
 /// [`IterativeSession::step`] wraps the model in the in-process backend
-/// (evaluate on this node's threads, optionally journaling through a
-/// [`CampaignStore`]); the distributed fleet supplies a coordinator
-/// backend that farms slots out to workers over HTTP. The contract that
-/// keeps every backend bit-identical: slot `i` must return exactly what
-/// the keyed retry/redraw ladder for `primaries[i]` under
-/// `(batch_salt, i)` returns, with already-journaled or cached slots
-/// resolved to their recorded value at zero attempts. The backend sees
-/// batches in journal order, one call per batch.
+/// (evaluate on this node's threads); the distributed fleet supplies a
+/// coordinator backend that farms slots out to workers over HTTP. The
+/// session resolves (journal replay, evaluation cache) and journals
+/// every batch itself, so a backend only measures. The contract that
+/// keeps every backend bit-identical: slot `slots[i]` must return
+/// exactly what the keyed retry/redraw ladder for `primaries[i]` under
+/// `(batch_salt, slots[i])` returns. The backend sees batches in journal
+/// order, one call per batch.
 pub trait BatchBackend {
     /// Task count of the campaign's model.
     fn tasks(&self) -> usize;
     /// Topology of the campaign's model.
     fn topology(&self) -> Topology;
-    /// Measures one batch, returning exactly one outcome per primary.
+    /// Measures the requested slots, returning exactly one outcome per
+    /// slot, in request order.
     ///
     /// # Errors
     ///
@@ -327,12 +334,10 @@ pub trait BatchBackend {
 }
 
 /// The in-process [`BatchBackend`]: slots evaluate against a model on
-/// this node's threads, optionally journaling through a campaign store,
-/// on the one slot-measurement path every campaign kind shares.
+/// this node's threads.
 struct LocalBackend<'a, M> {
     model: &'a M,
     parallelism: Parallelism,
-    persist: Option<(&'a CampaignStore, u64)>,
 }
 
 impl<M: PerformanceModel + Sync> BatchBackend for LocalBackend<'_, M> {
@@ -349,62 +354,51 @@ impl<M: PerformanceModel + Sync> BatchBackend for LocalBackend<'_, M> {
         request: &BatchRequest<'_>,
         obs: &Obs,
     ) -> Result<Vec<SlotOutcome>, CoreError> {
-        let journal = self.persist.map(|(store, campaign)| Journal {
-            store,
-            campaign,
-            sequence: request.sequence,
-        });
-        let slots: Vec<u64> = (0..request.primaries.len() as u64).collect();
-        let measured = measure_slots(
+        batch_ladder(request.batch_salt, request.max_retries, request.draw_cap).run(
             self.model,
-            &slots,
+            request.slots,
             request.primaries,
-            journal,
-            &NoPeers,
-            Measure::Ladder(batch_ladder(
-                request.batch_salt,
-                request.max_retries,
-                request.draw_cap,
-            )),
             self.parallelism,
             obs,
-        )?;
-        Ok(measured.into_iter().map(|(outcome, _)| outcome).collect())
+        )
     }
 }
 
 /// The retry/redraw ladder of one iterative batch: slot streams derive
 /// from the batch salt, and a slot whose every draw fails is abandoned.
-fn batch_ladder(batch_salt: u64, max_retries: usize, draw_cap: usize) -> Ladder {
-    Ladder {
+fn batch_ladder(batch_salt: u64, max_retries: usize, draw_cap: usize) -> Measure {
+    Measure::Ladder(Ladder {
         stream_salt: batch_salt,
         redraw_salt: batch_salt ^ BATCH_REDRAW_SALT,
         max_retries,
         draw_cap,
         exhausted_is_error: false,
-    }
+    })
 }
 
-/// Measures up to `want` assignments through a backend, spending at
-/// most `budget` attempts.
+/// Measures up to `want` assignments as batch `sequence` of `campaign`,
+/// spending at most `budget` attempts.
 ///
 /// The `want` primary assignments are drawn sequentially from the main
 /// campaign stream (so the clean path is identical to the sequential
-/// algorithm); the slots then measure wherever the backend runs them,
-/// each keyed by `(batch_salt, slot)`. The budget is enforced by an
-/// order-fixed reduction: slots are accepted in index order while their
-/// cumulative attempts fit, and the first slot that would overflow
-/// truncates the batch — for any worker count, the same slots are kept
-/// and `attempts <= budget` holds exactly.
+/// algorithm). [`measure_slots`] resolves them against `store`, hands
+/// the rest to the backend — each slot keyed by `(batch_salt, slot)` —
+/// and journals the batch. The budget is enforced by an order-fixed
+/// reduction: slots are accepted in index order while their cumulative
+/// attempts fit, and the first slot that would overflow truncates the
+/// batch — for any worker count, the same slots are kept and
+/// `attempts <= budget` holds exactly.
 #[allow(clippy::too_many_arguments)]
 fn measure_with_backend<B: BatchBackend + ?Sized, R: Rng + ?Sized>(
     backend: &mut B,
+    store: Option<&CampaignStore>,
+    campaign: u64,
+    sequence: u64,
     want: usize,
     max_retries: usize,
     budget: usize,
     rng: &mut R,
     batch_salt: u64,
-    sequence: u64,
     obs: &Obs,
 ) -> Result<Batch, CoreError> {
     let mut b = Batch {
@@ -427,21 +421,32 @@ fn measure_with_backend<B: BatchBackend + ?Sized, R: Rng + ?Sized>(
     // campaign's four draws per slot.
     let per_slot_attempts = want.max(1) * (1 + max_retries);
     let draw_cap = 4usize.max(budget.div_ceil(per_slot_attempts));
-    let request = BatchRequest {
+    let journal = store.map(|store| Journal {
+        store,
+        campaign,
         sequence,
-        batch_salt,
-        max_retries,
-        draw_cap,
-        primaries: &primaries,
-    };
-    let slots = backend.measure(&request, obs)?;
-    if slots.len() != want {
-        return Err(CoreError::Measurement(MeasureError::Failed(format!(
-            "backend returned {} outcomes for a {want}-slot batch",
-            slots.len()
-        ))));
-    }
-    for slot in slots {
+    });
+    let slot_ids: Vec<u64> = (0..want as u64).collect();
+    let slots = measure_slots(
+        &slot_ids,
+        &primaries,
+        journal,
+        &NoPeers,
+        obs,
+        |slots, primaries| {
+            let request = BatchRequest {
+                campaign,
+                sequence,
+                batch_salt,
+                max_retries,
+                draw_cap,
+                slots,
+                primaries,
+            };
+            backend.measure(&request, obs)
+        },
+    )?;
+    for (slot, _) in slots {
         if b.attempts + slot.attempts > budget {
             // The budget runs out inside this slot: count the attempts
             // that fit, drop the slot's measurement (it was not paid
@@ -517,8 +522,8 @@ pub struct LeaseOutcome {
 /// Either way the measurement itself never observes the observer.
 ///
 /// Metrics: `fleet_slot_evals_total` counts slots that reached the
-/// model, `fleet_peer_hits_total` peer-cache resolutions,
-/// `fleet_replayed_total` journal replays.
+/// model, `fleet_peer_hits_total` peer-cache resolutions (journal
+/// replays are `measure_slots`' `exec_replayed_total`).
 ///
 /// # Errors
 ///
@@ -548,19 +553,14 @@ pub fn measure_leased_slots<M: PerformanceModel + Sync>(
         campaign: lease.campaign,
         sequence: lease.sequence,
     };
+    let ladder = batch_ladder(lease.batch_salt, lease.max_retries, lease.draw_cap);
     let measured = measure_slots(
-        model,
         &lease.slots,
         &lease.primaries,
         Some(journal),
         peers,
-        Measure::Ladder(batch_ladder(
-            lease.batch_salt,
-            lease.max_retries,
-            lease.draw_cap,
-        )),
-        parallelism,
         obs,
+        |slots, primaries| ladder.run(model, slots, primaries, parallelism, obs),
     )?;
     let count =
         |what: &[LeaseResolution]| measured.iter().filter(|(_, r)| what.contains(r)).count() as u64;
@@ -571,10 +571,6 @@ pub fn measure_leased_slots<M: PerformanceModel + Sync>(
     obs.counter_add(
         fleet_counters::PEER_HITS,
         count(&[LeaseResolution::PeerHit]),
-    );
-    obs.counter_add(
-        fleet_counters::REPLAYED,
-        count(&[LeaseResolution::Replayed]),
     );
 
     let end_ns = obs.now_ns();
@@ -694,9 +690,9 @@ pub fn run_iterative_persistent<M: PerformanceModel + Sync>(
 }
 
 /// [`run_iterative_persistent`] with observability (see
-/// [`run_iterative_obs`] for what is recorded; cache hits and misses
-/// additionally land in `exec_cache_hits_total` /
-/// `exec_cache_misses_total`).
+/// [`run_iterative_obs`] for what is recorded; journal replays, cache
+/// hits and misses additionally land in `exec_replayed_total`,
+/// `exec_cache_hits_total` and `exec_cache_misses_total`).
 ///
 /// # Errors
 ///
@@ -934,29 +930,18 @@ impl IterativeSession {
         obs: &Obs,
         persist: Option<&CampaignStore>,
     ) -> Result<StepOutcome, CoreError> {
-        let persist = persist.map(|store| {
-            (
-                store,
-                persist::iterative_campaign_id(
-                    self.seed,
-                    &self.config,
-                    model.tasks(),
-                    model.topology(),
-                ),
-            )
-        });
         let mut backend = LocalBackend {
             model,
             parallelism: self.config.parallelism,
-            persist,
         };
-        self.step_with_backend(&mut backend, obs)
+        self.step_with_backend(&mut backend, obs, persist)
     }
 
     /// [`IterativeSession::step`] against an explicit [`BatchBackend`]
     /// — the seam the distributed fleet coordinator drives. The session
     /// supplies the deterministic batch inputs (primaries, salt,
-    /// sequence, draw cap); the backend decides where the slots
+    /// sequence, draw cap) and resolves and journals through `persist`
+    /// as `step` does; the backend decides where the unresolved slots
     /// evaluate. A conforming backend (see [`BatchBackend`]) produces
     /// results, journals, and metrics bit-identical to the in-process
     /// path.
@@ -968,11 +953,14 @@ impl IterativeSession {
         &mut self,
         backend: &mut B,
         obs: &Obs,
+        persist: Option<&CampaignStore>,
     ) -> Result<StepOutcome, CoreError> {
         if let Some(result) = &self.finished {
             return Ok(StepOutcome::Finished(Box::new(result.clone())));
         }
         let config = &self.config;
+        let campaign =
+            persist::iterative_campaign_id(self.seed, config, backend.tasks(), backend.topology());
 
         // Step 1 (first call only): initial sample (batch sequence 0).
         if self.study.is_none() {
@@ -986,12 +974,14 @@ impl IterativeSession {
             });
             let batch = measure_with_backend(
                 backend,
+                persist,
+                campaign,
+                0,
                 config.n_init,
                 config.max_eval_retries,
                 config.eval_budget,
                 &mut self.rng,
                 split_seed(self.seed ^ BATCH_SALT, 0),
-                0,
                 obs,
             )?;
             self.attempts_total += batch.attempts;
@@ -1145,12 +1135,14 @@ impl IterativeSession {
         // round index doubles as the batch's journal sequence number.
         let batch = measure_with_backend(
             backend,
+            persist,
+            campaign,
+            self.round,
             config.n_delta,
             config.max_eval_retries,
             config.eval_budget - self.attempts_total,
             &mut self.rng,
             split_seed(self.seed ^ BATCH_SALT, self.round),
-            self.round,
             obs,
         )?;
         self.round += 1;

@@ -4,13 +4,12 @@
 //! measure each independently (§3 Step 1), repeated for every `N_delta`
 //! round of the iterative algorithm (§5.3). Every campaign kind — the
 //! plain and resilient [`crate::study::SampleStudy`] runs, the iterative
-//! loop's in-process batches, and a fleet worker's leased slots —
+//! loop's batches on any backend, and a fleet worker's leased slots —
 //! measures through [`measure_slots`], which fixes in one place:
 //!
 //! * the **slot-resolution policy**: the store's journal (replay), its
-//!   evaluation cache, the peer caches, and only then the model;
-//! * the **measurement**: ground truth through `evaluate_batch`, or the
-//!   keyed retry/redraw [`Ladder`] with a batched first attempt;
+//!   evaluation cache, the peer caches, and only then the measurement —
+//!   a model through [`Measure::run`], or a fleet coordinator's leases;
 //! * the **journaling order**: freshly resolved, measured slots in slot
 //!   order, then the batch marker with the call's slot count.
 
@@ -195,37 +194,41 @@ pub(crate) enum Measure {
 }
 
 impl Measure {
-    /// Measures the chunk `idxs` of a batch in one batched model call
-    /// (the ladder finishes retries and redraws per slot).
-    fn chunk<M: PerformanceModel>(
+    /// Measures slot `slots[i]` with primary `primaries[i]`, one batched
+    /// model call per run of `parallelism.batch` slots (the ladder
+    /// finishes retries and redraws per slot). Errors as
+    /// [`try_parallel_map_batched`].
+    pub(crate) fn run<M: PerformanceModel + Sync>(
         self,
         model: &M,
         slots: &[u64],
         primaries: &[Assignment],
-        idxs: &[usize],
-    ) -> Vec<Result<SlotOutcome, CoreError>> {
-        let chunk: Vec<Assignment> = idxs.iter().map(|&i| primaries[i].clone()).collect();
-        match self {
-            Measure::Plain => {
-                let values = model.evaluate_batch(&chunk);
-                chunk
-                    .into_iter()
-                    .zip(values)
-                    .map(|(a, v)| Ok(SlotOutcome::known(a, v, 1)))
-                    .collect()
-            }
-            Measure::Ladder(ladder) => {
-                let keys: Vec<(u64, u32)> = idxs
+        parallelism: Parallelism,
+        obs: &Obs,
+    ) -> Result<Vec<SlotOutcome>, CoreError> {
+        try_parallel_map_batched(parallelism, slots.len(), obs, |run| {
+            let (slots, primaries) = (&slots[run.clone()], &primaries[run]);
+            match self {
+                Measure::Plain => primaries
                     .iter()
-                    .map(|&i| (split_seed(ladder.stream_salt, slots[i]), 0))
-                    .collect();
-                let first = model.try_evaluate_batch_at(&chunk, &keys);
-                idxs.iter()
-                    .zip(first)
-                    .map(|(&i, f)| ladder.climb(model, &primaries[i], slots[i], f))
-                    .collect()
+                    .zip(model.evaluate_batch(primaries))
+                    .map(|(a, v)| Ok(SlotOutcome::known(a.clone(), v, 1)))
+                    .collect(),
+                Measure::Ladder(ladder) => {
+                    let keys: Vec<(u64, u32)> = slots
+                        .iter()
+                        .map(|&slot| (split_seed(ladder.stream_salt, slot), 0))
+                        .collect();
+                    let first = model.try_evaluate_batch_at(primaries, &keys);
+                    primaries
+                        .iter()
+                        .zip(slots)
+                        .zip(first)
+                        .map(|((primary, &slot), f)| ladder.climb(model, primary, slot, f))
+                        .collect()
+                }
             }
-        }
+        })
     }
 }
 
@@ -242,30 +245,30 @@ pub(crate) struct Journal<'a> {
 ///
 /// Each slot resolves in a fixed order: its journal record (replayed,
 /// never re-journaled), the store's evaluation cache, the peer caches,
-/// and only then the model, through `measure`. Cache and peer hits cost
-/// zero attempts and never touch the slot's fault stream. Every lookup
-/// precedes the parallel region, and cache inserts only happen at the
-/// batch marker, so what a slot sees never depends on scheduling. After
-/// the region, freshly resolved measured slots are journaled in slot
-/// order, then the batch marker with `slots.len()`; an abandoned slot
-/// journals nothing and re-measures deterministically on resume.
+/// and only then `measure`, which gets the unresolved slots (ascending,
+/// with their primaries) and returns one outcome per slot. Cache and
+/// peer hits cost zero attempts and never touch the slot's fault
+/// stream. Every lookup precedes `measure`, and cache inserts only
+/// happen at the batch marker, so what a slot sees never depends on
+/// scheduling. Then freshly resolved measured slots are journaled in
+/// slot order, then the batch marker with `slots.len()`; an abandoned
+/// slot journals nothing and re-measures deterministically on resume.
+/// Each slot counts once: `exec_replayed_total`, `exec_cache_hits_total`
+/// (own cache or peers) or `exec_cache_misses_total` (measured).
 ///
 /// # Errors
 ///
-/// The error of the smallest failing slot; nothing is journaled then.
-/// Store I/O failures are counted on the store handle, never raised.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn measure_slots<M: PerformanceModel + Sync>(
-    model: &M,
+/// `measure`'s error, or a wrong number of outcomes from it; nothing is
+/// journaled then. Store I/O failures are counted on the store handle,
+/// never raised.
+pub(crate) fn measure_slots(
     slots: &[u64],
     primaries: &[Assignment],
     journal: Option<Journal<'_>>,
     peers: &dyn PeerCache,
-    measure: Measure,
-    parallelism: Parallelism,
     obs: &Obs,
+    measure: impl FnOnce(&[u64], &[Assignment]) -> Result<Vec<SlotOutcome>, CoreError>,
 ) -> Result<Vec<(SlotOutcome, LeaseResolution)>, CoreError> {
-    let topo = model.topology();
     let (resolved, resolutions): (Vec<Option<SlotOutcome>>, Vec<LeaseResolution>) = slots
         .iter()
         .zip(primaries)
@@ -273,7 +276,7 @@ pub(crate) fn measure_slots<M: PerformanceModel + Sync>(
             let replayed = journal
                 .and_then(|j| j.store.lookup_slot(j.campaign, j.sequence, slot))
                 .and_then(|rec| {
-                    persist::assignment_from_record(&rec, topo).map(|a| SlotOutcome {
+                    persist::assignment_from_record(&rec, primary.topology()).map(|a| SlotOutcome {
                         measured: Some((a, rec.value)),
                         attempts: rec.attempts as usize,
                         retries: rec.retries as usize,
@@ -294,10 +297,35 @@ pub(crate) fn measure_slots<M: PerformanceModel + Sync>(
             }
         })
         .unzip();
+    for (counter, what) in [
+        ("exec_replayed_total", &[LeaseResolution::Replayed][..]),
+        (
+            "exec_cache_hits_total",
+            &[LeaseResolution::CacheHit, LeaseResolution::PeerHit],
+        ),
+        ("exec_cache_misses_total", &[LeaseResolution::Evaluated]),
+    ] {
+        let n = resolutions.iter().filter(|r| what.contains(r)).count();
+        obs.counter_add(counter, n as u64);
+    }
 
-    let outcomes = try_parallel_map_batched(parallelism, resolved, obs, |idxs| {
-        measure.chunk(model, slots, primaries, idxs)
-    })?;
+    let (fresh_slots, fresh_primaries): (Vec<u64>, Vec<Assignment>) = resolved
+        .iter()
+        .zip(slots.iter().zip(primaries))
+        .filter(|(outcome, _)| outcome.is_none())
+        .map(|(_, (&slot, primary))| (slot, primary.clone()))
+        .unzip();
+    let mut measured = measure(&fresh_slots, &fresh_primaries)?.into_iter();
+    let outcomes: Option<Vec<SlotOutcome>> = resolved
+        .into_iter()
+        .map(|outcome| outcome.or_else(|| measured.next()))
+        .collect();
+    let Some(outcomes) = outcomes.filter(|_| measured.next().is_none()) else {
+        return Err(CoreError::Measurement(MeasureError::Failed(format!(
+            "measurement answered a wrong number of outcomes for {} unresolved slots",
+            fresh_slots.len()
+        ))));
+    };
 
     if let Some(j) = journal {
         for ((outcome, &resolution), &slot) in outcomes.iter().zip(&resolutions).zip(slots) {

@@ -114,13 +114,13 @@ pub fn iterative_campaign_id(
     ])
 }
 
-/// Builds the journal record for one resolved campaign slot. This is
-/// the one encoding both the in-process batch path and a fleet worker's
-/// leased-slot path use, so shards journaled on different nodes carry
+/// Builds the journal record for one resolved campaign slot. Only
+/// `measure::measure_slots` journals slots, so every store — a single
+/// node's, a fleet coordinator's, a worker's shard — carries
 /// byte-identical records for the same slot.
 #[must_use]
 #[allow(clippy::too_many_arguments)]
-pub fn slot_record(
+pub(crate) fn slot_record(
     campaign: u64,
     sequence: u64,
     slot: usize,

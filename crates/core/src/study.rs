@@ -115,9 +115,9 @@ impl SampleStudy {
     /// journaled — an interrupted run, or the same call repeated —
     /// replays them instead of re-measuring. Slots with no journal record
     /// consult the store's content-addressed evaluation cache (keyed by
-    /// [`Assignment::canonical_hash`]) before evaluating the model; hits
-    /// and misses land in `exec_cache_hits_total` /
-    /// `exec_cache_misses_total`.
+    /// [`Assignment::canonical_hash`]) before evaluating the model.
+    /// Replays, hits and misses land in `exec_replayed_total`,
+    /// `exec_cache_hits_total` and `exec_cache_misses_total`.
     ///
     /// **Resume contract:** a run killed at any point and re-invoked with
     /// the same arguments produces the study an uninterrupted run would
@@ -157,16 +157,9 @@ impl SampleStudy {
             campaign: persist::study_campaign_id(seed, n, model.tasks(), model.topology()),
             sequence: 0,
         });
-        let slots = measure_slots(
-            model,
-            &slot_ids(n),
-            &primaries,
-            journal,
-            &NoPeers,
-            Measure::Plain,
-            parallelism,
-            obs,
-        )?;
+        let slots = measure_slots(&slot_ids(n), &primaries, journal, &NoPeers, obs, |s, p| {
+            Measure::Plain.run(model, s, p, parallelism, obs)
+        })?;
         let (assignments, performances): (Vec<Assignment>, Vec<f64>) = slots
             .into_iter()
             .filter_map(|(slot, _)| slot.measured)
@@ -298,16 +291,9 @@ impl SampleStudy {
             ),
             sequence: 0,
         });
-        let slots = measure_slots(
-            model,
-            &slot_ids(n),
-            &primaries,
-            journal,
-            &NoPeers,
-            Measure::Ladder(ladder),
-            parallelism,
-            obs,
-        )?;
+        let slots = measure_slots(&slot_ids(n), &primaries, journal, &NoPeers, obs, |s, p| {
+            Measure::Ladder(ladder).run(model, s, p, parallelism, obs)
+        })?;
 
         let mut log = MeasurementLog::default();
         let mut assignments = Vec::with_capacity(n);
@@ -834,6 +820,33 @@ mod tests {
         .unwrap();
         assert_eq!(fresh.performances(), fresh_plain.performances());
         assert!(counting.evals.load(Ordering::Relaxed) <= 160);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn resolution_counters_tell_replays_from_cache_hits() {
+        let dir = store_dir("counters");
+        let store = CampaignStore::open(&dir).unwrap();
+        // 24 tasks: no assignment class repeats among 120 draws, so only
+        // the shared prefix can hit the cache (6 tasks repeat often).
+        let m = SyntheticModel::new(Topology::ultrasparc_t2(), 24, 1.0e6);
+        let resolve = |n: usize| {
+            let obs = Obs::metrics_only();
+            SampleStudy::run_with(&m, n, 41, Parallelism::default(), &obs, Some(&store)).unwrap();
+            let snap = obs.metrics();
+            [
+                "exec_replayed_total",
+                "exec_cache_hits_total",
+                "exec_cache_misses_total",
+            ]
+            .map(|name| snap.counter(name))
+        };
+        assert_eq!(resolve(80), [0, 0, 80], "cold: every slot measures");
+        // The same campaign again: every slot replays from the journal.
+        assert_eq!(resolve(80), [80, 0, 0], "rerun");
+        // A longer study on the same seed is another campaign whose first
+        // 80 draws are the first one's: they hit the evaluation cache.
+        assert_eq!(resolve(120), [0, 80, 40], "longer study");
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -22,8 +22,9 @@
 //!    *smallest* failing index.
 //!
 //! There are two maps: [`parallel_map`], the per-index engine, and
-//! [`try_parallel_map_batched`], the one fallible, cache-aware, batched
-//! map built on it.
+//! [`try_parallel_map_batched`], the one fallible, batched map built on
+//! it. Neither knows about caches or journals: the caller resolves what
+//! it already knows and maps only the rest.
 //!
 //! The engine is dependency-free beyond the workspace's observability
 //! crate (`std::thread::scope` only) and the `workers == 1` path is a
@@ -40,6 +41,7 @@
 //! determinism contract holds with any recorder attached.
 
 use optassign_obs::{lane_span_id, Event, MetricsRegistry, Obs, SpanGuard, VALUE_BUCKETS};
+use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Derives an independent, reproducible RNG seed for one task index.
@@ -340,30 +342,26 @@ where
     collected.into_iter().map(|(_, v)| v).collect()
 }
 
-/// The fallible, cache-aware, batched map: `resolved[i]` is `Some(v)`
-/// when slot `i` is already known (a durable-cache hit or a checkpoint
-/// replay) and `None` when it must be computed. The misses are handed to
-/// `f` in ascending runs of `par.batch` original indices (floored at 1,
-/// the scalar path) so the callee can amortize per-call setup across the
-/// run; `f` must return exactly one result per index, in order. With
-/// zero misses no parallel region is entered and `f` is never called.
-/// Infallible callers use [`std::convert::Infallible`] as `E`.
+/// The fallible, batched map: maps `f` over `0..n`, handing it ascending
+/// runs of `par.batch` indices (floored at 1, the scalar path) so the
+/// callee can amortize per-call setup across the run; `f` must return
+/// exactly one result per index, in order. With `n == 0` no parallel
+/// region is entered and `f` is never called. Infallible callers use
+/// [`std::convert::Infallible`] as `E`.
 ///
-/// Chunks are distributed over the workers by [`parallel_map`], and the
-/// output is in index order, exactly as if every slot had been computed
-/// fresh — bit-identical at every worker count and every batch size,
-/// provided `f` is pure per index. Hits, misses and chunks are counted
-/// (`exec_cache_hits_total`, `exec_cache_misses_total`,
-/// `exec_batches_total`).
+/// Runs are distributed over the workers by [`parallel_map`], and the
+/// output is in index order — bit-identical at every worker count and
+/// every batch size, provided `f` is pure per index. Runs are counted
+/// (`exec_batches_total`).
 ///
 /// Errors are reduced in a fixed order: the call reports the error at
-/// the **smallest failing original index**, for any worker count and
-/// batch size. A chunk is an indivisible unit for `f`, so there is no
-/// early exit — every chunk runs even after a failure.
+/// the **smallest failing index**, for any worker count and batch size.
+/// A run is an indivisible unit for `f`, so there is no early exit —
+/// every run executes even after a failure.
 ///
 /// # Errors
 ///
-/// Returns the error of the smallest original index at which `f` failed.
+/// Returns the error of the smallest index at which `f` failed.
 ///
 /// # Panics
 ///
@@ -371,49 +369,31 @@ where
 /// returns a vector of the wrong length.
 pub fn try_parallel_map_batched<T, E, F>(
     par: Parallelism,
-    resolved: Vec<Option<T>>,
+    n: usize,
     obs: &Obs,
     f: F,
 ) -> Result<Vec<T>, E>
 where
     T: Send,
     E: Send,
-    F: Fn(&[usize]) -> Vec<Result<T, E>> + Sync,
+    F: Fn(Range<usize>) -> Vec<Result<T, E>> + Sync,
 {
-    let n = resolved.len();
-    let miss_idx: Vec<usize> = resolved
-        .iter()
-        .enumerate()
-        .filter(|(_, v)| v.is_none())
-        .map(|(i, _)| i)
-        .collect();
-    obs.counter_add("exec_cache_hits_total", (n - miss_idx.len()) as u64);
-    obs.counter_add("exec_cache_misses_total", miss_idx.len() as u64);
-    let mut slots = resolved;
-    if !miss_idx.is_empty() {
-        let chunks: Vec<&[usize]> = miss_idx.chunks(par.batch.max(1)).collect();
-        obs.counter_add("exec_batches_total", chunks.len() as u64);
-        let computed = parallel_map(par, chunks.len(), obs, |c| {
-            let out = f(chunks[c]);
-            assert_eq!(
-                out.len(),
-                chunks[c].len(),
-                "batch fn must return one value per index"
-            );
-            out
-        });
-        // Order-fixed error reduction: chunks ascend and indices ascend
-        // within a chunk, so the first Err seen in this scan is the one
-        // at the smallest original index.
-        for (chunk, values) in chunks.iter().zip(computed) {
-            for (&i, value) in chunk.iter().zip(values) {
-                slots[i] = Some(value?);
-            }
-        }
+    if n == 0 {
+        return Ok(Vec::new());
     }
-    let out: Vec<T> = slots.into_iter().flatten().collect();
-    debug_assert_eq!(out.len(), n);
-    Ok(out)
+    let batch = par.batch.max(1);
+    let runs = n.div_ceil(batch);
+    obs.counter_add("exec_batches_total", runs as u64);
+    let computed = parallel_map(par, runs, obs, |c| {
+        let run = c * batch..((c + 1) * batch).min(n);
+        let len = run.len();
+        let out = f(run);
+        assert_eq!(out.len(), len, "batch fn must return one value per index");
+        out
+    });
+    // Order-fixed error reduction: runs ascend and indices ascend within
+    // a run, so the first Err seen in this scan is the smallest index's.
+    computed.into_iter().flatten().collect()
 }
 
 #[cfg(test)]
@@ -494,22 +474,20 @@ mod tests {
     #[test]
     fn observed_batched_map_keeps_error_selection() {
         use optassign_obs::{MonotonicClock, NullRecorder};
-        let f = |idxs: &[usize]| -> Vec<Result<usize, String>> {
-            idxs.iter()
-                .map(|&i| {
-                    if i == 9 {
-                        Err("boom at 9".into())
-                    } else {
-                        Ok(i)
-                    }
-                })
-                .collect()
+        let f = |run: Range<usize>| -> Vec<Result<usize, String>> {
+            run.map(|i| {
+                if i == 9 {
+                    Err("boom at 9".into())
+                } else {
+                    Ok(i)
+                }
+            })
+            .collect()
         };
         for workers in [1, 4] {
             let obs = Obs::new(Box::new(NullRecorder), Box::new(MonotonicClock::new()));
             let par = Parallelism::new(workers).with_batch(1);
-            let err =
-                try_parallel_map_batched(par, vec![None; 64], &obs, f).expect_err("must fail");
+            let err = try_parallel_map_batched(par, 64, &obs, f).expect_err("must fail");
             assert_eq!(err, "boom at 9", "workers={workers}");
             assert_eq!(obs.metrics().counter("exec_tasks_total"), 64);
         }
@@ -524,53 +502,34 @@ mod tests {
     }
 
     #[test]
-    fn batched_map_matches_fresh_map_at_every_batch_size_and_worker_count() {
+    fn batched_map_matches_per_index_map_at_every_batch_size_and_worker_count() {
         let f = |i: usize| (i as u64).wrapping_mul(0x517C_C1B7).rotate_left(11);
-        let fresh: Vec<u64> = (0..203).map(f).collect();
-        for workers in [1, 2, 4, 7] {
-            for batch in [1, 3, 16, 1000] {
-                // Pre-resolve a deterministic subset so the hit/miss
-                // scatter path is exercised too.
-                let resolved: Vec<Option<u64>> = (0..203)
-                    .map(|i| split_seed(7, i as u64).is_multiple_of(4).then(|| f(i)))
-                    .collect();
-                let obs = Obs::metrics_only();
-                let par = Parallelism::new(workers).with_batch(batch);
-                let out = try_parallel_map_batched(par, resolved, &obs, |idxs| {
-                    assert!(idxs.len() <= batch, "chunk larger than batch size");
-                    idxs.iter().map(|&i| Ok::<_, Infallible>(f(i))).collect()
-                });
-                assert_eq!(out, Ok(fresh.clone()), "workers={workers} batch={batch}");
-                let snap = obs.metrics();
-                assert_eq!(
-                    snap.counter("exec_cache_hits_total") + snap.counter("exec_cache_misses_total"),
-                    203
-                );
-                assert_eq!(
-                    snap.counter("exec_batches_total"),
-                    (snap.counter("exec_cache_misses_total") as usize).div_ceil(batch) as u64
-                );
+        for n in [0, 203] {
+            let fresh: Vec<u64> = (0..n).map(f).collect();
+            for workers in [1, 2, 4, 7] {
+                for batch in [1, 3, 16, 1000] {
+                    let obs = Obs::metrics_only();
+                    let par = Parallelism::new(workers).with_batch(batch);
+                    let out = try_parallel_map_batched(par, n, &obs, |run| {
+                        assert!(!run.is_empty() && run.len() <= batch, "run {run:?}");
+                        run.map(|i| Ok::<_, Infallible>(f(i))).collect()
+                    });
+                    assert_eq!(
+                        out,
+                        Ok(fresh.clone()),
+                        "n={n} workers={workers} batch={batch}"
+                    );
+                    let snap = obs.metrics();
+                    assert_eq!(snap.counter("exec_batches_total"), n.div_ceil(batch) as u64);
+                    // An empty map enters no parallel region.
+                    assert_eq!(snap.counter("exec_regions_total") == 0, n == 0);
+                }
             }
         }
     }
 
     #[test]
-    fn fully_resolved_batched_map_never_calls_f() {
-        let resolved: Vec<Option<usize>> = (0..50).map(Some).collect();
-        let obs = Obs::metrics_only();
-        let out = try_parallel_map_batched(Parallelism::new(4), resolved, &obs, |_| {
-            panic!("no chunk should be computed")
-        });
-        assert_eq!(out, Ok::<_, Infallible>((0..50).collect::<Vec<_>>()));
-        let snap = obs.metrics();
-        assert_eq!(snap.counter("exec_cache_hits_total"), 50);
-        assert_eq!(snap.counter("exec_cache_misses_total"), 0);
-        assert_eq!(snap.counter("exec_batches_total"), 0);
-        assert_eq!(snap.counter("exec_regions_total"), 0);
-    }
-
-    #[test]
-    fn try_batched_map_reports_smallest_failing_original_index() {
+    fn try_batched_map_reports_smallest_failing_index() {
         let f = |i: usize| -> Result<usize, String> {
             if i == 30 || i == 70 {
                 Err(format!("boom at {i}"))
@@ -578,26 +537,22 @@ mod tests {
                 Ok(i)
             }
         };
-        let chunked =
-            |idxs: &[usize]| -> Vec<Result<usize, String>> { idxs.iter().map(|&i| f(i)).collect() };
+        let chunked = |run: Range<usize>| -> Vec<Result<usize, String>> { run.map(f).collect() };
         for workers in [1, 2, 4, 7] {
             for batch in [1, 3, 16, 1000] {
                 let par = Parallelism::new(workers).with_batch(batch);
-                // Slot 30 pre-resolved: only 70 can fail now.
-                let resolved: Vec<Option<usize>> =
-                    (0..100).map(|i| (i == 30).then_some(i)).collect();
-                let err = try_parallel_map_batched(par, resolved, &Obs::disabled(), chunked)
-                    .expect_err("must fail");
-                assert_eq!(err, "boom at 70", "workers={workers} batch={batch}");
-                // Nothing pre-resolved: 30 wins.
-                let none: Vec<Option<usize>> = vec![None; 100];
-                let err = try_parallel_map_batched(par, none, &Obs::disabled(), chunked)
+                let err = try_parallel_map_batched(par, 100, &Obs::disabled(), chunked)
                     .expect_err("must fail");
                 assert_eq!(err, "boom at 30", "workers={workers} batch={batch}");
+                // With slot 30 succeeding, 70 is the smallest failure.
+                let err = try_parallel_map_batched(par, 71, &Obs::disabled(), |run| {
+                    run.map(|i| if i == 30 { Ok(i) } else { f(i) }).collect()
+                })
+                .expect_err("must fail");
+                assert_eq!(err, "boom at 70", "workers={workers} batch={batch}");
                 // Success path matches the per-item engine.
-                let clean: Vec<Option<usize>> = vec![None; 100];
-                let ok = try_parallel_map_batched(par, clean, &Obs::disabled(), |idxs| {
-                    idxs.iter().map(|&i| Ok::<_, String>(i * 3)).collect()
+                let ok = try_parallel_map_batched(par, 100, &Obs::disabled(), |run| {
+                    run.map(|i| Ok::<_, String>(i * 3)).collect()
                 })
                 .expect("must succeed");
                 assert_eq!(ok, (0..100).map(|i| i * 3).collect::<Vec<_>>());

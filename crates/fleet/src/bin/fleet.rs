@@ -14,7 +14,8 @@
 //! serving its evaluation cache. `run` drives one campaign spec across
 //! the given workers through the same admission path as `optd offline`
 //! and journals it into `DATA/merged` — a store byte-identical to the
-//! single-node run.
+//! single-node run. Rerun on the same `DATA`, it resumes that journal:
+//! journaled slots replay and only the rest is leased.
 //!
 //! `--journal PATH` (both modes) writes the process's JSONL journal
 //! with span tracing on, so coordinator→worker leases and federation

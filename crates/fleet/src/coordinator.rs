@@ -3,21 +3,24 @@
 //!
 //! The coordinator owns the session loop (so the campaign stream, batch
 //! salts, and stopping rule are exactly the single-node ones) and the
-//! campaign's one journal, a [`CampaignStore`] at `data_dir/merged`. Its
-//! [`BatchBackend`] measures each batch the way a single node's
-//! persistent run does:
+//! campaign's one journal, a [`CampaignStore`] at `data_dir/merged`. The
+//! session resolves and journals each batch through that store exactly
+//! as a single node's persistent run does; the coordinator's
+//! [`BatchBackend`] only measures what the session could not resolve:
 //!
-//! 1. resolves every primary against the journal's evaluation cache,
-//!    which folds only at batch markers, so the hits are exactly the
+//! 1. the session replays every slot the journal already holds and
+//!    resolves the rest against the journal's evaluation cache, which
+//!    folds only at batch markers, so the hits are exactly the
 //!    single-node ones;
-//! 2. partitions the misses into contiguous leases, one per live worker,
-//!    and dispatches them concurrently;
-//! 3. re-leases the slots of any worker that fails to answer (connect
+//! 2. the backend partitions the remaining slots into contiguous leases,
+//!    one per live worker, and dispatches them concurrently;
+//! 3. it re-leases the slots of any worker that fails to answer (connect
 //!    error, timeout, malformed response) among the survivors — a dead
 //!    worker only *moves* slots, it cannot change their values, because
 //!    every slot is a pure function of `(batch_salt, slot)`;
-//! 4. journals every measured slot, cache hits and lease answers alike,
-//!    in slot order, then the batch marker.
+//! 4. the session journals every freshly resolved slot, cache hits and
+//!    lease answers alike, in slot order, then the batch marker — so a
+//!    rerun on the same data dir resumes the journal.
 //!
 //! Workers journal their leases into shards of their own — their
 //! evaluation caches and replay logs. The coordinator never reads them:
@@ -28,13 +31,13 @@ use optassign::iterative::{
     SlotOutcome, StepOutcome,
 };
 use optassign::model::MeasureError;
-use optassign::persist::{iterative_campaign_id, slot_record, CampaignStore};
+use optassign::persist::{iterative_campaign_id, CampaignStore};
 use optassign::{CoreError, PerformanceModel, Topology};
 use optassign_obs::{fleet_counters, Event, Obs, TraceContext};
 use optassign_optd::client::{http_call_traced, http_call_with, CallOptions};
 use optassign_optd::spec::{CampaignSpec, TenantModel};
 use optassign_store::io::RealIo;
-use optassign_store::{StoreError, WAL_FILE};
+use optassign_store::StoreError;
 use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::Duration;
@@ -90,8 +93,9 @@ impl From<StoreError> for FleetError {
 pub struct FleetConfig {
     /// Coordinator data directory. The run journals the campaign into
     /// `merged/` inside it — the store a single-node run of the same
-    /// spec writes, byte for byte — and writes nothing else there.
-    /// `merged/` must not hold a journal yet.
+    /// spec writes, byte for byte — and writes nothing else there. A
+    /// journal already in `merged/` is resumed: its slots replay and
+    /// only the rest are leased.
     pub data_dir: PathBuf,
     /// Control addresses of the workers to lease to.
     pub workers: Vec<String>,
@@ -128,40 +132,38 @@ struct WorkerHandle {
     alive: bool,
 }
 
-/// The coordinator's [`BatchBackend`]: cache hits from its own journal,
-/// everything else leased out.
+/// The coordinator's [`BatchBackend`]: leases the slots the session
+/// could not resolve from the journal out to the live workers.
 struct FleetBackend<'a> {
     model: &'a TenantModel,
-    campaign: u64,
-    store: &'a CampaignStore,
     workers: Vec<WorkerHandle>,
     lease_options: CallOptions,
 }
 
-impl FleetBackend<'_> {
-    fn live_workers(&self) -> Vec<usize> {
-        self.workers
-            .iter()
-            .enumerate()
-            .filter(|(_, w)| w.alive)
-            .map(|(i, _)| i)
-            .collect()
+impl BatchBackend for FleetBackend<'_> {
+    fn tasks(&self) -> usize {
+        self.model.tasks()
     }
 
-    /// Dispatches the `pending` slots of one batch across the live
-    /// workers, re-leasing on failure, and writes each outcome into
-    /// `out[slot]`.
-    fn lease_round(
+    fn topology(&self) -> Topology {
+        self.model.topology()
+    }
+
+    /// Dispatches the request's slots across the live workers, re-leasing
+    /// the slots of any worker that fails to answer among the survivors.
+    fn measure(
         &mut self,
         request: &BatchRequest<'_>,
-        mut pending: Vec<u64>,
-        out: &mut [Option<SlotOutcome>],
         obs: &Obs,
-    ) -> Result<(), CoreError> {
+    ) -> Result<Vec<SlotOutcome>, CoreError> {
         let topo = self.model.topology();
+        let mut out: Vec<Option<SlotOutcome>> = vec![None; request.slots.len()];
+        let mut pending: Vec<usize> = (0..request.slots.len()).collect();
         let mut reassigned = false;
         while !pending.is_empty() {
-            let live = self.live_workers();
+            let live: Vec<usize> = (0..self.workers.len())
+                .filter(|&i| self.workers[i].alive)
+                .collect();
             if live.is_empty() {
                 return Err(CoreError::Measurement(MeasureError::Failed(
                     "no live workers left to lease to".into(),
@@ -170,7 +172,7 @@ impl FleetBackend<'_> {
             // Contiguous partition: worker k gets the k-th chunk of the
             // pending run. Which worker measures a slot never affects
             // its value.
-            let chunks: Vec<(usize, &[u64])> = live
+            let chunks: Vec<(usize, &[usize])> = live
                 .iter()
                 .copied()
                 .zip(pending.chunks(pending.len().div_ceil(live.len())))
@@ -180,7 +182,6 @@ impl FleetBackend<'_> {
                 obs.counter_add(fleet_counters::LEASES_REASSIGNED, chunks.len() as u64);
             }
             let options = &self.lease_options;
-            let campaign = self.campaign;
             let workers = &self.workers;
             let results = std::thread::scope(|scope| {
                 let handles: Vec<_> = chunks
@@ -188,7 +189,7 @@ impl FleetBackend<'_> {
                     .map(|(widx, chunk)| {
                         let addr = workers[widx].ctrl.as_str();
                         let handle = scope.spawn(move || {
-                            dispatch_lease(addr, campaign, request, chunk, topo, options, obs)
+                            dispatch_lease(addr, request, chunk, topo, options, obs)
                         });
                         (widx, chunk, handle)
                     })
@@ -213,8 +214,8 @@ impl FleetBackend<'_> {
                                 .with("sequence", request.sequence)
                                 .with("slots", outcomes.len() as u64)
                         });
-                        for o in outcomes {
-                            out[o.slot as usize] = Some(o.outcome);
+                        for (&i, o) in chunk.iter().zip(outcomes) {
+                            out[i] = Some(o.outcome);
                         }
                     }
                     Err(reason) => {
@@ -234,110 +235,39 @@ impl FleetBackend<'_> {
             }
             pending = unanswered;
         }
-        Ok(())
+        Ok(out.into_iter().flatten().collect())
     }
 }
 
-impl BatchBackend for FleetBackend<'_> {
-    fn tasks(&self) -> usize {
-        self.model.tasks()
-    }
-
-    fn topology(&self) -> Topology {
-        self.model.topology()
-    }
-
-    fn measure(
-        &mut self,
-        request: &BatchRequest<'_>,
-        obs: &Obs,
-    ) -> Result<Vec<SlotOutcome>, CoreError> {
-        // Every lookup precedes any journaling, and the cache folds only
-        // at batch markers, so these are exactly the single-node cache
-        // hits: value known, zero attempts, fault stream untouched.
-        let mut out: Vec<Option<SlotOutcome>> = request
-            .primaries
-            .iter()
-            .map(|primary| {
-                let value = self.store.cache_lookup(primary.canonical_hash())?;
-                Some(SlotOutcome {
-                    measured: Some((primary.clone(), value)),
-                    attempts: 0,
-                    retries: 0,
-                    redrawn: 0,
-                })
-            })
-            .collect();
-        let misses: Vec<u64> = (0..out.len() as u64)
-            .filter(|&slot| out[slot as usize].is_none())
-            .collect();
-        self.lease_round(request, misses, &mut out, obs)?;
-        let slots = out
-            .into_iter()
-            .enumerate()
-            .map(|(i, slot)| {
-                slot.ok_or_else(|| {
-                    CoreError::Measurement(MeasureError::Failed(format!(
-                        "lease round left slot {i} of sequence {} unresolved",
-                        request.sequence
-                    )))
-                })
-            })
-            .collect::<Result<Vec<SlotOutcome>, CoreError>>()?;
-
-        // The single-node journal order: measured slots ascending, then
-        // the batch marker, which folds the batch into the cache.
-        for (i, slot) in slots.iter().enumerate() {
-            if let Some((assignment, value)) = &slot.measured {
-                self.store.append_measurement(&slot_record(
-                    self.campaign,
-                    request.sequence,
-                    i,
-                    assignment,
-                    *value,
-                    slot.attempts,
-                    slot.retries,
-                    slot.redrawn,
-                ));
-            }
-        }
-        self.store
-            .end_batch(self.campaign, request.sequence, slots.len() as u64);
-        Ok(slots)
-    }
-}
-
-/// Sends one lease to one worker and validates the answer covers
-/// exactly the leased slots.
+/// Sends one lease — the request's slots at positions `chunk` — to one
+/// worker and validates the answer covers exactly the leased slots.
 ///
 /// The call carries the campaign's trace context (trace id = campaign
 /// fingerprint, so every process observing the campaign lands in the
 /// same trace) when `obs` records spans; the header is absent otherwise
 /// and the wire bytes match the untraced coordinator exactly.
-#[allow(clippy::too_many_arguments)]
 fn dispatch_lease(
     addr: &str,
-    campaign: u64,
     request: &BatchRequest<'_>,
-    chunk: &[u64],
+    chunk: &[usize],
     topo: Topology,
     options: &CallOptions,
     obs: &Obs,
 ) -> Result<Vec<LeaseOutcome>, String> {
     let lease = LeaseRequest {
-        campaign,
+        campaign: request.campaign,
         sequence: request.sequence,
         batch_salt: request.batch_salt,
         max_retries: request.max_retries,
         draw_cap: request.draw_cap,
-        slots: chunk.to_vec(),
+        slots: chunk.iter().map(|&i| request.slots[i]).collect(),
         primaries: chunk
             .iter()
-            .map(|&slot| request.primaries[slot as usize].clone())
+            .map(|&i| request.primaries[i].clone())
             .collect(),
     };
     let body = wire::encode_lease(&lease);
-    let ctx = TraceContext::root(campaign);
+    let ctx = TraceContext::root(request.campaign);
     let (status, answer) = http_call_traced(
         addr,
         "POST",
@@ -352,14 +282,14 @@ fn dispatch_lease(
         return Err(format!("lease answered {status}: {answer}"));
     }
     let outcomes = wire::decode_outcomes(&answer, topo)?;
-    if outcomes.len() != chunk.len() {
+    if outcomes.len() != lease.slots.len() {
         return Err(format!(
             "lease answered {} outcomes for {} slots",
             outcomes.len(),
-            chunk.len()
+            lease.slots.len()
         ));
     }
-    for (o, slot) in outcomes.iter().zip(chunk) {
+    for (o, slot) in outcomes.iter().zip(&lease.slots) {
         if o.slot != *slot {
             return Err(format!("lease answered slot {}, leased {slot}", o.slot));
         }
@@ -407,15 +337,16 @@ fn install_on_workers(
 /// `spec` must be the *effective* (post-admission) spec — the same one
 /// `optd offline` would run — and every worker must be reachable at
 /// start. The returned journal is byte-identical to the store a
-/// single-node `run_iterative_persistent` of the same spec writes.
+/// single-node `run_iterative_persistent` of the same spec writes. A
+/// rerun on the same data dir resumes the journal (see the module docs).
 ///
 /// # Errors
 ///
-/// [`FleetError::Fleet`] when `merged/` already holds a journal, when a
-/// worker cannot be probed or installed, when every worker dies
-/// mid-campaign, or when the journal lost a write to an I/O error;
-/// [`FleetError::Core`] / [`FleetError::Store`] for campaign and store
-/// failures.
+/// [`FleetError::Fleet`] when a worker cannot be probed or installed,
+/// or when the journal lost a write to an I/O error;
+/// [`FleetError::Core`] when every worker dies mid-campaign, and for
+/// other campaign failures; [`FleetError::Store`] when the journal
+/// cannot be opened.
 pub fn run_fleet_campaign(
     spec: &CampaignSpec,
     config: &FleetConfig,
@@ -427,19 +358,10 @@ pub fn run_fleet_campaign(
     let model = spec.model.build();
     let campaign = iterative_campaign_id(spec.seed, &spec.config, model.tasks(), model.topology());
     let merged_dir = config.data_dir.join("merged");
-    if merged_dir.join(WAL_FILE).exists() {
-        return Err(FleetError::Fleet(format!(
-            "{} already holds a campaign journal; use a fresh data dir",
-            merged_dir.display()
-        )));
-    }
-
     let workers = install_on_workers(spec, campaign, &config.workers)?;
     let store = CampaignStore::open_with(&merged_dir, Arc::new(RealIo), obs)?;
     let mut backend = FleetBackend {
         model: &model,
-        campaign,
-        store: &store,
         workers,
         lease_options: CallOptions {
             io_timeout: config.lease_deadline,
@@ -450,7 +372,9 @@ pub fn run_fleet_campaign(
 
     let mut session = IterativeSession::new(&spec.config, spec.seed)?;
     let result = loop {
-        if let StepOutcome::Finished(result) = session.step_with_backend(&mut backend, obs)? {
+        if let StepOutcome::Finished(result) =
+            session.step_with_backend(&mut backend, obs, Some(&store))?
+        {
             break *result;
         }
     };

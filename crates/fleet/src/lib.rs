@@ -14,9 +14,9 @@
 //! * [`worker`] — a node that measures leased slot ranges through the
 //!   batched persistent path, journals them to its own shard store (its
 //!   evaluation cache and replay log), and serves that cache to peers;
-//! * [`coordinator`] — drives the iterative session, resolves cache hits
-//!   from its own journal, leases the misses, re-leases on worker death,
-//!   and journals every batch from the lease answers;
+//! * [`coordinator`] — drives the iterative session over its own
+//!   journal, leases the slots the session could not resolve from it,
+//!   and re-leases on worker death;
 //! * [`plane`] — the coordinator's observability endpoint: the whole
 //!   fleet's metrics and one stitched trace, scraped as a single target.
 //!   It and both worker endpoints answer `/healthz`, `/metrics` and
@@ -24,11 +24,12 @@
 //!
 //! Why it works: every slot's fault stream is keyed by its global slot
 //! index, so a slot measures to the same record wherever it lands, and
-//! a lease answer carries that whole record. The coordinator journals
-//! each batch as a single node does — cache hits from its own journal,
-//! measurements slot-ascending, then the batch-end marker — so worker
-//! death only moves slots to another worker (synchronous re-lease) and
-//! never touches the journal.
+//! a lease answer carries that whole record. The coordinator resolves
+//! and journals each batch through the code a single node runs — replay
+//! and cache hits from its own journal, measurements slot-ascending,
+//! then the batch-end marker — so worker death only moves slots to
+//! another worker (synchronous re-lease) and never touches the journal,
+//! and a coordinator rerun on its data dir resumes the journal.
 //!
 //! Cold runs federate *nothing*: peer caches are consulted only when a
 //! worker is started with `--peers`, the warm-rerun configuration. A

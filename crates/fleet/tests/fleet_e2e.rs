@@ -202,6 +202,70 @@ fn coordinator_cache_hits_journal_like_a_single_node() {
     let _ = std::fs::remove_dir_all(&root);
 }
 
+/// End offset of every complete frame of a WAL, starting at the magic:
+/// `[len: u32 LE][crc: u64 LE][payload]` frames after 8 magic bytes.
+fn frame_ends(wal: &[u8]) -> Vec<usize> {
+    let mut ends = vec![wal::WAL_MAGIC.len()];
+    let mut off = wal::WAL_MAGIC.len();
+    while off + wal::FRAME_HEADER_LEN <= wal.len() {
+        let len = u32::from_le_bytes(wal[off..off + 4].try_into().unwrap()) as usize;
+        off += wal::FRAME_HEADER_LEN + len;
+        ends.push(off);
+    }
+    assert_eq!(off, wal.len(), "no torn tail");
+    ends
+}
+
+#[test]
+fn coordinator_resumes_its_own_journal_from_every_record_boundary() {
+    // A coordinator killed anywhere reruns on its own data dir: every
+    // slot its journal holds replays (neither leased nor re-journaled),
+    // the rest is leased, and the journal and result come out exactly
+    // as an uninterrupted run's. This seed runs to the sample cap, and
+    // one of its slots is a coordinator cache hit.
+    let spec = CampaignSpec::from_json(
+        r#"{"tenant":"fleet-resume","seed":5,
+            "model":{"kind":"synthetic","tasks":8,"base_pps":1000000},
+            "config":{"n_init":100,"n_delta":20,"acceptable_loss":0.0005,
+                      "max_samples":160,"eval_budget":2000}}"#,
+    )
+    .unwrap();
+    let root = temp_dir("resume");
+    let worker = start_worker(&root.join("w0"), 1, Vec::new(), &Obs::metrics_only());
+    let run = |dir: &Path, obs: &Obs| {
+        run_fleet_campaign(&spec, &FleetConfig::new(dir, vec![worker.ctrl_addr()]), obs).unwrap()
+    };
+    let full = run(&root.join("full"), &Obs::disabled());
+    let wal = wal_bytes(&full.merged_dir);
+    let result = format!("{:?}", full.result);
+
+    let ends = frame_ends(&wal);
+    assert!(ends.len() > 160, "{} frames", ends.len() - 1);
+    let mid_frame = (ends[ends.len() / 2] + ends[ends.len() / 2 + 1]) / 2;
+    for cut in ends.iter().copied().chain([mid_frame]) {
+        let dir = root.join(format!("cut-{cut}"));
+        std::fs::create_dir_all(dir.join("merged")).unwrap();
+        std::fs::write(dir.join("merged").join("campaign.wal"), &wal[..cut]).unwrap();
+        let resumed = run(&dir, &Obs::disabled());
+        assert!(
+            wal_bytes(&resumed.merged_dir) == wal,
+            "WAL diverged at cut {cut}"
+        );
+        assert_eq!(format!("{:?}", resumed.result), result, "cut {cut}");
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    // A rerun on the complete journal leases nothing.
+    let obs = Obs::metrics_only();
+    let rerun = run(&root.join("full"), &obs);
+    assert_eq!(counter(&obs, fleet_counters::LEASES_ISSUED), 0);
+    assert_eq!(counter(&obs, "exec_replayed_total"), 160);
+    assert!(wal_bytes(&rerun.merged_dir) == wal);
+    assert_eq!(format!("{:?}", rerun.result), result);
+    drop(worker);
+    let _ = std::fs::remove_dir_all(&root);
+}
+
 #[test]
 fn traced_fleet_run_merges_identically_and_journals_cross_process_rpcs() {
     // Distributed tracing end to end: with span events on and every

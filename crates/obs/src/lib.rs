@@ -85,8 +85,6 @@ pub mod fleet_counters {
     pub const SLOT_EVALS: &str = "fleet_slot_evals_total";
     /// Leased slots served from a federated peer cache.
     pub const PEER_HITS: &str = "fleet_peer_hits_total";
-    /// Leased slots replayed from the worker's own journal.
-    pub const REPLAYED: &str = "fleet_replayed_total";
     /// Slot-range leases the coordinator dispatched.
     pub const LEASES_ISSUED: &str = "fleet_leases_issued_total";
     /// Leases whose worker missed the deadline.

@@ -124,8 +124,9 @@ if [[ "${FAST}" == "0" ]]; then
     rc=0; target/release/fig13 --workerz 2 --scale 0.01 >/dev/null 2>&1 || rc=$?; [[ "${rc}" == 2 ]]
 
     # Pool-sharing smoke: fig10 measures every benchmark's case-study pool
-    # into a checkpoint; fig12 on the same checkpoint must replay them all
-    # without one simulator evaluation and print exactly what a
+    # into a checkpoint; fig12 on the same checkpoint must replay all five
+    # 300-draw pools from the journal — no simulator evaluation, and no
+    # replay counted as a cache hit — and print exactly what a
     # checkpoint-free fig12 prints.
     echo "==> fig10/fig12 shared-pool smoke"
     cargo run -q --release -p optassign-bench --bin fig10 -- \
@@ -134,8 +135,25 @@ if [[ "${FAST}" == "0" ]]; then
         --scale 0.01 --workers 2 --checkpoint "${METRICS_TMP}/ckpt-pools" \
         --metrics "${METRICS_TMP}/fig12.jsonl" >"${METRICS_TMP}/fig12-shared.out"
     grep -qx 'exec_cache_misses_total 0' "${METRICS_TMP}/fig12.jsonl.prom"
+    grep -qx 'exec_cache_hits_total 0' "${METRICS_TMP}/fig12.jsonl.prom"
+    grep -qx 'exec_replayed_total 1500' "${METRICS_TMP}/fig12.jsonl.prom"
     target/release/fig12 --scale 0.01 --workers 2 >"${METRICS_TMP}/fig12-plain.out"
     diff "${METRICS_TMP}/fig12-plain.out" "${METRICS_TMP}/fig12-shared.out"
+    # fig7 on the same (journaled) IPFwd-L1 pool: a 300-draw pool with no
+    # bounded POT fit reports an unresolved tail and exits 0.
+    cargo run -q --release -p optassign-bench --bin fig7 -- \
+        --scale 0.01 --workers 2 --checkpoint "${METRICS_TMP}/ckpt-pools" >/dev/null
+
+    # Each experiment binary honours a flag or rejects it (exit 2 before
+    # any work): ext_selection takes --scale only, ablation_predictor
+    # refuses a checkpoint (it times the simulator study), and
+    # ext_deep_pipeline honours every flag.
+    echo "==> experiment-flag smokes"
+    cargo build -q --release -p optassign-bench \
+        --bin ext_selection --bin ablation_predictor --bin ext_deep_pipeline
+    rc=0; target/release/ext_selection --workers 1 --metrics "${METRICS_TMP}/sel.jsonl" --scale 0.01 >/dev/null 2>&1 || rc=$?; [[ "${rc}" == 2 && ! -e "${METRICS_TMP}/sel.jsonl" ]]
+    rc=0; target/release/ablation_predictor --checkpoint "${METRICS_TMP}/ckpt-abl" --scale 0.01 >/dev/null 2>&1 || rc=$?; [[ "${rc}" == 2 && ! -e "${METRICS_TMP}/ckpt-abl" ]]
+    target/release/ext_deep_pipeline --scale 0.01 --workers 2 --metrics "${METRICS_TMP}/deep.jsonl" --checkpoint "${METRICS_TMP}/ckpt-deep" >/dev/null; grep -qx 'exec_cache_misses_total 900' "${METRICS_TMP}/deep.jsonl.prom"; [[ -d "${METRICS_TMP}/ckpt-deep/deep-p3" ]]
 
     # obs_report smoke: deterministic tables from the serve run's journal,
     # tolerant of its exact content; chrome trace export parses as JSON.
@@ -327,6 +345,32 @@ EOF
         "${FLEET_DIR}/offline/campaign.wal"
     # The coordinator's journal is the only thing it writes.
     [[ "$(ls "${FLEET_DIR}/coordinator")" == "merged" ]]
+
+    # Coordinator resume smoke: rerun the campaign on the coordinator's
+    # own data dir against one fresh worker. Every slot replays from the
+    # journal, so the run prints the same result, leaves the WAL equal to
+    # the single-node one, and leases nothing: the fresh worker's shard
+    # holds only the 8-byte log magic.
+    echo "==> fleet coordinator resume smoke"
+    target/release/fleet work --data "${FLEET_DIR}/w3" \
+        --addr-file "${FLEET_DIR}/w3.addr" >/dev/null &
+    W3_PID=$!
+    for _ in $(seq 1 50); do
+        [[ -s "${FLEET_DIR}/w3.addr" ]] && break
+        sleep 0.1
+    done
+    rc=0
+    target/release/fleet run --spec "${FLEET_DIR}/spec.json" \
+        --data "${FLEET_DIR}/coordinator" \
+        --worker "$(cat "${FLEET_DIR}/w3.addr")" >"${FLEET_DIR}/rerun.out" || rc=$?
+    kill "${W3_PID}" 2>/dev/null || true
+    wait "${W3_PID}" 2>/dev/null || true
+    [[ "${rc}" == 0 ]]
+    diff <(grep 'campaign finished' "${FLEET_DIR}/run.out") \
+        <(grep 'campaign finished' "${FLEET_DIR}/rerun.out")
+    cmp "${FLEET_DIR}/coordinator/merged/campaign.wal" \
+        "${FLEET_DIR}/offline/campaign.wal"
+    [[ "$(stat -c %s "${FLEET_DIR}/w3/campaign.wal")" == 8 ]]
     # Offline stitch over the journal files on disk — this one also sees
     # the SIGKILLed worker's journal (unreachable over HTTP), so its
     # possibly-torn tail must stay within the malformed-line budget.
