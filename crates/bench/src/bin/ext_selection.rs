@@ -6,31 +6,32 @@
 //! optimal co-schedule — and the small population even allows an
 //! exhaustive check of how close the estimate lands.
 //!
-//! Run: `cargo run --release -p optassign-bench --bin ext_selection [--scale f]`
+//! Run: `cargo run --release -p optassign-bench --bin ext_selection
+//! [--scale f] [--workers n]`
 //!
-//! `--scale` is its only flag: the sample and the exhaustive sweep run
-//! serially, with no store and no events, so `--workers`, `--metrics`,
-//! `--checkpoint`, `--resume` and `--serve` are usage errors.
+//! `--scale` and `--workers` are its only flags: the exhaustive sweep
+//! runs on `--workers` threads (default: every core), and the binary
+//! keeps no store and emits no events, so `--metrics`, `--checkpoint`,
+//! `--resume` and `--serve` are usage errors.
 
 use optassign::selection::{SelectionModel, SelectionStudy, SmtMixModel};
+use optassign::Parallelism;
 use optassign_bench::{fmt_pps, print_table, BenchArgs};
 use optassign_evt::pot::PotConfig;
+use optassign_exec::parallel_map;
+use optassign_obs::Obs;
 
-/// Enumerates all k-subsets of 0..n and returns the best performance.
-fn exhaustive_best(model: &SmtMixModel) -> (Vec<usize>, f64) {
-    let (n, k) = (model.candidates(), model.slots());
-    let mut best: Option<(Vec<usize>, f64)> = None;
+/// All k-subsets of 0..n, in lexicographic order.
+fn combinations(n: usize, k: usize) -> Vec<Vec<usize>> {
+    let mut all = Vec::new();
     let mut combo: Vec<usize> = (0..k).collect();
     loop {
-        let p = model.evaluate(&combo);
-        if best.as_ref().map(|(_, bp)| p > *bp).unwrap_or(true) {
-            best = Some((combo.clone(), p));
-        }
+        all.push(combo.clone());
         // Next combination in lexicographic order.
         let mut i = k;
         loop {
             if i == 0 {
-                return best.expect("at least one combination");
+                return all;
             }
             i -= 1;
             if combo[i] != i + n - k {
@@ -44,8 +45,25 @@ fn exhaustive_best(model: &SmtMixModel) -> (Vec<usize>, f64) {
     }
 }
 
+/// Evaluates every workload on `par`'s workers and returns the best; a
+/// tie goes to the first in lexicographic order, whatever the worker
+/// count.
+fn exhaustive_best(model: &SmtMixModel, par: Parallelism) -> (Vec<usize>, f64) {
+    let combos = combinations(model.candidates(), model.slots());
+    let values = parallel_map(par, combos.len(), &Obs::disabled(), |i| {
+        model.evaluate(&combos[i])
+    });
+    let mut best = 0;
+    for (i, &p) in values.iter().enumerate() {
+        if p > values[best] {
+            best = i;
+        }
+    }
+    (combos[best].clone(), values[best])
+}
+
 fn main() {
-    let scale = BenchArgs::from_args_honouring(&["--scale"]);
+    let scale = BenchArgs::from_args_honouring(&["--scale", "--workers"]);
     let model = SmtMixModel::default_pool(8, 3);
     let n = scale.sample(800);
 
@@ -61,8 +79,12 @@ fn main() {
         .estimate_optimal(&PotConfig::default())
         .expect("bounded tail");
 
-    eprintln!("[selection] exhaustive sweep of all 12870 workloads…");
-    let (true_sel, true_pps) = exhaustive_best(&model);
+    let par = scale.parallelism();
+    eprintln!(
+        "[selection] exhaustive sweep of all 12870 workloads on {} workers…",
+        par.workers
+    );
+    let (true_sel, true_pps) = exhaustive_best(&model, par);
 
     let rows = vec![
         vec![
@@ -101,4 +123,38 @@ fn main() {
          the same methodology solves workload selection directly — sample random\n\
          workloads, measure, estimate the optimum, and stop when close enough."
     );
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn parallel_sweep_matches_the_serial_sweep_bit_for_bit() {
+        let kinds: Vec<_> = SmtMixModel::default_pool(3, 5)
+            .kinds()
+            .iter()
+            .step_by(2)
+            .copied()
+            .collect();
+        let model = SmtMixModel::new(kinds, 3, 5);
+        assert_eq!(model.candidates(), 8);
+        let mut serial: Option<(Vec<usize>, f64)> = None;
+        for a in 0..8 {
+            for b in a + 1..8 {
+                for c in b + 1..8 {
+                    let p = model.evaluate(&[a, b, c]);
+                    if serial.as_ref().is_none_or(|(_, best)| p > *best) {
+                        serial = Some((vec![a, b, c], p));
+                    }
+                }
+            }
+        }
+        let (serial_sel, serial_pps) = serial.expect("56 workloads");
+        for workers in [1, 4] {
+            let (sel, pps) = exhaustive_best(&model, Parallelism::new(workers));
+            assert_eq!(sel, serial_sel, "{workers} workers");
+            assert_eq!(pps.to_bits(), serial_pps.to_bits(), "{workers} workers");
+        }
+    }
 }

@@ -137,6 +137,7 @@ fn merged_wal_is_byte_identical_to_single_node_despite_worker_death() {
             "merged WAL diverged from the single-node journal at {threads} worker threads"
         );
     }
+    let _ = std::fs::remove_dir_all(&root);
 }
 
 /// Length and FNV-1a-64 of a byte string: compares WALs without dumping
@@ -349,6 +350,7 @@ fn traced_fleet_run_merges_identically_and_journals_cross_process_rpcs() {
             "no worker-side lease-measure span"
         );
     }
+    let _ = std::fs::remove_dir_all(&root);
 }
 
 #[test]
@@ -411,6 +413,7 @@ fn warm_rerun_against_federated_peers_performs_zero_evaluations() {
     // cap, so the shape of the campaign matches exactly.
     assert_eq!(warm.result.samples_used, cold.result.samples_used);
     assert_eq!(warm.result.stop.name(), cold.result.stop.name());
+    let _ = std::fs::remove_dir_all(&root);
 }
 
 #[test]

@@ -25,7 +25,7 @@ pub struct CacheStats {
     pub entries: u64,
 }
 
-/// In-memory view of the cache (rebuilt from segments + completed WAL
+/// In-memory view of the cache (rebuilt from the log's completed
 /// batches on open).
 #[derive(Debug, Default)]
 pub struct EvalCache {
@@ -53,13 +53,6 @@ impl EvalCache {
                 None
             }
         }
-    }
-
-    /// Looks a key up without touching the counters (used during replay,
-    /// where the outcome is bookkeeping rather than a campaign decision).
-    #[must_use]
-    pub fn peek(&self, key: u64) -> Option<f64> {
-        self.map.get(&key).copied()
     }
 
     /// Inserts unless the key is already present; returns whether the
@@ -96,15 +89,6 @@ impl EvalCache {
             entries: self.map.len() as u64,
         }
     }
-
-    /// All entries sorted by key — the canonical order compaction writes
-    /// segments in.
-    #[must_use]
-    pub fn sorted_entries(&self) -> Vec<(u64, f64)> {
-        let mut entries: Vec<(u64, f64)> = self.map.iter().map(|(&k, &v)| (k, v)).collect();
-        entries.sort_by_key(|&(k, _)| k);
-        entries
-    }
 }
 
 #[cfg(test)]
@@ -118,7 +102,6 @@ mod tests {
         assert!(cache.insert_if_absent(1, 10.0));
         assert!(!cache.insert_if_absent(1, 99.0));
         assert_eq!(cache.lookup(1), Some(10.0));
-        assert_eq!(cache.peek(2), None);
         let stats = cache.stats();
         assert_eq!(
             stats,
@@ -128,15 +111,5 @@ mod tests {
                 entries: 1
             }
         );
-    }
-
-    #[test]
-    fn sorted_entries_is_key_ordered() {
-        let mut cache = EvalCache::new();
-        for key in [5u64, 1, 9, 3] {
-            cache.insert_if_absent(key, key as f64);
-        }
-        let keys: Vec<u64> = cache.sorted_entries().iter().map(|&(k, _)| k).collect();
-        assert_eq!(keys, vec![1, 3, 5, 9]);
     }
 }

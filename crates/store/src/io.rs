@@ -61,7 +61,7 @@ pub trait StoreIo: Send + Sync {
     fn read(&self, path: &Path) -> io::Result<Vec<u8>>;
 
     /// Creates (or truncates) `path`, writes `bytes`, and syncs — the
-    /// whole-file publish primitive used for segments and repairs.
+    /// whole-file publish primitive used for repairs.
     ///
     /// # Errors
     ///
@@ -89,26 +89,12 @@ pub trait StoreIo: Send + Sync {
     /// Propagates filesystem failures.
     fn rename(&self, from: &Path, to: &Path) -> io::Result<()>;
 
-    /// Removes a file.
-    ///
-    /// # Errors
-    ///
-    /// Propagates filesystem failures.
-    fn remove_file(&self, path: &Path) -> io::Result<()>;
-
     /// Creates a directory and its ancestors.
     ///
     /// # Errors
     ///
     /// Propagates filesystem failures.
     fn create_dir_all(&self, path: &Path) -> io::Result<()>;
-
-    /// Lists the entries of a directory (unordered; callers sort).
-    ///
-    /// # Errors
-    ///
-    /// Propagates filesystem failures.
-    fn list_dir(&self, path: &Path) -> io::Result<Vec<PathBuf>>;
 
     /// Whether `path` exists.
     fn exists(&self, path: &Path) -> bool;
@@ -161,18 +147,8 @@ impl StoreIo for RealIo {
         std::fs::rename(from, to)
     }
 
-    fn remove_file(&self, path: &Path) -> io::Result<()> {
-        std::fs::remove_file(path)
-    }
-
     fn create_dir_all(&self, path: &Path) -> io::Result<()> {
         std::fs::create_dir_all(path)
-    }
-
-    fn list_dir(&self, path: &Path) -> io::Result<Vec<PathBuf>> {
-        std::fs::read_dir(path)?
-            .map(|entry| entry.map(|e| e.path()))
-            .collect()
     }
 
     fn exists(&self, path: &Path) -> bool {
@@ -571,6 +547,7 @@ impl StoreIo for FaultyIo {
     }
 
     fn set_len(&self, path: &Path, len: u64) -> io::Result<()> {
+        self.shared.next_op()?;
         RealIo.set_len(path, len)?;
         let mut mark = self.shared.mark(path);
         mark.current = mark.current.min(len);
@@ -580,6 +557,7 @@ impl StoreIo for FaultyIo {
     }
 
     fn rename(&self, from: &Path, to: &Path) -> io::Result<()> {
+        self.shared.next_op()?;
         std::fs::rename(from, to)?;
         let mut state = self.shared.lock();
         if let Some(mark) = state.marks.remove(from) {
@@ -588,18 +566,9 @@ impl StoreIo for FaultyIo {
         Ok(())
     }
 
-    fn remove_file(&self, path: &Path) -> io::Result<()> {
-        std::fs::remove_file(path)?;
-        self.shared.lock().marks.remove(path);
-        Ok(())
-    }
-
     fn create_dir_all(&self, path: &Path) -> io::Result<()> {
+        self.shared.next_op()?;
         std::fs::create_dir_all(path)
-    }
-
-    fn list_dir(&self, path: &Path) -> io::Result<Vec<PathBuf>> {
-        RealIo.list_dir(path)
     }
 
     fn exists(&self, path: &Path) -> bool {
@@ -635,9 +604,6 @@ mod tests {
         let other = dir.join("other");
         io.rename(&path, &other).unwrap();
         assert!(io.exists(&other) && !io.exists(&path));
-        assert_eq!(io.list_dir(&dir).unwrap(), vec![other.clone()]);
-        io.remove_file(&other).unwrap();
-        assert!(io.list_dir(&dir).unwrap().is_empty());
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -706,7 +672,24 @@ mod tests {
             io::ErrorKind::BrokenPipe
         );
         assert_eq!(f.sync().unwrap_err().kind(), io::ErrorKind::BrokenPipe);
-        assert_eq!(io.stats().dead_ops, 2);
+        // The whole-file mutations die with the disk too, and leave the
+        // file as it was.
+        let moved = dir.join("moved");
+        assert_eq!(
+            io.rename(&path, &moved).unwrap_err().kind(),
+            io::ErrorKind::BrokenPipe
+        );
+        assert_eq!(
+            io.set_len(&path, 0).unwrap_err().kind(),
+            io::ErrorKind::BrokenPipe
+        );
+        assert_eq!(
+            io.create_dir_all(&dir.join("sub")).unwrap_err().kind(),
+            io::ErrorKind::BrokenPipe
+        );
+        assert_eq!(std::fs::read(&path).unwrap(), b"onetwothree");
+        assert!(!moved.exists() && !dir.join("sub").exists());
+        assert_eq!(io.stats().dead_ops, 5);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

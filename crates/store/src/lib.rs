@@ -17,8 +17,8 @@
 //!    deterministic replay, so a resumed campaign is bit-identical to an
 //!    uninterrupted one at any worker count.
 //! 3. **A content-addressed evaluation cache** ([`cache`]), keyed by the
-//!    canonical-form assignment hash, with snapshot-segment compaction
-//!    ([`CampaignStore::compact`]).
+//!    canonical-form assignment hash and rebuilt from the log on every
+//!    open, so the log is the only record of a measurement.
 //!
 //! A fourth piece makes failure a first-class citizen:
 //!
@@ -56,7 +56,7 @@ pub mod wal;
 
 use std::collections::{HashMap, HashSet};
 use std::fmt;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::sync::{Arc, Mutex, PoisonError};
 
 use cache::{CacheStats, EvalCache};
@@ -118,17 +118,7 @@ pub const WAL_FILE: &str = "campaign.wal";
 /// Name of the quarantine sidecar inside a store directory.
 pub const QUARANTINE_FILE: &str = "campaign.quarantine";
 
-fn segment_name(id: u64) -> String {
-    format!("snap-{id:06}.seg")
-}
-
-fn is_segment_name(name: &str) -> bool {
-    name.starts_with("snap-") && name.ends_with(".seg")
-}
-
 struct StoreInner {
-    dir: PathBuf,
-    io: Arc<dyn StoreIo>,
     obs: Obs,
     wal: Wal,
     /// Every journaled measurement, keyed for slot replay.
@@ -140,7 +130,6 @@ struct StoreInner {
     /// these, which makes replay idempotent.
     completed: HashSet<(u64, u64)>,
     cache: EvalCache,
-    next_segment: u64,
     io_errors: u64,
     open_report: OpenReport,
 }
@@ -163,7 +152,10 @@ impl StoreInner {
 }
 
 /// A durable campaign store rooted at one directory, holding one
-/// write-ahead log plus zero or more immutable snapshot segments.
+/// write-ahead log (plus its quarantine sidecar once a repair has moved
+/// damage aside). Any other file there is ignored, including a
+/// `snap-*.seg` snapshot an older version wrote when compacting: its
+/// values are measured again through the log.
 ///
 /// The store is `Sync`; the core layer shares one handle across a
 /// campaign's workers. All journaling happens outside parallel regions
@@ -187,10 +179,10 @@ impl CampaignStore {
     }
 
     /// Opens the store at `dir` through `io`, creating the directory and
-    /// an empty log as needed, loading snapshot segments, replaying every
-    /// intact log frame, and repairing damage (truncating a torn tail,
-    /// quarantining interior corruption). Repairs are reported through
-    /// `obs` — `store_tail_truncated_total` / `store_frames_quarantined_total`
+    /// an empty log as needed, replaying every intact log frame, and
+    /// repairing damage (truncating a torn tail, quarantining interior
+    /// corruption). Repairs are reported through `obs` —
+    /// `store_tail_truncated_total` / `store_frames_quarantined_total`
     /// counters plus warning events — and via [`CampaignStore::open_report`].
     ///
     /// # Errors
@@ -206,50 +198,17 @@ impl CampaignStore {
         io.create_dir_all(dir)
             .map_err(|e| StoreError::Io(format!("creating store dir: {e}")))?;
 
-        let mut cache = EvalCache::new();
-        let mut next_segment = 1u64;
-        let mut segment_paths: Vec<PathBuf> = io
-            .list_dir(dir)
-            .map_err(|e| StoreError::Io(format!("listing store dir: {e}")))?
-            .into_iter()
-            .filter(|p| {
-                p.file_name()
-                    .and_then(|n| n.to_str())
-                    .is_some_and(is_segment_name)
-            })
-            .collect();
-        segment_paths.sort();
-        for path in &segment_paths {
-            if let Some(id) = path
-                .file_name()
-                .and_then(|n| n.to_str())
-                .and_then(|n| n.strip_prefix("snap-"))
-                .and_then(|n| n.strip_suffix(".seg"))
-                .and_then(|n| n.parse::<u64>().ok())
-            {
-                next_segment = next_segment.max(id + 1);
-            }
-            for record in wal::read_segment(io.as_ref(), path)? {
-                if let StoreRecord::CacheEntry { key, value } = record {
-                    cache.insert_if_absent(key, value);
-                }
-            }
-        }
-
         let wal_path = dir.join(WAL_FILE);
         let (wal, records, open_report) = wal::open_log(io.as_ref(), &wal_path)?;
         report_open_damage(obs, &wal_path, &open_report);
 
         let mut inner = StoreInner {
-            dir: dir.to_path_buf(),
-            io,
             obs: obs.clone(),
             wal,
             measurements: HashMap::new(),
             staged: HashMap::new(),
             completed: HashSet::new(),
-            cache,
-            next_segment,
+            cache: EvalCache::new(),
             io_errors: 0,
             open_report,
         };
@@ -268,9 +227,6 @@ impl CampaignStore {
                     campaign, sequence, ..
                 } => {
                     inner.fold_batch_into_cache((campaign, sequence));
-                }
-                StoreRecord::CacheEntry { key, value } => {
-                    inner.cache.insert_if_absent(key, value);
                 }
             }
         }
@@ -309,13 +265,20 @@ impl CampaignStore {
     /// Journals one measurement. Idempotent per `(campaign, sequence,
     /// slot)`: a record for an already-journaled slot is dropped, which
     /// keeps replayed campaigns from rewriting their history. I/O
-    /// failures are counted, not raised.
+    /// failures are counted, not raised, and the measurement still
+    /// reaches the cache when its batch ends, so the running campaign
+    /// sees the same cache whether or not the disk cooperates.
     pub fn append_measurement(&self, record: &MeasurementRecord) {
         let mut inner = self.lock();
         let slot_key = (record.campaign, record.sequence, record.slot);
         if inner.measurements.contains_key(&slot_key) {
             return;
         }
+        inner
+            .staged
+            .entry((record.campaign, record.sequence))
+            .or_default()
+            .push(record.clone());
         if inner
             .wal
             .append(&StoreRecord::Measurement(record.clone()))
@@ -324,11 +287,6 @@ impl CampaignStore {
             inner.count_io_error();
             return;
         }
-        inner
-            .staged
-            .entry((record.campaign, record.sequence))
-            .or_default()
-            .push(record.clone());
         inner.measurements.insert(slot_key, record.clone());
     }
 
@@ -359,57 +317,6 @@ impl CampaignStore {
             inner.count_io_error();
         }
         inner.fold_batch_into_cache((campaign, sequence));
-    }
-
-    /// Compacts the store: writes the entire evaluation cache into one
-    /// new immutable snapshot segment (entries sorted by key), truncates
-    /// the write-ahead log, and deletes superseded segments.
-    ///
-    /// Compaction keeps every cached *value* but drops per-slot resume
-    /// state for campaigns that were in flight, so run it between
-    /// campaigns, not mid-run. (A campaign resumed after an ill-timed
-    /// compaction still finishes correctly — it re-measures through the
-    /// cache — it just can no longer skip its incomplete batch.)
-    ///
-    /// # Errors
-    ///
-    /// Returns [`StoreError::Io`] if the segment cannot be written or the
-    /// log cannot be reset; the store is left valid either way (the new
-    /// segment is published atomically via rename).
-    pub fn compact(&self) -> Result<(), StoreError> {
-        let mut inner = self.lock();
-        let records: Vec<StoreRecord> = inner
-            .cache
-            .sorted_entries()
-            .into_iter()
-            .map(|(key, value)| StoreRecord::CacheEntry { key, value })
-            .collect();
-        let id = inner.next_segment;
-        let final_path = inner.dir.join(segment_name(id));
-        let tmp_path = inner.dir.join(format!("{}.tmp", segment_name(id)));
-        let io = Arc::clone(&inner.io);
-        wal::write_segment(io.as_ref(), &tmp_path, &records)?;
-        io.rename(&tmp_path, &final_path)
-            .map_err(|e| StoreError::Io(format!("publishing segment: {e}")))?;
-        inner.next_segment = id + 1;
-
-        // The segment now owns every cache entry; reset the log and drop
-        // superseded segments. Failures past this point leave a store
-        // that still opens correctly (extra segments / stale WAL records
-        // are merged idempotently), so they are maintenance errors, not
-        // corruption.
-        inner.wal = wal::open_log_truncated(io.as_ref(), &inner.dir.join(WAL_FILE))?;
-        inner.measurements.clear();
-        inner.staged.clear();
-        inner.completed.clear();
-        for old in 0..id {
-            let path = inner.dir.join(segment_name(old));
-            if io.exists(&path) {
-                io.remove_file(&path)
-                    .map_err(|e| StoreError::Io(format!("removing old segment: {e}")))?;
-            }
-        }
-        Ok(())
     }
 
     /// Forces journaled frames to durable storage. I/O failures are
@@ -485,13 +392,6 @@ pub struct FsckReport {
     pub quarantined_bytes: u64,
     /// Torn-tail bytes past the last recoverable frame.
     pub tail_truncated_bytes: u64,
-    /// Snapshot segments that parse completely.
-    pub segments_ok: u64,
-    /// Snapshot segments with bad magic or damaged frames. Segments are
-    /// immutable, so damage in one is data loss fsck can report but not
-    /// repair, and [`CampaignStore::open`] refuses the store until the
-    /// segment is removed.
-    pub segments_damaged: u64,
     /// Entries already in the quarantine sidecar before this check.
     pub sidecar_entries: u64,
     /// Whether a repair pass rewrote the log.
@@ -502,25 +402,14 @@ impl FsckReport {
     /// Whether the store shows no damage at all.
     #[must_use]
     pub fn is_clean(&self) -> bool {
-        self.quarantined_frames == 0 && self.tail_truncated_bytes == 0 && self.segments_damaged == 0
-    }
-
-    /// Whether [`CampaignStore::open`] will open the store and replay
-    /// every intact record: no snapshot segment is damaged, and the log
-    /// is either clean or was just repaired. Log damage alone does not
-    /// stop an open (the open repairs it), but a damaged segment does,
-    /// and no repair can fix one.
-    #[must_use]
-    pub fn is_sound(&self) -> bool {
-        self.segments_damaged == 0 && (self.is_clean() || self.repaired)
+        self.quarantined_frames == 0 && self.tail_truncated_bytes == 0
     }
 }
 
 /// Checks the store at `dir` for damage. With `repair == false` this is
 /// a pure read-only scan; with `repair == true` the write-ahead log is
 /// additionally run through the normal open path, which quarantines
-/// interior damage and truncates any torn tail (damaged segments are
-/// reported either way but never rewritten). Damage found is also
+/// interior damage and truncates any torn tail. Damage found is also
 /// reported through `obs` exactly as [`CampaignStore::open_with`] would.
 ///
 /// # Errors
@@ -534,6 +423,12 @@ pub fn fsck(
     repair: bool,
     obs: &Obs,
 ) -> Result<FsckReport, StoreError> {
+    if !io.exists(dir) {
+        return Err(StoreError::Io(format!(
+            "no store directory at {}",
+            dir.display()
+        )));
+    }
     let mut report = FsckReport::default();
     let wal_path = dir.join(WAL_FILE);
     report.sidecar_entries =
@@ -563,24 +458,6 @@ pub fn fsck(
         Err(e) => return Err(StoreError::Io(format!("reading log: {e}"))),
     }
 
-    let mut segment_paths: Vec<PathBuf> = io
-        .list_dir(dir)
-        .map_err(|e| StoreError::Io(format!("listing store dir: {e}")))?
-        .into_iter()
-        .filter(|p| {
-            p.file_name()
-                .and_then(|n| n.to_str())
-                .is_some_and(is_segment_name)
-        })
-        .collect();
-    segment_paths.sort();
-    for path in &segment_paths {
-        match wal::scan_segment_lenient(io, path)? {
-            Some(scan) if scan.is_clean() => report.segments_ok += 1,
-            _ => report.segments_damaged += 1,
-        }
-    }
-
     if repair && (report.quarantined_frames > 0 || report.tail_truncated_bytes > 0) {
         // The normal open path *is* the repair: it quarantines interior
         // damage, rebuilds the log, and truncates the torn tail.
@@ -594,6 +471,7 @@ pub fn fsck(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::path::PathBuf;
 
     fn temp_dir(tag: &str) -> PathBuf {
         let dir =
@@ -684,38 +562,6 @@ mod tests {
         drop(store);
         let store = CampaignStore::open(&dir).unwrap();
         assert_eq!(store.cache_lookup(100), Some(5.0));
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn compaction_preserves_cache_and_resets_log() {
-        let dir = temp_dir("compact");
-        let store = CampaignStore::open(&dir).unwrap();
-        for slot in 0..10u64 {
-            store.append_measurement(&measurement(1, 0, slot, 100 + slot, slot as f64));
-        }
-        store.end_batch(1, 0, 10);
-        store.compact().unwrap();
-        assert_eq!(store.journaled_measurements(), 0);
-        assert_eq!(store.cache_stats().entries, 10);
-        drop(store);
-
-        let store = CampaignStore::open(&dir).unwrap();
-        for slot in 0..10u64 {
-            assert_eq!(store.cache_lookup(100 + slot), Some(slot as f64));
-        }
-        // A second compaction supersedes the first segment.
-        store.compact().unwrap();
-        drop(store);
-        let segments: Vec<String> = std::fs::read_dir(&dir)
-            .unwrap()
-            .filter_map(Result::ok)
-            .map(|e| e.file_name().to_string_lossy().into_owned())
-            .filter(|n| n.ends_with(".seg"))
-            .collect();
-        assert_eq!(segments, vec!["snap-000002.seg".to_string()]);
-        let store = CampaignStore::open(&dir).unwrap();
-        assert_eq!(store.cache_stats().entries, 10);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -823,52 +669,8 @@ mod tests {
     fn fsck_of_a_missing_directory_is_an_io_error() {
         let dir = temp_dir("fsck-missing");
         match fsck(&dir, &RealIo, false, &Obs::disabled()) {
-            Err(StoreError::Io(msg)) => assert!(msg.starts_with("listing store dir"), "{msg}"),
+            Err(StoreError::Io(msg)) => assert!(msg.starts_with("no store directory"), "{msg}"),
             other => panic!("expected an I/O error, got {other:?}"),
         }
-    }
-
-    #[test]
-    fn fsck_counts_snapshot_segments_and_never_rewrites_one() {
-        let dir = temp_dir("fsck-segments");
-        let store = CampaignStore::open(&dir).unwrap();
-        for slot in 0..3u64 {
-            store.append_measurement(&measurement(1, 0, slot, 100 + slot, slot as f64));
-        }
-        store.end_batch(1, 0, 3);
-        store.compact().unwrap();
-        let report = fsck(&dir, &RealIo, false, &Obs::disabled()).unwrap();
-        assert_eq!((report.segments_ok, report.segments_damaged), (1, 0));
-        assert!(report.is_sound());
-
-        // A second batch puts frames back in the log; then damage the
-        // segment's last byte and the log's first frame.
-        for slot in 0..3u64 {
-            store.append_measurement(&measurement(1, 1, slot, 200 + slot, slot as f64));
-        }
-        store.end_batch(1, 1, 3);
-        drop(store);
-        let segment = dir.join(segment_name(1));
-        let mut seg_bytes = std::fs::read(&segment).unwrap();
-        *seg_bytes.last_mut().unwrap() ^= 0x01;
-        std::fs::write(&segment, &seg_bytes).unwrap();
-        let wal_path = dir.join(WAL_FILE);
-        let mut bytes = std::fs::read(&wal_path).unwrap();
-        bytes[wal::WAL_MAGIC.len() + wal::FRAME_HEADER_LEN + 1] ^= 0x08;
-        std::fs::write(&wal_path, &bytes).unwrap();
-
-        let report = fsck(&dir, &RealIo, true, &Obs::disabled()).unwrap();
-        assert_eq!((report.segments_ok, report.segments_damaged), (0, 1));
-        assert_eq!(report.quarantined_frames, 1);
-        assert!(report.repaired);
-        assert!(!report.is_sound());
-        assert_eq!(std::fs::read(&segment).unwrap(), seg_bytes);
-        // The repaired log does not make the store open: the segment is
-        // read strictly.
-        assert!(matches!(
-            CampaignStore::open(&dir),
-            Err(StoreError::Corrupt(_))
-        ));
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 }

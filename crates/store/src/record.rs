@@ -12,8 +12,6 @@ use crate::StoreError;
 pub const TAG_MEASUREMENT: u8 = 1;
 /// Tag byte of a [`StoreRecord::BatchEnd`].
 pub const TAG_BATCH_END: u8 = 2;
-/// Tag byte of a [`StoreRecord::CacheEntry`].
-pub const TAG_CACHE_ENTRY: u8 = 3;
 
 /// One journaled measurement: which campaign slot was measured, what was
 /// actually measured (the assignment may be a redraw of the slot's
@@ -61,14 +59,6 @@ pub enum StoreRecord {
         sequence: u64,
         /// Number of slots the batch resolved.
         len: u64,
-    },
-    /// A bare evaluation-cache entry (the only record kind compaction
-    /// writes into snapshot segments).
-    CacheEntry {
-        /// Content address (canonical-form assignment hash).
-        key: u64,
-        /// The cached performance.
-        value: f64,
     },
 }
 
@@ -161,13 +151,6 @@ impl StoreRecord {
                 put_u64(&mut out, *len);
                 out
             }
-            StoreRecord::CacheEntry { key, value } => {
-                let mut out = Vec::with_capacity(1 + 8 * 2);
-                out.push(TAG_CACHE_ENTRY);
-                put_u64(&mut out, *key);
-                put_u64(&mut out, value.to_bits());
-                out
-            }
         }
     }
 
@@ -229,12 +212,6 @@ impl StoreRecord {
                     len,
                 })
             }
-            TAG_CACHE_ENTRY => {
-                let key = r.u64()?;
-                let value = f64::from_bits(r.u64()?);
-                r.done()?;
-                Ok(StoreRecord::CacheEntry { key, value })
-            }
             other => Err(StoreError::Corrupt(format!("unknown record tag {other}"))),
         }
     }
@@ -267,10 +244,6 @@ mod tests {
                 sequence: 0,
                 len: 100,
             },
-            StoreRecord::CacheEntry {
-                key: 42,
-                value: f64::MIN_POSITIVE,
-            },
         ];
         for rec in records {
             let bytes = rec.encode();
@@ -280,14 +253,14 @@ mod tests {
 
     #[test]
     fn value_bits_are_preserved_exactly() {
-        let rec = StoreRecord::CacheEntry {
-            key: 1,
+        let rec = StoreRecord::Measurement(MeasurementRecord {
             value: f64::from_bits(0x7FF8_0000_0000_0001), // a specific NaN
-        };
+            ..sample_measurement()
+        });
         let decoded = StoreRecord::decode(&rec.encode()).unwrap();
         match decoded {
-            StoreRecord::CacheEntry { value, .. } => {
-                assert_eq!(value.to_bits(), 0x7FF8_0000_0000_0001);
+            StoreRecord::Measurement(m) => {
+                assert_eq!(m.value.to_bits(), 0x7FF8_0000_0000_0001);
             }
             other => panic!("wrong kind: {other:?}"),
         }

@@ -21,10 +21,9 @@
 //! deterministically, so a quarantined frame costs a re-measurement,
 //! never a wrong answer.
 //!
-//! Snapshot segments produced by compaction reuse the same framing with
-//! a different magic; segments are immutable, so a bad frame anywhere in
-//! a segment is an error under [`read_segment`], while fsck uses
-//! [`scan_segment_lenient`] to count what is intact.
+//! The log and its sidecar are a store's whole on-disk format: the
+//! evaluation cache is rebuilt from the log's completed batches on every
+//! open.
 
 use std::path::Path;
 
@@ -32,10 +31,8 @@ use crate::io::{StoreFile, StoreIo};
 use crate::record::StoreRecord;
 use crate::{fnv1a64, StoreError};
 
-/// Magic prefix of the mutable write-ahead log.
+/// Magic prefix of the write-ahead log.
 pub const WAL_MAGIC: &[u8; 8] = b"OASTWAL1";
-/// Magic prefix of an immutable snapshot segment.
-pub const SEG_MAGIC: &[u8; 8] = b"OASTSEG1";
 /// Magic prefix of the quarantine sidecar.
 pub const QUARANTINE_MAGIC: &[u8; 8] = b"OASTQAR1";
 
@@ -91,12 +88,6 @@ impl BodyScan {
             .map(|&(start, end)| (end - start) as u64)
             .sum()
     }
-
-    /// Whether the body parsed without any damage.
-    #[must_use]
-    pub fn is_clean(&self) -> bool {
-        self.quarantined.is_empty() && self.tail_discarded == 0
-    }
 }
 
 /// Leniently scans a log body: keeps every intact frame, quarantines
@@ -138,26 +129,6 @@ pub fn scan_body(bytes: &[u8]) -> BodyScan {
         }
     }
     scan
-}
-
-/// Strictly scans a log body: any damage is an error (segments).
-fn scan_strict(bytes: &[u8]) -> Result<Vec<StoreRecord>, StoreError> {
-    let mut records = Vec::new();
-    let mut pos = 0usize;
-    while pos < bytes.len() {
-        match frame_at(bytes, pos) {
-            Some((record, next)) => {
-                records.push(record?);
-                pos = next;
-            }
-            None => {
-                return Err(StoreError::Corrupt(format!(
-                    "torn or corrupt frame at offset {pos} of immutable segment"
-                )));
-            }
-        }
-    }
-    Ok(records)
 }
 
 /// Tries to read one intact frame at `pos`. Returns `None` if the frame is
@@ -243,11 +214,14 @@ pub fn quarantine_path(log_path: &Path) -> std::path::PathBuf {
 /// magic) on first use. Each entry is `[offset: u64 LE] [len: u32 LE]
 /// [bytes]` where `offset` is the absolute file offset the span occupied
 /// *before* repair — forensic provenance, deliberately unchecksummed
-/// because the bytes are known-bad.
+/// because the bytes are known-bad. A crash mid-append can leave the
+/// sidecar empty or torn, so it is first cut back to its last whole
+/// entry (to nothing when even the magic is torn): new entries never
+/// land behind bytes a reader cannot parse.
 ///
 /// # Errors
 ///
-/// Returns [`StoreError::Io`] if the sidecar cannot be written.
+/// Returns [`StoreError::Io`] if the sidecar cannot be read or written.
 pub fn append_quarantine(
     io: &dyn StoreIo,
     path: &Path,
@@ -256,12 +230,21 @@ pub fn append_quarantine(
     if entries.is_empty() {
         return Ok(());
     }
-    let fresh = !io.exists(path);
+    let existing = match io.read(path) {
+        Ok(bytes) => bytes,
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => Vec::new(),
+        Err(e) => return Err(io_err("reading quarantine sidecar", &e)),
+    };
+    let (_, intact) = parse_quarantine(&existing);
+    if intact < existing.len() {
+        io.set_len(path, intact as u64)
+            .map_err(|e| io_err("truncating torn quarantine sidecar", &e))?;
+    }
     let mut file = io
         .open_append(path)
         .map_err(|e| io_err("opening quarantine sidecar", &e))?;
     let mut buf = Vec::new();
-    if fresh {
+    if intact == 0 {
         buf.extend_from_slice(QUARANTINE_MAGIC);
     }
     for &(offset, bytes) in entries {
@@ -275,18 +258,13 @@ pub fn append_quarantine(
         .map_err(|e| io_err("syncing quarantine sidecar", &e))
 }
 
-/// Reads the quarantine sidecar leniently: entries up to the first
-/// damage (the sidecar is itself append-only and forensic — a torn
-/// sidecar tail just means less provenance). Returns `(offset, bytes)`
-/// pairs; an absent sidecar is an empty list.
-#[must_use]
-pub fn read_quarantine(io: &dyn StoreIo, path: &Path) -> Vec<(u64, Vec<u8>)> {
-    let Ok(bytes) = io.read(path) else {
-        return Vec::new();
-    };
+/// Parses sidecar bytes up to the first damage: the whole entries, and
+/// the length of the intact prefix they occupy (0 when the magic itself
+/// is missing or torn).
+fn parse_quarantine(bytes: &[u8]) -> (Vec<(u64, Vec<u8>)>, usize) {
     if bytes.len() < QUARANTINE_MAGIC.len() || &bytes[..QUARANTINE_MAGIC.len()] != QUARANTINE_MAGIC
     {
-        return Vec::new();
+        return (Vec::new(), 0);
     }
     let mut entries = Vec::new();
     let mut pos = QUARANTINE_MAGIC.len();
@@ -303,7 +281,18 @@ pub fn read_quarantine(io: &dyn StoreIo, path: &Path) -> Vec<(u64, Vec<u8>)> {
         entries.push((u64::from_le_bytes(off_buf), slice.to_vec()));
         pos = start + len;
     }
-    entries
+    (entries, pos)
+}
+
+/// Reads the quarantine sidecar leniently: entries up to the first
+/// damage (the sidecar is itself append-only and forensic — a torn
+/// sidecar tail just means less provenance). Returns `(offset, bytes)`
+/// pairs; an absent sidecar is an empty list.
+#[must_use]
+pub fn read_quarantine(io: &dyn StoreIo, path: &Path) -> Vec<(u64, Vec<u8>)> {
+    io.read(path)
+        .map(|bytes| parse_quarantine(&bytes).0)
+        .unwrap_or_default()
 }
 
 /// Opens (creating if absent) the write-ahead log at `path`, replaying
@@ -345,7 +334,11 @@ pub fn open_log(
             let file = io
                 .open_append(path)
                 .map_err(|e| io_err("reopening log", &e))?;
-            return Ok((Wal { file }, Vec::new(), OpenReport::default()));
+            let report = OpenReport {
+                tail_truncated_bytes: bytes.len() as u64,
+                ..OpenReport::default()
+            };
+            return Ok((Wal { file }, Vec::new(), report));
         }
         return Err(StoreError::Corrupt(format!(
             "{} is not a campaign log (bad magic)",
@@ -392,78 +385,6 @@ pub fn open_log(
         .open_append(path)
         .map_err(|e| io_err("reopening log", &e))?;
     Ok((Wal { file }, scan.records, report))
-}
-
-/// Opens the write-ahead log at `path` reset to empty (magic only),
-/// discarding any previous contents — used after compaction has published
-/// the log's information into a snapshot segment.
-///
-/// # Errors
-///
-/// Returns [`StoreError::Io`] on filesystem failure.
-pub fn open_log_truncated(io: &dyn StoreIo, path: &Path) -> Result<Wal, StoreError> {
-    io.write(path, WAL_MAGIC)
-        .map_err(|e| io_err("resetting log", &e))?;
-    let file = io
-        .open_append(path)
-        .map_err(|e| io_err("reopening log", &e))?;
-    Ok(Wal { file })
-}
-
-/// Reads an immutable snapshot segment in full. Any framing defect is an
-/// error: segments are written once and never appended to, so a torn tail
-/// cannot be crash debris. (Fsck uses [`scan_segment_lenient`] to count
-/// intact frames instead.)
-///
-/// # Errors
-///
-/// Returns [`StoreError::Io`] on filesystem failure and
-/// [`StoreError::Corrupt`] on bad magic or any damaged frame.
-pub fn read_segment(io: &dyn StoreIo, path: &Path) -> Result<Vec<StoreRecord>, StoreError> {
-    let bytes = io.read(path).map_err(|e| io_err("reading segment", &e))?;
-    if bytes.len() < SEG_MAGIC.len() || &bytes[..SEG_MAGIC.len()] != SEG_MAGIC {
-        return Err(StoreError::Corrupt(format!(
-            "{} is not a snapshot segment (bad magic)",
-            path.display()
-        )));
-    }
-    scan_strict(&bytes[SEG_MAGIC.len()..])
-}
-
-/// Leniently reads a snapshot segment: intact frames are returned, damage
-/// is reported in the scan rather than raised. A file with the wrong
-/// magic yields `None` (it is not a segment at all).
-///
-/// # Errors
-///
-/// Returns [`StoreError::Io`] on filesystem failure.
-pub fn scan_segment_lenient(io: &dyn StoreIo, path: &Path) -> Result<Option<BodyScan>, StoreError> {
-    let bytes = io.read(path).map_err(|e| io_err("reading segment", &e))?;
-    if bytes.len() < SEG_MAGIC.len() || &bytes[..SEG_MAGIC.len()] != SEG_MAGIC {
-        return Ok(None);
-    }
-    Ok(Some(scan_body(&bytes[SEG_MAGIC.len()..])))
-}
-
-/// Writes a complete snapshot segment: magic, then one frame per record,
-/// then a data sync. Written to `path` directly; callers use a temp-name +
-/// rename dance for atomicity.
-///
-/// # Errors
-///
-/// Returns [`StoreError::Io`] if any write or the final sync fails.
-pub fn write_segment(
-    io: &dyn StoreIo,
-    path: &Path,
-    records: &[StoreRecord],
-) -> Result<(), StoreError> {
-    let mut buf = Vec::with_capacity(SEG_MAGIC.len() + records.len() * 32);
-    buf.extend_from_slice(SEG_MAGIC);
-    for record in records {
-        buf.extend_from_slice(&encode_frame(record));
-    }
-    io.write(path, &buf)
-        .map_err(|e| io_err("writing segment", &e))
 }
 
 #[cfg(test)]
@@ -547,8 +468,12 @@ mod tests {
         let dir = temp_dir("magic");
         let path = dir.join("campaign.wal");
         std::fs::write(&path, &WAL_MAGIC[..3]).unwrap();
-        let (_, replayed, _) = open_log(&RealIo, &path).unwrap();
+        let (_, replayed, report) = open_log(&RealIo, &path).unwrap();
         assert!(replayed.is_empty());
+        assert_eq!(
+            report.tail_truncated_bytes, 3,
+            "a torn magic is a torn tail"
+        );
         // And a non-log file is rejected rather than clobbered.
         let other = dir.join("not-a-log");
         std::fs::write(&other, b"hello world, this is text").unwrap();
@@ -612,6 +537,25 @@ mod tests {
     }
 
     #[test]
+    fn torn_sidecar_is_cut_back_before_the_next_entry() {
+        let dir = temp_dir("torn-sidecar");
+        let path = dir.join("campaign.quarantine");
+        append_quarantine(&RealIo, &path, &[(8, b"first")]).unwrap();
+        let whole = std::fs::read(&path).unwrap();
+        // Empty, torn in the magic, torn in the entry, and intact.
+        for cut in [0, 3, whole.len() - 2, whole.len()] {
+            std::fs::write(&path, &whole[..cut]).unwrap();
+            append_quarantine(&RealIo, &path, &[(40, b"second")]).unwrap();
+            let mut expected = vec![(40u64, b"second".to_vec())];
+            if cut == whole.len() {
+                expected.insert(0, (8, b"first".to_vec()));
+            }
+            assert_eq!(read_quarantine(&RealIo, &path), expected, "cut at {cut}");
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
     fn undecodable_record_in_intact_frame_is_quarantined() {
         let dir = temp_dir("undecodable");
         let path = dir.join("campaign.wal");
@@ -630,26 +574,6 @@ mod tests {
         let (_, replayed, report) = open_log(&RealIo, &path).unwrap();
         assert_eq!(replayed, good);
         assert_eq!(report.quarantined_frames, 1);
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn segments_are_strict_but_lenient_scan_salvages() {
-        let dir = temp_dir("segment");
-        let path = dir.join("snap-000001.seg");
-        let records = vec![
-            StoreRecord::CacheEntry { key: 1, value: 2.0 },
-            StoreRecord::CacheEntry { key: 3, value: 4.0 },
-        ];
-        write_segment(&RealIo, &path, &records).unwrap();
-        assert_eq!(read_segment(&RealIo, &path).unwrap(), records);
-        let full = std::fs::read(&path).unwrap();
-        std::fs::write(&path, &full[..full.len() - 1]).unwrap();
-        assert!(read_segment(&RealIo, &path).is_err());
-        let scan = scan_segment_lenient(&RealIo, &path).unwrap().unwrap();
-        assert_eq!(scan.records, records[..1]);
-        assert!(!scan.is_clean());
-        assert!(scan_segment_lenient(&RealIo, &dir.join("missing")).is_err());
         std::fs::remove_dir_all(&dir).unwrap();
     }
 }

@@ -145,9 +145,10 @@ if [[ "${FAST}" == "0" ]]; then
         --scale 0.01 --workers 2 --checkpoint "${METRICS_TMP}/ckpt-pools" >/dev/null
 
     # Each experiment binary honours a flag or rejects it (exit 2 before
-    # any work): ext_selection takes --scale only, ablation_predictor
-    # refuses a checkpoint (it times the simulator study), and
-    # ext_deep_pipeline honours every flag.
+    # any work): ext_selection takes --scale and --workers only, so its
+    # --metrics is refused; ablation_predictor refuses a checkpoint (it
+    # times the simulator study), and ext_deep_pipeline honours every
+    # flag.
     echo "==> experiment-flag smokes"
     cargo build -q --release -p optassign-bench \
         --bin ext_selection --bin ablation_predictor --bin ext_deep_pipeline

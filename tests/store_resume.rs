@@ -9,6 +9,7 @@
 use std::fs;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
 
 use optassign::fault::{FaultPlan, FaultyModel};
 use optassign::iterative::{
@@ -21,7 +22,8 @@ use optassign::persist::CampaignStore;
 use optassign::study::SampleStudy;
 use optassign::{Assignment, Parallelism, Topology};
 use optassign_obs::{MemoryRecorder, MonotonicClock, Obs};
-use optassign_store::WAL_FILE;
+use optassign_store::io::{FaultyIo, IoFaultPlan, RealIo};
+use optassign_store::{wal, QUARANTINE_FILE, WAL_FILE};
 
 const SEED: u64 = 21;
 
@@ -256,41 +258,6 @@ fn persistent_run_matches_plain_for_invariant_models() {
 }
 
 #[test]
-fn compaction_keeps_the_evaluation_cache_hot() {
-    let m = Counting::new(invariant_model());
-    let dir = scratch("compact");
-    let _ = fs::remove_dir_all(&dir);
-    let store = CampaignStore::open(&dir).expect("fresh store");
-    let cold = run_iterative_persistent(&m, &config(2), SEED, &store).expect("cold run");
-    let cold_evals = m.count();
-    let entries = store.cache_stats().entries;
-    assert!(entries > 0);
-    store.compact().expect("compaction");
-    drop(store);
-
-    // The journal is gone (compaction folds it into snapshot segments),
-    // but the content-addressed cache still resolves every slot: the
-    // rerun touches the model zero times and reproduces the campaign's
-    // measured values (bookkeeping differs — cache hits consume no
-    // attempts — which is why compaction is documented as a
-    // between-campaigns operation).
-    let store = CampaignStore::open(&dir).expect("reopen after compaction");
-    assert_eq!(store.journaled_measurements(), 0, "journal was compacted");
-    assert_eq!(store.cache_stats().entries, entries, "cache survived");
-    let warm = run_iterative_persistent(&m, &config(1), SEED, &store).expect("warm run");
-    assert_eq!(
-        m.count(),
-        cold_evals,
-        "cache-hot rerun re-evaluated the model"
-    );
-    assert_eq!(warm.best_performance, cold.best_performance);
-    assert_eq!(warm.best_assignment, cold.best_assignment);
-    assert_eq!(warm.samples_used, cold.samples_used);
-    assert_eq!(warm.converged, cold.converged);
-    fs::remove_dir_all(&dir).expect("cleanup");
-}
-
-#[test]
 fn resilient_resume_restores_fault_bookkeeping() {
     let m = FaultyModel::new(model(), FaultPlan::harsh(SEED));
     let dir = scratch("faulty");
@@ -336,4 +303,120 @@ fn resilient_resume_restores_fault_bookkeeping() {
     }
     fs::remove_dir_all(&dir).expect("cleanup");
     fs::remove_dir_all(&cut_dir).expect("cleanup");
+}
+
+/// Opens `dir` on a disk that dies after `ops` mutations, lets
+/// `campaign` run on the store if the open survived, then cuts the power
+/// ([`FaultyIo::crash`]). Returns how many mutations the disk was asked
+/// for.
+fn crash_after(dir: &Path, ops: Option<u64>, campaign: impl FnOnce(&CampaignStore)) -> u64 {
+    let faulty = FaultyIo::new(IoFaultPlan {
+        crash_after_ops: ops,
+        ..IoFaultPlan::none(SEED)
+    });
+    // An open the dead disk stops fails; the crash below still happens.
+    if let Ok(store) = CampaignStore::open_with(dir, Arc::new(faulty.clone()), &Obs::disabled()) {
+        campaign(&store);
+    }
+    faulty.crash().expect("crash truncation");
+    faulty.stats().ops
+}
+
+/// Every crash point of the store, enumerated rather than sampled: a
+/// crash after each mutation a small iterative campaign makes (directory
+/// creation, log magic, measurement appends, batch ends and their
+/// syncs), and after each mutation the open that repairs an interior bit
+/// flip makes (directory creation, sidecar append and sync, repaired-log
+/// write and rename). The campaign on the dying disk must return the
+/// uninterrupted result, and each crash is followed by a reopen and
+/// resume on the real disk, which must end with the result and log bytes
+/// of a run that never crashed.
+#[test]
+fn resume_is_bit_identical_after_a_crash_at_every_store_operation() {
+    let m = model();
+    let cfg = IterativeConfig {
+        n_init: 100,
+        n_delta: 20,
+        acceptable_loss: 0.001,
+        max_samples: 180,
+        parallelism: Parallelism::new(2),
+        ..IterativeConfig::default()
+    };
+    let seed = 33;
+    let dir = scratch("crash-points");
+    let run = |store: &CampaignStore| {
+        run_iterative_persistent(&m, &cfg, seed, store).expect("campaign survives a dead disk")
+    };
+    // Opens the store on the real disk and runs the campaign to the end.
+    let resume = |dir: &Path| {
+        let result = run(&CampaignStore::open(dir).expect("recovery after a crash"));
+        (result, fs::read(dir.join(WAL_FILE)).expect("log exists"))
+    };
+
+    // (a) The campaign itself, crashed after every one of its mutations.
+    let _ = fs::remove_dir_all(&dir);
+    let (reference, reference_wal) = resume(&dir);
+    let _ = fs::remove_dir_all(&dir);
+    let campaign_ops = crash_after(&dir, None, |store| {
+        run(store);
+    });
+    assert!(
+        fs::read(dir.join(WAL_FILE)).expect("log exists") == reference_wal,
+        "a disk that never dies journals the uninterrupted log"
+    );
+    assert!(campaign_ops > 100, "campaign made {campaign_ops} mutations");
+    for k in 0..=campaign_ops {
+        let _ = fs::remove_dir_all(&dir);
+        crash_after(&dir, Some(k), |store| {
+            // A dying disk never perturbs the campaign running on it.
+            let dying = run(store);
+            assert_same_result(&dying, &reference, &format!("disk dead after op {k}"));
+        });
+        let (resumed, wal_bytes) = resume(&dir);
+        assert_same_result(
+            &resumed,
+            &reference,
+            &format!("campaign crash after op {k}"),
+        );
+        assert!(wal_bytes == reference_wal, "log differs after op {k}");
+    }
+
+    // (b) The open that repairs interior damage, crashed after every one
+    // of its mutations.
+    let mut damaged = reference_wal.clone();
+    let frames = frame_ends(&damaged);
+    damaged[frames[frames.len() / 2] + wal::FRAME_HEADER_LEN + 2] ^= 0x20;
+    let with_damage = |dir: &Path| {
+        let _ = fs::remove_dir_all(dir);
+        fs::create_dir_all(dir).expect("scratch dir");
+        fs::write(dir.join(WAL_FILE), &damaged).expect("damaged log");
+    };
+    let sidecar = |dir: &Path| wal::read_quarantine(&RealIo, &dir.join(QUARANTINE_FILE));
+    with_damage(&dir);
+    let (repaired, repaired_wal) = resume(&dir);
+    assert!(
+        repaired_wal != reference_wal,
+        "the flip cost a journaled record"
+    );
+    let quarantined = sidecar(&dir);
+    assert_eq!(quarantined.len(), 1, "one damaged frame");
+    with_damage(&dir);
+    let repair_ops = crash_after(&dir, None, |_| {});
+    assert!(repair_ops >= 5, "repair made {repair_ops} mutations");
+    for k in 0..=repair_ops {
+        with_damage(&dir);
+        crash_after(&dir, Some(k), |_| {});
+        let (resumed, wal_bytes) = resume(&dir);
+        assert_same_result(&resumed, &repaired, &format!("repair crash after op {k}"));
+        assert!(wal_bytes == repaired_wal, "log differs after repair op {k}");
+        // A repair cut short is redone from the start, so the sidecar
+        // may hold the damaged frame twice, but nothing else.
+        let entries = sidecar(&dir);
+        assert!(
+            !entries.is_empty() && entries.iter().all(|e| *e == quarantined[0]),
+            "sidecar after repair op {k}: {} entries",
+            entries.len()
+        );
+    }
+    fs::remove_dir_all(&dir).expect("cleanup");
 }
