@@ -25,7 +25,6 @@ use optassign_obs::Obs;
 use optassign_store::io::{FaultyIo, IoFaultPlan, RealIo};
 use optassign_store::{fsck, wal, WAL_FILE};
 use std::path::Path;
-use std::sync::Arc;
 
 /// SplitMix64 — the bin-local deterministic knob generator.
 fn mix(mut z: u64) -> u64 {
@@ -116,8 +115,8 @@ fn main() {
     // ---- fault-free baseline -----------------------------------------
     let baseline_dir = work.join("baseline");
     std::fs::create_dir_all(&baseline_dir).expect("creating baseline dir");
-    let store = CampaignStore::open_with(&baseline_dir, Arc::new(RealIo), &obs)
-        .expect("baseline store opens");
+    let store =
+        CampaignStore::open_with(&baseline_dir, &RealIo, &obs).expect("baseline store opens");
     let baseline = SampleStudy::run_with(&model, scale.n, seed, par, &obs, Some(&store))
         .expect("baseline campaign runs");
     drop(store);
@@ -140,7 +139,7 @@ fn main() {
             ..IoFaultPlan::harsh(round_seed)
         };
         let faulty = FaultyIo::new(plan);
-        match CampaignStore::open_with(&chaos_dir, Arc::new(faulty.clone()), &obs) {
+        match CampaignStore::open_with(&chaos_dir, &faulty, &obs) {
             Ok(store) => {
                 // Storage faults are swallowed and counted by the store;
                 // the campaign itself must still complete.
@@ -184,8 +183,7 @@ fn main() {
     // ---- guaranteed quarantine round-trip ----------------------------
     // Complete the campaign cleanly so the log holds every record, flip
     // one interior bit, and check fsck moves exactly that damage aside.
-    let store =
-        CampaignStore::open_with(&chaos_dir, Arc::new(RealIo), &obs).expect("repaired store opens");
+    let store = CampaignStore::open_with(&chaos_dir, &RealIo, &obs).expect("repaired store opens");
     SampleStudy::run_with(&model, scale.n, seed, par, &obs, Some(&store))
         .expect("clean fill-in run");
     drop(store);
@@ -201,8 +199,7 @@ fn main() {
     assert!(report.repaired, "fsck --repair must rewrite the log");
     quarantined_total += report.quarantined_frames;
 
-    let store =
-        CampaignStore::open_with(&chaos_dir, Arc::new(RealIo), &obs).expect("final store opens");
+    let store = CampaignStore::open_with(&chaos_dir, &RealIo, &obs).expect("final store opens");
     let resumed = SampleStudy::run_with(&model, scale.n, seed, par, &obs, Some(&store))
         .expect("final resume");
     drop(store);

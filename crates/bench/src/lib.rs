@@ -276,7 +276,7 @@ impl BenchArgs {
                 dir.display()
             );
         }
-        match CampaignStore::open_with(&dir, std::sync::Arc::new(RealIo), obs) {
+        match CampaignStore::open_with(&dir, &RealIo, obs) {
             Ok(store) => {
                 eprintln!(
                     "[store] {}: {} journaled measurements, {} cached evaluations",

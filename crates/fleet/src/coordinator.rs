@@ -39,7 +39,6 @@ use optassign_optd::spec::{CampaignSpec, TenantModel};
 use optassign_store::io::RealIo;
 use optassign_store::StoreError;
 use std::path::PathBuf;
-use std::sync::Arc;
 use std::time::Duration;
 
 use crate::wire;
@@ -359,7 +358,7 @@ pub fn run_fleet_campaign(
     let campaign = iterative_campaign_id(spec.seed, &spec.config, model.tasks(), model.topology());
     let merged_dir = config.data_dir.join("merged");
     let workers = install_on_workers(spec, campaign, &config.workers)?;
-    let store = CampaignStore::open_with(&merged_dir, Arc::new(RealIo), obs)?;
+    let store = CampaignStore::open_with(&merged_dir, &RealIo, obs)?;
     let mut backend = FleetBackend {
         model: &model,
         workers,

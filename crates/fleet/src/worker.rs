@@ -194,7 +194,7 @@ impl Worker {
     /// Bind/spawn failures and a shard directory that is not a valid
     /// store, as [`std::io::Error`].
     pub fn start(config: &WorkerConfig, obs: &Obs) -> std::io::Result<Worker> {
-        let store = CampaignStore::open_with(&config.data_dir, Arc::new(RealIo), obs)
+        let store = CampaignStore::open_with(&config.data_dir, &RealIo, obs)
             .map_err(|e| std::io::Error::other(format!("opening shard store: {e}")))?;
         let lease_trace = Arc::new(Mutex::new(None));
         let state = Arc::new(WorkerState {

@@ -3,11 +3,20 @@
 //! [`BatchSimulator`] prepares everything that does **not** depend on the
 //! assignment exactly once — workload validation, region base addresses, a
 //! flat decoded op table, and the steady-state L2 prefill image — and then
-//! evaluates assignments one lane at a time against that shared state. Lane
-//! state lives in structure-of-arrays scratch buffers that are reused (not
-//! reallocated) across lanes, so the inner loop stays cache-resident and the
-//! per-assignment setup cost of [`crate::Simulator`] is amortized over the
-//! whole batch.
+//! evaluates assignments one at a time against that shared state, in
+//! scratch buffers that are reset in place rather than reallocated.
+//!
+//! Each evaluation is an event loop over pipes. The scalar engine visits
+//! every cycle that has a grant and scans every pipe on it, although most
+//! grants are pipe-local ops (`Int`, `Mul`, `NiuRx`) that touch nothing but
+//! their own strand. Here each pipe runs its own grants — same
+//! least-recently-served arbitration, same cycles — until its next grant
+//! is a shared op: the core's FPU or crypto unit, the memory hierarchy, a
+//! queue, or a transmit. A global loop serves those pending shared grants
+//! in the scalar engine's order, earliest cycle first and ascending pipe
+//! within a cycle, and lets each served pipe run on. The L2 image is not
+//! copied per evaluation either: the lane's L2 logs the sets it writes,
+//! and the next evaluation restores only those sets from the template.
 //!
 //! The contract is strict bit-identity: for any assignment, warm-up and
 //! measurement window, [`BatchSimulator::run_one`] returns exactly the
@@ -15,7 +24,8 @@
 //! strings for invalid assignments. The engine replays the scalar
 //! implementation's arithmetic and RNG draw order precisely; where the
 //! arithmetic is restructured (integer Bernoulli thresholds, decoded
-//! access patterns), the transformation is exact, not approximate.
+//! access patterns, the order of grants that share no state), the
+//! transformation is exact, not approximate.
 
 use crate::machine::MachineConfig;
 use crate::program::{AccessPattern, Op, WorkloadSpec};
@@ -180,14 +190,19 @@ impl LaneCache {
         }
     }
 
+    /// The set `addr` maps to.
+    #[inline]
+    fn set_of(&self, addr: u64) -> usize {
+        ((addr >> self.line_shift) as usize) & self.sets_mask
+    }
+
     /// Accesses `addr` at time `now`; returns `true` on a hit, filling the
     /// LRU way on a miss — the exact replacement decision of
     /// [`crate::cache::Cache::access`] in one pass.
     #[inline]
     fn access(&mut self, addr: u64, now: u64) -> bool {
         let line = addr >> self.line_shift;
-        let set = (line as usize) & self.sets_mask;
-        let base = set * self.ways;
+        let base = self.set_of(addr) * self.ways;
         let slots = &mut self.slots[base..base + self.ways];
         // Hit scan first, without early exit: the way-select compare
         // becomes conditional moves instead of one unpredictable branch
@@ -244,16 +259,6 @@ impl LaneCache {
         self.misses = 0;
     }
 
-    /// Copies the full state from a same-geometry template.
-    fn copy_state_from(&mut self, src: &LaneCache) {
-        debug_assert_eq!(self.sets_mask, src.sets_mask);
-        debug_assert_eq!(self.ways, src.ways);
-        debug_assert_eq!(self.line_shift, src.line_shift);
-        self.slots.copy_from_slice(&src.slots);
-        self.hits = src.hits;
-        self.misses = src.misses;
-    }
-
     /// Hit rate over all accesses so far (0 when never accessed) — same
     /// definition as [`crate::cache::Cache::hit_rate`].
     fn hit_rate(&self) -> f64 {
@@ -266,10 +271,58 @@ impl LaneCache {
     }
 }
 
+/// The lane's L2: the prefilled image plus a log of the sets this lane
+/// has written. Every access writes its set (a hit refreshes a stamp, a
+/// miss fills a way), so [`L2Lane::restore`] rebuilds the template's
+/// image by copying back only the logged sets — a few hundred per
+/// evaluation, not the whole 1 MiB.
+#[derive(Debug, Clone)]
+struct L2Lane {
+    cache: LaneCache,
+    /// One bit per set: the set is already in `written`.
+    logged: Vec<u64>,
+    written: Vec<u32>,
+}
+
+impl L2Lane {
+    fn new(template: &LaneCache) -> Self {
+        L2Lane {
+            cache: template.clone(),
+            logged: vec![0; (template.sets_mask + 1).div_ceil(64)],
+            written: Vec::new(),
+        }
+    }
+
+    /// [`LaneCache::access`], logging the set it writes.
+    #[inline]
+    fn access(&mut self, addr: u64, now: u64) -> bool {
+        let set = self.cache.set_of(addr);
+        let bit = 1u64 << (set % 64);
+        if self.logged[set / 64] & bit == 0 {
+            self.logged[set / 64] |= bit;
+            self.written.push(set as u32);
+        }
+        self.cache.access(addr, now)
+    }
+
+    /// Restores `template`, the image this lane started from, by copying
+    /// back every set written since the last restore.
+    fn restore(&mut self, template: &LaneCache) {
+        let ways = template.ways;
+        for &set in &self.written {
+            let range = set as usize * ways..(set as usize + 1) * ways;
+            self.cache.slots[range.clone()].copy_from_slice(&template.slots[range]);
+        }
+        self.written.clear();
+        self.logged.fill(0);
+        self.cache.hits = template.hits;
+        self.cache.misses = template.misses;
+    }
+}
+
 /// The per-task state touched on every issue, packed into one 64-byte
-/// cache line per task: the arbitration wake check, the RNG, the program
-/// counter and the micro-op countdown all hit the same line, and the inner
-/// loop keeps a single base pointer live instead of one per field.
+/// cache line per task: the RNG, the I-miss draw, the program counter and
+/// the micro-op countdown all hit the same line.
 #[derive(Debug, Clone)]
 #[repr(align(64))]
 struct TaskHot {
@@ -288,6 +341,78 @@ struct TaskHot {
     micro: u16,
 }
 
+impl TaskHot {
+    /// Issues one micro-op of an `n`-op burst (`Int`, `Mul`, `Fp`,
+    /// `Crypto`); the burst is done when `micro` is back at 0.
+    #[inline(always)]
+    fn step_burst(&mut self, n: u16) {
+        if self.micro == 0 {
+            self.micro = n;
+        }
+        self.micro -= 1;
+    }
+
+    /// Moves to the next op; returns `true` when that wraps the program,
+    /// completing an iteration.
+    #[inline(always)]
+    fn next_op(&mut self) -> bool {
+        self.op_pos += 1;
+        let wrapped = self.op_pos == self.op_end;
+        if wrapped {
+            self.op_pos = self.op_start;
+        }
+        wrapped
+    }
+
+    /// The I-miss stall of one issue: drawn before the op, as the scalar
+    /// engine does.
+    #[inline(always)]
+    fn imiss_stall(&mut self, cfg: &MachineConfig) -> u64 {
+        if self.imiss.sample(&mut self.rng) {
+            cfg.lat_l2
+        } else {
+            0
+        }
+    }
+}
+
+/// Issues `op` if it is pipe-local — `Int`, `Mul` or `NiuRx`, which touch
+/// only their own strand — and returns its latency. The strand moves on
+/// to its next op once `micro` is 0. Returns `None`, changing nothing, for
+/// an op that touches shared state.
+#[inline(always)]
+fn issue_local(th: &mut TaskHot, op: DecodedOp, cfg: &MachineConfig) -> Option<u64> {
+    match op {
+        DecodedOp::Int(n) => {
+            th.step_burst(n);
+            Some(1)
+        }
+        DecodedOp::Mul(n) => {
+            th.step_burst(n);
+            Some(cfg.lat_mul)
+        }
+        DecodedOp::NiuRx => Some(cfg.lat_niu_rx),
+        _ => None,
+    }
+}
+
+/// One pipe's arbitration state.
+#[derive(Debug, Clone, Default)]
+struct Pipe {
+    /// The pipe's strands in task order: the scalar engine's rotation
+    /// order.
+    strands: Vec<usize>,
+    /// Rotation position where the least-recently-served scan starts.
+    rr: usize,
+    /// While the pipe waits on a shared op: that grant's cycle, with `pos`
+    /// the rotation position of its strand. Once the pipe has stopped at a
+    /// window end: the first cycle at or past the end that the scalar loop
+    /// visits for this pipe — the cycle after a grant at `end - 1`, else
+    /// the pipe's next grant.
+    at: u64,
+    pos: usize,
+}
+
 /// Reusable per-lane state: one [`TaskHot`] record per task for the hot
 /// fields, structure-of-arrays vectors for everything touched rarely (or
 /// aggregated per core / pipe / queue / bank / controller), reset in place
@@ -297,8 +422,9 @@ struct Scratch {
     // Per task.
     tasks: Vec<TaskHot>,
     /// Cycle at which each strand becomes ready again. Kept outside
-    /// [`TaskHot`] as a packed array: the arbitration loop polls every
-    /// task's wake-up each cycle, and eight per cache line beats one.
+    /// [`TaskHot`] as a packed array: the arbitration of a pipe with
+    /// several strands polls their wake-ups each cycle, and eight per
+    /// cache line beats one.
     wake_at: Vec<u64>,
     iterations: Vec<u64>,
     transmits: Vec<u64>,
@@ -311,24 +437,20 @@ struct Scratch {
     fpu_free: Vec<u64>,
     crypto_free: Vec<u64>,
     // Per pipe.
-    pipe_tasks: Vec<Vec<usize>>,
-    /// Visit order for the arbitration loop: `(pipe, solo)` per active
-    /// pipe in ascending pipe order, where `solo` is the pipe's only task
-    /// when it has exactly one (arbitration degenerates to a wake check)
-    /// or `usize::MAX` for the general scan.
-    visits: Vec<(usize, usize)>,
-    pipe_rr: Vec<usize>,
-    /// Earliest cycle at which pipe `p` might have a ready strand — a
-    /// conservative lower bound used to skip the arbitration scan for
-    /// pipes that are certainly all-blocked. Never affects outcomes.
-    pipe_next: Vec<u64>,
+    pipes: Vec<Pipe>,
+    /// The pipes with at least one strand, ascending.
+    active: Vec<usize>,
     // Per queue.
     q_count: Vec<usize>,
     q_lat: Vec<u64>,
     // Shared fabric.
-    l2: LaneCache,
+    l2: L2Lane,
     bank_free: Vec<u64>,
     mc_free: Vec<u64>,
+    // Measurement counters.
+    issue_slots: u64,
+    first_tx: Option<u64>,
+    last_tx: Option<u64>,
     // Assignment validation.
     used: Vec<bool>,
 }
@@ -339,7 +461,8 @@ struct Scratch {
 /// every task program into one flat op table and computes the steady-state
 /// L2 prefill image. [`BatchSimulator::run_one`] then evaluates a single
 /// assignment reusing that shared state; results are bit-identical to
-/// [`crate::Simulator`].
+/// [`crate::Simulator`]. Each evaluation runs as the per-pipe event loop
+/// the [module docs](self) describe.
 ///
 /// # Examples
 ///
@@ -359,8 +482,9 @@ struct Scratch {
 pub struct BatchSimulator<'a> {
     cfg: &'a MachineConfig,
     workload: &'a WorkloadSpec,
-    /// L2 image after steady-state prefill, stats already reset; restored
-    /// into scratch with a memcpy per lane instead of replaying the fill.
+    /// L2 image after steady-state prefill, stats already reset; each lane
+    /// starts from it (see [`L2Lane::restore`]) instead of replaying the
+    /// fill.
     l2_template: LaneCache,
     /// Strength-reduced L2-bank / memory-controller selection.
     bank_sel: BankSel,
@@ -484,15 +608,16 @@ impl<'a> BatchSimulator<'a> {
             lsu_free: vec![0; topo.cores],
             fpu_free: vec![0; topo.cores],
             crypto_free: vec![0; topo.cores],
-            pipe_tasks: vec![Vec::new(); topo.pipes()],
-            visits: Vec::with_capacity(topo.pipes()),
-            pipe_rr: vec![0; topo.pipes()],
-            pipe_next: vec![0; topo.pipes()],
+            pipes: vec![Pipe::default(); topo.pipes()],
+            active: Vec::with_capacity(topo.pipes()),
             q_count: vec![0; n_queues],
             q_lat: vec![0; n_queues],
-            l2: l2_template.clone(),
+            l2: L2Lane::new(&l2_template),
             bank_free: vec![0; cfg.l2_banks],
             mc_free: vec![0; cfg.mem_controllers],
+            issue_slots: 0,
+            first_tx: None,
+            last_tx: None,
             used: vec![false; topo.contexts()],
         };
 
@@ -533,9 +658,6 @@ impl<'a> BatchSimulator<'a> {
         let cfg = self.cfg;
         let topo = &cfg.topology;
         let n_tasks = self.workload.tasks().len();
-        let n_regions = self.workload.regions().len();
-        let bank_sel = self.bank_sel;
-        let mc_sel = self.mc_sel;
 
         // ---- validation (same checks, same messages as Simulator::new) --
         let contexts = topo.contexts();
@@ -561,33 +683,56 @@ impl<'a> BatchSimulator<'a> {
             self.scratch.used[ctx] = true;
         }
 
-        // Split-borrow the scratch so lane state and the shared tables can
-        // be used together in the loop below.
-        let Scratch {
-            tasks,
-            wake_at,
-            iterations,
-            transmits,
-            seq_cursors,
-            core_code,
-            l1d,
-            lsu_free,
-            fpu_free,
-            crypto_free,
-            pipe_tasks,
-            visits,
-            pipe_rr,
-            pipe_next,
-            q_count,
-            q_lat,
-            l2,
-            bank_free,
-            mc_free,
-            used: _,
-        } = &mut self.scratch;
-        let ops = &self.ops;
+        self.reset_lane(assignment);
 
-        // ---- per-task state (lane reset) --------------------------------
+        // ---- main loop --------------------------------------------------
+        // The scalar engine's single loop is split into a warm-up window
+        // and a measurement window with the boundary reset in between, so
+        // `MEASURING` is a compile-time constant inside each window.
+        let total_end = warmup_cycles + measure_cycles;
+        self.run_window::<false>(warmup_cycles, warmup_cycles);
+        // Measurement-boundary reset: the scalar engine performs it on the
+        // first cycle it visits at or past the warm-up, if that cycle is
+        // before the end. Its idle jump can leap from the warm-up straight
+        // to `total_end`, and then it never resets.
+        let s = &mut self.scratch;
+        let first_visit = s.active.iter().map(|&p| s.pipes[p].at).min();
+        if warmup_cycles > 0 && first_visit.is_some_and(|at| at < total_end) {
+            s.transmits.fill(0);
+            s.iterations.fill(0);
+            s.issue_slots = 0;
+            s.first_tx = None;
+            s.last_tx = None;
+            for c in s.l1d.iter_mut() {
+                c.reset_stats();
+            }
+            s.l2.cache.reset_stats();
+        }
+        self.run_window::<true>(total_end, warmup_cycles);
+
+        let s = &self.scratch;
+        Ok(SimReport {
+            measured_cycles: measure_cycles,
+            clock_hz: cfg.clock_hz,
+            packets_transmitted: s.transmits.iter().sum(),
+            per_task_transmits: s.transmits.clone(),
+            per_task_iterations: s.iterations.clone(),
+            l1d_hit_rates: s.l1d.iter().map(|cache| cache.hit_rate()).collect(),
+            l2_hit_rate: s.l2.cache.hit_rate(),
+            issue_slots_granted: s.issue_slots,
+            first_transmit_cycle: s.first_tx,
+            last_transmit_cycle: s.last_tx,
+        })
+    }
+
+    /// Resets the scratch to the machine state at cycle 0 for `assignment`
+    /// (already validated).
+    fn reset_lane(&mut self, assignment: &[usize]) {
+        let cfg = self.cfg;
+        let topo = &cfg.topology;
+        let s = &mut self.scratch;
+
+        // ---- per-task state ---------------------------------------------
         // Same placement-hash seeding as the scalar engine: identical
         // placements replay exactly, distinct placements sample distinct
         // stochastic streams.
@@ -596,10 +741,8 @@ impl<'a> BatchSimulator<'a> {
             placement_hash ^= ctx as u64 + 1;
             placement_hash = placement_hash.wrapping_mul(0x0000_0100_0000_01B3);
         }
-
-        for t in 0..n_tasks {
-            let (ostart, olen) = self.task_ops[t];
-            tasks[t] = TaskHot {
+        for (t, &(ostart, olen)) in self.task_ops.iter().enumerate() {
+            s.tasks[t] = TaskHot {
                 rng: XorShift64::new(
                     self.workload.seed() ^ placement_hash ^ (t as u64).wrapping_mul(0x9E37_79B9),
                 ),
@@ -610,360 +753,321 @@ impl<'a> BatchSimulator<'a> {
                 core: topo.core_of(assignment[t]) as u32,
                 micro: 0,
             };
-            wake_at[t] = 0;
-            iterations[t] = 0;
-            transmits[t] = 0;
         }
-        seq_cursors.fill(0);
+        s.wake_at.fill(0);
+        s.iterations.fill(0);
+        s.transmits.fill(0);
+        s.seq_cursors.fill(0);
 
         // L1I contention: per-core code footprint -> per-strand I-miss
         // probability.
-        core_code.fill(0);
+        s.core_code.fill(0);
         for (t, task) in self.workload.tasks().iter().enumerate() {
-            core_code[tasks[t].core as usize] += task.code_bytes;
+            s.core_code[s.tasks[t].core as usize] += task.code_bytes;
         }
-        for t in 0..n_tasks {
-            let total = core_code[tasks[t].core as usize] as f64;
+        for th in s.tasks.iter_mut() {
+            let total = s.core_code[th.core as usize] as f64;
             let capacity = cfg.l1i_bytes as f64;
             let overflow = ((total - capacity) / capacity).max(0.0);
-            tasks[t].imiss =
+            th.imiss =
                 Bernoulli::new((cfg.imiss_base + cfg.imiss_slope * overflow).min(cfg.imiss_max));
         }
 
-        // ---- pipes ------------------------------------------------------
-        for list in pipe_tasks.iter_mut() {
-            list.clear();
+        // ---- pipes --------------------------------------------------------
+        for pipe in s.pipes.iter_mut() {
+            pipe.strands.clear();
+            pipe.rr = 0;
+            pipe.at = 0;
         }
         for (t, &ctx) in assignment.iter().enumerate() {
-            pipe_tasks[topo.pipe_of(ctx)].push(t);
+            s.pipes[topo.pipe_of(ctx)].strands.push(t);
         }
-        visits.clear();
-        for (p, list) in pipe_tasks.iter().enumerate() {
-            match list.len() {
-                0 => {}
-                1 => visits.push((p, list[0])),
-                _ => visits.push((p, usize::MAX)),
+        s.active.clear();
+        for (p, pipe) in s.pipes.iter().enumerate() {
+            if !pipe.strands.is_empty() {
+                s.active.push(p);
             }
         }
-        pipe_rr.fill(0);
-        pipe_next.fill(0);
 
-        // ---- queues -----------------------------------------------------
-        q_count.fill(0);
+        // ---- queues -------------------------------------------------------
+        s.q_count.fill(0);
         for (qi, q) in self.workload.queues().iter().enumerate() {
-            let same_core = tasks[q.producer.0].core == tasks[q.consumer.0].core;
-            q_lat[qi] = if same_core {
+            let same_core = s.tasks[q.producer.0].core == s.tasks[q.consumer.0].core;
+            s.q_lat[qi] = if same_core {
                 cfg.queue_same_core_lat
             } else {
                 cfg.queue_cross_core_lat
             };
         }
 
-        // ---- memory hierarchy -------------------------------------------
-        for c in l1d.iter_mut() {
+        // ---- memory hierarchy and counters ----------------------------------
+        for c in s.l1d.iter_mut() {
             c.clear();
         }
-        l2.copy_state_from(&self.l2_template);
-        lsu_free.fill(0);
-        fpu_free.fill(0);
-        crypto_free.fill(0);
-        bank_free.fill(0);
-        mc_free.fill(0);
+        s.l2.restore(&self.l2_template);
+        s.lsu_free.fill(0);
+        s.fpu_free.fill(0);
+        s.crypto_free.fill(0);
+        s.bank_free.fill(0);
+        s.mc_free.fill(0);
+        s.issue_slots = 0;
+        s.first_tx = None;
+        s.last_tx = None;
+    }
 
-        // ---- main loop (exact port of Simulator::run) -------------------
-        // The scalar engine's single loop is split into a warm-up window
-        // and a measurement window with the boundary reset in between, so
-        // the `measuring` flag becomes a compile-time constant inside each
-        // window. `issue_op!` / `run_window!` stamp out the shared body.
-        let total_end = warmup_cycles + measure_cycles;
-        let mut now: u64 = 0;
-        let mut issue_slots: u64 = 0;
-        let mut first_tx: Option<u64> = None;
-        let mut last_tx: Option<u64> = None;
-
-        macro_rules! issue_op {
-            ($t:expr, $measuring:expr) => {{
-                let t = $t;
-                let th = &mut tasks[t];
-                let c = th.core as usize;
-                let op = ops[th.op_pos as usize];
-
-                // Probabilistic L1I miss, drawn before the op — same RNG
-                // draw order as the scalar engine.
-                let imiss_extra = if th.imiss.sample(&mut th.rng) {
-                    cfg.lat_l2
-                } else {
-                    0
-                };
-
-                let mut advance = true;
-                let wake = match op {
-                    DecodedOp::Int(n) => {
-                        if th.micro == 0 {
-                            th.micro = n;
-                        }
-                        th.micro -= 1;
-                        advance = th.micro == 0;
-                        now + 1
-                    }
-                    DecodedOp::Mul(n) => {
-                        if th.micro == 0 {
-                            th.micro = n;
-                        }
-                        th.micro -= 1;
-                        advance = th.micro == 0;
-                        now + cfg.lat_mul
-                    }
-                    DecodedOp::Fp(n) => {
-                        if th.micro == 0 {
-                            th.micro = n;
-                        }
-                        th.micro -= 1;
-                        advance = th.micro == 0;
-                        let issue = now.max(fpu_free[c]);
-                        fpu_free[c] = issue + 1;
-                        issue + cfg.lat_fp
-                    }
-                    DecodedOp::Crypto(n) => {
-                        if th.micro == 0 {
-                            th.micro = n;
-                        }
-                        th.micro -= 1;
-                        advance = th.micro == 0;
-                        let issue = now.max(crypto_free[c]);
-                        crypto_free[c] = issue + 1;
-                        issue + cfg.lat_crypto
-                    }
-                    DecodedOp::Mem(mi) => {
-                        let m = &self.mem_ops[mi as usize];
-                        // Inline `gen_addr` over the decoded pattern — the
-                        // RNG consumption matches the scalar engine draw
-                        // for draw.
-                        let addr = match m.pattern {
-                            DecodedPattern::Uniform => m.base + (th.rng.next_below(m.bytes) & !7),
-                            DecodedPattern::Sequential { stride } => {
-                                let cur = &mut seq_cursors[t * n_regions + m.region as usize];
-                                let offset = *cur;
-                                // `(offset + stride) % bytes` — the cursor
-                                // stays below `bytes`, so when the stride
-                                // does too (the common case) the modulo is
-                                // a single conditional subtraction.
-                                let mut next = offset + stride;
-                                if stride < m.bytes {
-                                    if next >= m.bytes {
-                                        next -= m.bytes;
-                                    }
-                                } else {
-                                    next %= m.bytes;
-                                }
-                                *cur = next;
-                                m.base + offset
-                            }
-                            DecodedPattern::Hot { draw, hot_span } => {
-                                let span = if draw.sample(&mut th.rng) {
-                                    hot_span
-                                } else {
-                                    m.bytes
-                                };
-                                m.base + (th.rng.next_below(span) & !7)
-                            }
-                        };
-                        let issue = now.max(lsu_free[c]);
-                        lsu_free[c] = issue + 1;
-                        let done = if l1d[c].access(addr, now) {
-                            issue + cfg.lat_l1
-                        } else {
-                            let bank = bank_sel.of(addr);
-                            let t_bank = (issue + cfg.lat_l1).max(bank_free[bank]);
-                            bank_free[bank] = t_bank + 1;
-                            if l2.access(addr, now) {
-                                t_bank + cfg.lat_l2
-                            } else {
-                                let mc = mc_sel.of(addr);
-                                let t_mc = (t_bank + cfg.lat_l2).max(mc_free[mc]);
-                                mc_free[mc] = t_mc + cfg.mem_issue_gap;
-                                t_mc + cfg.lat_mem
-                            }
-                        };
-                        if m.store {
-                            // Store buffer hides the latency from the
-                            // strand; bandwidth was still charged above.
-                            issue + 1
-                        } else {
-                            done
-                        }
-                    }
-                    DecodedOp::QueuePush(q) => {
-                        let q = q as usize;
-                        if q_count[q] >= self.q_cap[q] {
-                            advance = false;
-                            now + cfg.queue_retry
-                        } else {
-                            q_count[q] += 1;
-                            now + q_lat[q]
-                        }
-                    }
-                    DecodedOp::QueuePop(q) => {
-                        let q = q as usize;
-                        if q_count[q] == 0 {
-                            advance = false;
-                            now + cfg.queue_retry
-                        } else {
-                            q_count[q] -= 1;
-                            now + q_lat[q]
-                        }
-                    }
-                    DecodedOp::NiuRx => now + cfg.lat_niu_rx,
-                    DecodedOp::Transmit => {
-                        transmits[t] += 1;
-                        if $measuring {
-                            let rel = now - warmup_cycles.min(now);
-                            if first_tx.is_none() {
-                                first_tx = Some(rel);
-                            }
-                            last_tx = Some(rel);
-                        }
-                        now + cfg.lat_niu_tx
-                    }
-                };
-                wake_at[t] = wake + imiss_extra;
-                if advance {
-                    th.op_pos += 1;
-                    if th.op_pos == th.op_end {
-                        th.op_pos = th.op_start;
-                        iterations[t] += 1;
-                    }
-                }
-            }};
+    /// Runs every grant before cycle `end`. Each pipe runs its pipe-local
+    /// grants on its own ([`Self::advance`]); shared grants are served
+    /// one at a time, earliest cycle first and, within a cycle, in
+    /// ascending pipe order — the order of the scalar engine's loop.
+    ///
+    /// That is exact because a pipe's arbitration reads only its own
+    /// strands' wake-ups, which only its own grants write; a pipe-local op
+    /// touches no shared state, so it commutes with every grant on other
+    /// pipes; and a cycle without a grant changes nothing.
+    fn run_window<const MEASURING: bool>(&mut self, end: u64, warmup: u64) {
+        for i in 0..self.scratch.active.len() {
+            let p = self.scratch.active[i];
+            self.advance::<MEASURING>(p, end);
         }
-
-        macro_rules! run_window {
-            ($end:expr, $measuring:expr) => {
-                while now < $end {
-                    let mut granted = 0usize;
-                    // Visit pipes in two steps: a branchless pass computes
-                    // a bitmask of the pipes that might issue this cycle
-                    // (solo wake check, or the conservative all-blocked
-                    // bound for shared pipes), then only the set bits are
-                    // walked. At typical issue densities roughly half the
-                    // pipes are blocked each cycle, and folding those
-                    // unpredictable per-pipe branches into setcc arithmetic
-                    // is markedly cheaper than mispredicting them.
-                    for chunk in visits.chunks(32) {
-                        let mut due: u32 = 0;
-                        for (i, &(p, solo)) in chunk.iter().enumerate() {
-                            let ready = if solo != usize::MAX {
-                                wake_at[solo] <= now
-                            } else {
-                                pipe_next[p] <= now
-                            };
-                            due |= u32::from(ready) << i;
-                        }
-                        while due != 0 {
-                            let i = due.trailing_zeros() as usize;
-                            due &= due - 1;
-                            let (p, solo) = chunk[i];
-                            let t = if solo != usize::MAX {
-                                // Single-strand pipe: the wake check above
-                                // was the whole arbitration; the round-robin
-                                // pointer and blocked-pipe bound never
-                                // change outcomes.
-                                solo
-                            } else {
-                                let list = &pipe_tasks[p];
-                                let len = list.len();
-                                let start = pipe_rr[p];
-                                // Least-recently-served rotation — same
-                                // order as the scalar engine's
-                                // `(start + i) % len` walk, expressed with
-                                // a branchy wrap to avoid the integer
-                                // division.
-                                let mut chosen = None;
-                                let mut earliest = u64::MAX;
-                                let mut j = start;
-                                for _ in 0..len {
-                                    let t = list[j];
-                                    let w = wake_at[t];
-                                    if w <= now {
-                                        chosen = Some((j, t));
-                                        break;
-                                    }
-                                    earliest = earliest.min(w);
-                                    j += 1;
-                                    if j == len {
-                                        j = 0;
-                                    }
-                                }
-                                let Some((pos, t)) = chosen else {
-                                    // Full scan failed: `earliest` is the
-                                    // true next wake-up of this pipe; skip
-                                    // it until then.
-                                    pipe_next[p] = earliest;
-                                    continue;
-                                };
-                                // A grant invalidates the bound (other
-                                // strands may already be ready); `now`
-                                // keeps the skip disabled until the next
-                                // failed scan tightens it again.
-                                pipe_next[p] = now;
-                                pipe_rr[p] = if pos + 1 == len { 0 } else { pos + 1 };
-                                t
-                            };
-                            granted += 1;
-                            if $measuring {
-                                issue_slots += 1;
-                            }
-                            issue_op!(t, $measuring);
-                        }
-                    }
-
-                    if granted == 0 {
-                        // Jump to the next wake-up instead of spinning.
-                        let next = wake_at
-                            .iter()
-                            .copied()
-                            .filter(|&w| w > now)
-                            .min()
-                            .unwrap_or(now + 1);
-                        now = next.min(total_end).max(now + 1);
-                    } else {
-                        now += 1;
-                    }
+        loop {
+            let s = &self.scratch;
+            let mut next = None;
+            let mut at = end;
+            for &p in &s.active {
+                if s.pipes[p].at < at {
+                    at = s.pipes[p].at;
+                    next = Some(p);
                 }
-            };
-        }
-
-        run_window!(warmup_cycles, false);
-        // Measurement-boundary reset: the scalar engine performs it on the
-        // first iteration with `now >= warmup_cycles`, i.e. exactly when a
-        // warm-up actually ran and the loop continues past it (an idle jump
-        // can leap straight to `total_end`, in which case the scalar loop
-        // exits without ever resetting).
-        if warmup_cycles > 0 && now < total_end {
-            transmits.fill(0);
-            iterations.fill(0);
-            issue_slots = 0;
-            first_tx = None;
-            last_tx = None;
-            for c in l1d.iter_mut() {
-                c.reset_stats();
             }
-            l2.reset_stats();
+            let Some(p) = next else { return };
+            self.serve::<MEASURING>(p, warmup);
+            self.advance::<MEASURING>(p, end);
         }
-        run_window!(total_end, true);
+    }
 
-        Ok(SimReport {
-            measured_cycles: measure_cycles,
-            clock_hz: cfg.clock_hz,
-            packets_transmitted: transmits.iter().sum(),
-            per_task_transmits: transmits.clone(),
-            per_task_iterations: iterations.clone(),
-            l1d_hit_rates: l1d.iter().map(|cache| cache.hit_rate()).collect(),
-            l2_hit_rate: l2.hit_rate(),
-            issue_slots_granted: issue_slots,
-            first_transmit_cycle: first_tx,
-            last_transmit_cycle: last_tx,
-        })
+    /// Grants pipe `p`'s ops from cycle `at` on, each on the cycle the
+    /// scalar engine grants it, until the next grant is a shared op (left
+    /// pending in `at` and `pos`) or falls at or past `end`.
+    #[inline]
+    fn advance<const MEASURING: bool>(&mut self, p: usize, end: u64) {
+        let cfg = self.cfg;
+        let ops = &self.ops[..];
+        let s = &mut self.scratch;
+        let pipe = &mut s.pipes[p];
+        let mut c = pipe.at;
+        let mut grants = 0u64;
+        if let [t] = pipe.strands[..] {
+            // Alone on its pipe, the strand's wake-up is the whole
+            // arbitration: its burst runs as a tight loop over locals.
+            let mut th = s.tasks[t].clone();
+            let mut wake = s.wake_at[t];
+            let mut laps = 0u64;
+            while c < end {
+                let g = c.max(wake);
+                if g >= end {
+                    c = g;
+                    break;
+                }
+                let op = ops[th.op_pos as usize];
+                let Some(lat) = issue_local(&mut th, op, cfg) else {
+                    c = g;
+                    pipe.pos = 0;
+                    break;
+                };
+                wake = g + lat + th.imiss_stall(cfg);
+                if th.micro == 0 && th.next_op() {
+                    laps += 1;
+                }
+                grants += 1;
+                c = g + 1;
+            }
+            s.tasks[t] = th;
+            s.wake_at[t] = wake;
+            s.iterations[t] += laps;
+        } else {
+            let len = pipe.strands.len();
+            let mut rr = pipe.rr;
+            while c < end {
+                // Least-recently-served rotation — the scalar engine's
+                // `(start + i) % len` walk with a branchy wrap. A failed
+                // scan jumps to the pipe's next wake-up.
+                let mut chosen = usize::MAX;
+                let mut earliest = u64::MAX;
+                let mut j = rr;
+                for _ in 0..len {
+                    let w = s.wake_at[pipe.strands[j]];
+                    if w <= c {
+                        chosen = j;
+                        break;
+                    }
+                    earliest = earliest.min(w);
+                    j += 1;
+                    if j == len {
+                        j = 0;
+                    }
+                }
+                if chosen == usize::MAX {
+                    c = earliest;
+                    continue;
+                }
+                let t = pipe.strands[chosen];
+                let th = &mut s.tasks[t];
+                let op = ops[th.op_pos as usize];
+                let Some(lat) = issue_local(th, op, cfg) else {
+                    pipe.pos = chosen;
+                    break;
+                };
+                s.wake_at[t] = c + lat + th.imiss_stall(cfg);
+                if th.micro == 0 && th.next_op() {
+                    s.iterations[t] += 1;
+                }
+                rr = if chosen + 1 == len { 0 } else { chosen + 1 };
+                grants += 1;
+                c += 1;
+            }
+            pipe.rr = rr;
+        }
+        pipe.at = c;
+        if MEASURING {
+            s.issue_slots += grants;
+        }
+    }
+
+    /// Grants pipe `p`'s pending shared op on its cycle.
+    fn serve<const MEASURING: bool>(&mut self, p: usize, warmup: u64) {
+        let cfg = self.cfg;
+        let s = &mut self.scratch;
+        let pipe = &mut s.pipes[p];
+        let (now, pos) = (pipe.at, pipe.pos);
+        let t = pipe.strands[pos];
+        pipe.rr = if pos + 1 == pipe.strands.len() {
+            0
+        } else {
+            pos + 1
+        };
+        pipe.at = now + 1;
+        if MEASURING {
+            s.issue_slots += 1;
+        }
+
+        let th = &mut s.tasks[t];
+        let c = th.core as usize;
+        let op = self.ops[th.op_pos as usize];
+        let imiss_extra = th.imiss_stall(cfg);
+        let mut retry = false;
+        let wake = match op {
+            DecodedOp::Fp(n) => {
+                th.step_burst(n);
+                let issue = now.max(s.fpu_free[c]);
+                s.fpu_free[c] = issue + 1;
+                issue + cfg.lat_fp
+            }
+            DecodedOp::Crypto(n) => {
+                th.step_burst(n);
+                let issue = now.max(s.crypto_free[c]);
+                s.crypto_free[c] = issue + 1;
+                issue + cfg.lat_crypto
+            }
+            DecodedOp::Mem(mi) => {
+                let m = &self.mem_ops[mi as usize];
+                // Inline `gen_addr` over the decoded pattern — the RNG
+                // consumption matches the scalar engine draw for draw.
+                let addr = match m.pattern {
+                    DecodedPattern::Uniform => m.base + (th.rng.next_below(m.bytes) & !7),
+                    DecodedPattern::Sequential { stride } => {
+                        let n_regions = self.workload.regions().len();
+                        let cur = &mut s.seq_cursors[t * n_regions + m.region as usize];
+                        let offset = *cur;
+                        // `(offset + stride) % bytes` — the cursor stays
+                        // below `bytes`, so when the stride does too (the
+                        // common case) the modulo is a single conditional
+                        // subtraction.
+                        let mut next = offset + stride;
+                        if stride < m.bytes {
+                            if next >= m.bytes {
+                                next -= m.bytes;
+                            }
+                        } else {
+                            next %= m.bytes;
+                        }
+                        *cur = next;
+                        m.base + offset
+                    }
+                    DecodedPattern::Hot { draw, hot_span } => {
+                        let span = if draw.sample(&mut th.rng) {
+                            hot_span
+                        } else {
+                            m.bytes
+                        };
+                        m.base + (th.rng.next_below(span) & !7)
+                    }
+                };
+                let issue = now.max(s.lsu_free[c]);
+                s.lsu_free[c] = issue + 1;
+                let done = if s.l1d[c].access(addr, now) {
+                    issue + cfg.lat_l1
+                } else {
+                    let bank = self.bank_sel.of(addr);
+                    let t_bank = (issue + cfg.lat_l1).max(s.bank_free[bank]);
+                    s.bank_free[bank] = t_bank + 1;
+                    if s.l2.access(addr, now) {
+                        t_bank + cfg.lat_l2
+                    } else {
+                        let mc = self.mc_sel.of(addr);
+                        let t_mc = (t_bank + cfg.lat_l2).max(s.mc_free[mc]);
+                        s.mc_free[mc] = t_mc + cfg.mem_issue_gap;
+                        t_mc + cfg.lat_mem
+                    }
+                };
+                if m.store {
+                    // Store buffer hides the latency from the strand;
+                    // bandwidth was still charged above.
+                    issue + 1
+                } else {
+                    done
+                }
+            }
+            DecodedOp::QueuePush(q) => {
+                let q = q as usize;
+                if s.q_count[q] >= self.q_cap[q] {
+                    retry = true;
+                    now + cfg.queue_retry
+                } else {
+                    s.q_count[q] += 1;
+                    now + s.q_lat[q]
+                }
+            }
+            DecodedOp::QueuePop(q) => {
+                let q = q as usize;
+                if s.q_count[q] == 0 {
+                    retry = true;
+                    now + cfg.queue_retry
+                } else {
+                    s.q_count[q] -= 1;
+                    now + s.q_lat[q]
+                }
+            }
+            DecodedOp::Transmit => {
+                s.transmits[t] += 1;
+                if MEASURING {
+                    let rel = now - warmup.min(now);
+                    if s.first_tx.is_none() {
+                        s.first_tx = Some(rel);
+                    }
+                    s.last_tx = Some(rel);
+                }
+                now + cfg.lat_niu_tx
+            }
+            DecodedOp::Int(_) | DecodedOp::Mul(_) | DecodedOp::NiuRx => {
+                unreachable!("`advance` issues pipe-local ops itself")
+            }
+        };
+        s.wake_at[t] = wake + imiss_extra;
+        // A burst moves on with its last micro-op, a queue op only once
+        // it succeeds.
+        if !retry && th.micro == 0 && th.next_op() {
+            s.iterations[t] += 1;
+        }
     }
 
     /// Evaluates a slice of assignments in order.

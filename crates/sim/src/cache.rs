@@ -120,23 +120,6 @@ impl Cache {
         self.misses
     }
 
-    /// Copies tags, stamps and stats from `src`, which must have the same
-    /// geometry. Lets a batch of simulations restore a prefilled cache
-    /// image with two `memcpy`s instead of replaying the fill sequence.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `src` has a different geometry.
-    pub fn copy_state_from(&mut self, src: &Cache) {
-        assert_eq!(self.sets, src.sets, "set count mismatch");
-        assert_eq!(self.ways, src.ways, "way count mismatch");
-        assert_eq!(self.line_shift, src.line_shift, "line size mismatch");
-        self.tags.copy_from_slice(&src.tags);
-        self.stamps.copy_from_slice(&src.stamps);
-        self.hits = src.hits;
-        self.misses = src.misses;
-    }
-
     /// Invalidates every line and zeroes the stats — equivalent to a
     /// freshly constructed cache of the same geometry, without the
     /// allocation.

@@ -161,7 +161,9 @@ fn batch_engine_matches_scalar_over_a_seeded_sweep() {
         let (warm, measure) = random_windows(&mut rng);
 
         let mut batch = BatchSimulator::new(&m, &w).unwrap();
-        batch.run_one(&earlier, earlier_warm, earlier_measure).unwrap();
+        batch
+            .run_one(&earlier, earlier_warm, earlier_measure)
+            .unwrap();
         let fast = batch.run_one(&assignment, warm, measure).unwrap();
         let scalar = Simulator::new(&m, &w, &assignment)
             .unwrap()

@@ -336,11 +336,10 @@ impl FaultyShared {
 /// plus a deterministic fraction of its unsynced tail (a torn tail,
 /// exactly what a real crash leaves).
 ///
-/// The handle is cheaply clonable; clones share one fault schedule and
-/// one set of durability watermarks, so the store can own one clone
-/// while the test harness keeps another for [`FaultyIo::stats`] and
-/// [`FaultyIo::crash`].
-#[derive(Clone)]
+/// The store borrows the handle only while it opens; the harness keeps
+/// it for [`FaultyIo::stats`] and [`FaultyIo::crash`]. The append
+/// handles it gives out share its fault schedule and durability
+/// watermarks.
 pub struct FaultyIo {
     shared: Arc<FaultyShared>,
 }
@@ -403,8 +402,11 @@ impl FaultyIo {
             }
             let unsynced = mark.current - mark.durable;
             // Keep a deterministic slice of the unsynced tail: from 0
-            // bytes (all lost) up to unsynced - 1 (almost all kept).
-            let path_seed = crate::fnv1a64(path.as_os_str().as_encoded_bytes());
+            // bytes (all lost) up to unsynced - 1 (almost all kept). The
+            // slice is seeded by the file's name, not its full path, so a
+            // run reproduces wherever its directory lives.
+            let name = path.file_name().unwrap_or(path.as_os_str());
+            let path_seed = crate::fnv1a64(name.as_encoded_bytes());
             let keep = draw(shared.plan.seed ^ path_seed, mark.current, SALT_POS) % unsynced;
             let len = mark.durable + keep;
             let file = std::fs::OpenOptions::new().write(true).open(&path)?;
@@ -525,6 +527,9 @@ impl StoreIo for FaultyIo {
     }
 
     fn open_append(&self, path: &Path) -> io::Result<Box<dyn StoreFile>> {
+        // Opening may create the file, so it is a mutation the dead disk
+        // refuses.
+        self.shared.next_op()?;
         let file = std::fs::OpenOptions::new()
             .create(true)
             .append(true)
@@ -658,8 +663,9 @@ mod tests {
     #[test]
     fn dead_disk_fails_everything_after_the_limit() {
         let dir = temp_dir("dead");
+        // Four live operations: the open and three appends.
         let io = FaultyIo::new(IoFaultPlan {
-            crash_after_ops: Some(3),
+            crash_after_ops: Some(4),
             ..IoFaultPlan::none(7)
         });
         let path = dir.join("file");
@@ -687,9 +693,15 @@ mod tests {
             io.create_dir_all(&dir.join("sub")).unwrap_err().kind(),
             io::ErrorKind::BrokenPipe
         );
+        // Opening for append could create a file, so it dies too.
+        let fresh = dir.join("fresh");
+        assert_eq!(
+            io.open_append(&fresh).err().map(|e| e.kind()),
+            Some(io::ErrorKind::BrokenPipe)
+        );
         assert_eq!(std::fs::read(&path).unwrap(), b"onetwothree");
-        assert!(!moved.exists() && !dir.join("sub").exists());
-        assert_eq!(io.stats().dead_ops, 5);
+        assert!(!moved.exists() && !dir.join("sub").exists() && !fresh.exists());
+        assert_eq!(io.stats().dead_ops, 6);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -57,7 +57,7 @@ pub mod wal;
 use std::collections::{HashMap, HashSet};
 use std::fmt;
 use std::path::Path;
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::{Mutex, PoisonError};
 
 use cache::{CacheStats, EvalCache};
 use io::{RealIo, StoreIo};
@@ -175,7 +175,7 @@ impl CampaignStore {
     /// [`StoreError::Corrupt`] if an existing file is not a valid store
     /// artifact.
     pub fn open(dir: &Path) -> Result<CampaignStore, StoreError> {
-        CampaignStore::open_with(dir, Arc::new(RealIo), &Obs::disabled())
+        CampaignStore::open_with(dir, &RealIo, &Obs::disabled())
     }
 
     /// Opens the store at `dir` through `io`, creating the directory and
@@ -190,16 +190,12 @@ impl CampaignStore {
     /// Returns [`StoreError::Io`] on filesystem failure and
     /// [`StoreError::Corrupt`] if an existing file is not a valid store
     /// artifact.
-    pub fn open_with(
-        dir: &Path,
-        io: Arc<dyn StoreIo>,
-        obs: &Obs,
-    ) -> Result<CampaignStore, StoreError> {
+    pub fn open_with(dir: &Path, io: &dyn StoreIo, obs: &Obs) -> Result<CampaignStore, StoreError> {
         io.create_dir_all(dir)
             .map_err(|e| StoreError::Io(format!("creating store dir: {e}")))?;
 
         let wal_path = dir.join(WAL_FILE);
-        let (wal, records, open_report) = wal::open_log(io.as_ref(), &wal_path)?;
+        let (wal, records, open_report) = wal::open_log(io, &wal_path)?;
         report_open_damage(obs, &wal_path, &open_report);
 
         let mut inner = StoreInner {
@@ -594,7 +590,7 @@ mod tests {
         std::fs::write(&wal_path, &bytes).unwrap();
 
         let obs = Obs::metrics_only();
-        let store = CampaignStore::open_with(&dir, Arc::new(RealIo), &obs).unwrap();
+        let store = CampaignStore::open_with(&dir, &RealIo, &obs).unwrap();
         assert_eq!(store.open_report().quarantined_frames, 1);
         assert_eq!(obs.metrics().counter("store_frames_quarantined_total"), 1);
         // Slots 0, 2, 3 survive; slot 1 was quarantined away.
@@ -622,7 +618,7 @@ mod tests {
         // chopped off.
         let torn = (bytes.len() - 3 - wal::WAL_MAGIC.len()) as u64;
         let obs = Obs::metrics_only();
-        let store = CampaignStore::open_with(&dir, Arc::new(RealIo), &obs).unwrap();
+        let store = CampaignStore::open_with(&dir, &RealIo, &obs).unwrap();
         assert_eq!(store.open_report().tail_truncated_bytes, torn);
         assert_eq!(obs.metrics().counter("store_tail_truncated_total"), 1);
         assert_eq!(

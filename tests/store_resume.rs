@@ -9,7 +9,6 @@
 use std::fs;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
 
 use optassign::fault::{FaultPlan, FaultyModel};
 use optassign::iterative::{
@@ -315,7 +314,7 @@ fn crash_after(dir: &Path, ops: Option<u64>, campaign: impl FnOnce(&CampaignStor
         ..IoFaultPlan::none(SEED)
     });
     // An open the dead disk stops fails; the crash below still happens.
-    if let Ok(store) = CampaignStore::open_with(dir, Arc::new(faulty.clone()), &Obs::disabled()) {
+    if let Ok(store) = CampaignStore::open_with(dir, &faulty, &Obs::disabled()) {
         campaign(&store);
     }
     faulty.crash().expect("crash truncation");
