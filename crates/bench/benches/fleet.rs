@@ -170,7 +170,7 @@ fn main() {
     let _ = std::fs::remove_dir_all(&root);
 
     if let Some(path) = json_path() {
-        let report = bench_report_json("fleet", optassign::Parallelism::DEFAULT_BATCH, &entries);
+        let report = bench_report_json("fleet", &entries);
         std::fs::write(&path, &report).expect("write bench report");
         println!("\nwrote {path}");
     }

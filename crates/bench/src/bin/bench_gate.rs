@@ -8,11 +8,11 @@
 //! ```
 //!
 //! Two checks, both over the baseline-vs-candidate entries a bench run
-//! emits (scalar vs batched path, offline vs service, ...):
+//! emits (scalar engine vs model, offline vs service, ...):
 //!
 //! 1. **Floor** — every entry's baseline/candidate speedup must be at
-//!    least `--floor` (default 1.0): the batched path may never be slower
-//!    than the scalar path it replaces. The speedup is measured within
+//!    least `--floor` (default 1.0): the candidate may never be slower
+//!    than the reference it is measured against. The speedup is measured within
 //!    one process, so it is meaningful even on noisy or throttled hosts.
 //! 2. **Trajectory** (with a baseline) — the report and the baseline must
 //!    name the same entries (a bench that stops emitting an entry fails
@@ -74,7 +74,7 @@ fn violations(
     for cur in current {
         if cur.speedup < floor {
             violations.push(format!(
-                "{}: batch speedup {:.3}x below floor {floor:.2}x",
+                "{}: speedup {:.3}x below floor {floor:.2}x",
                 cur.name, cur.speedup
             ));
         }

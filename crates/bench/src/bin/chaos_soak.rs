@@ -1,13 +1,16 @@
 //! `chaos_soak` — end-to-end storage-fault campaign against the durable
 //! store.
 //!
-//! Drives the full chaos fabric in one deterministic run: a persistent
-//! campaign on a [`SyntheticModel`] is run repeatedly under [`FaultyIo`]
-//! — short writes, ENOSPC, silent bit flips, lost syncs, and a disk that
-//! dies after a seeded op budget — with a crash (torn tails of unsynced
-//! bytes) and an `fsck --repair` pass between rounds. A guaranteed
-//! interior bit flip then verifies quarantine end-to-end, and the final
-//! clean resume must reproduce the fault-free baseline bit for bit.
+//! Drives the full chaos fabric in one deterministic run: every round
+//! runs a persistent campaign of its own (its own study seed, its own
+//! stores) on a [`SyntheticModel`] under [`FaultyIo`] — short writes,
+//! ENOSPC, silent bit flips, lost syncs, and a disk that dies after a
+//! seeded op budget — then crashes (torn tails of unsynced bytes) and
+//! runs `fsck --repair`. A fresh campaign gives each round's fault budget
+//! store mutations to land in; a round that injects no fault fails the
+//! soak. Each round then fills its campaign in cleanly, and a guaranteed
+//! interior bit flip verifies quarantine end-to-end; every resume must
+//! reproduce the round's fault-free baseline bit for bit.
 //!
 //! Everything is derived from `--seed`, so a failure reproduces exactly.
 //! Prints `chaos_soak: OK (...)` and exits 0 on success; panics (exit
@@ -112,50 +115,49 @@ fn main() {
         scale.name, scale.tasks, scale.n, scale.rounds, par.workers
     );
 
-    // ---- fault-free baseline -----------------------------------------
-    let baseline_dir = work.join("baseline");
-    std::fs::create_dir_all(&baseline_dir).expect("creating baseline dir");
-    let store =
-        CampaignStore::open_with(&baseline_dir, &RealIo, &obs).expect("baseline store opens");
-    let baseline = SampleStudy::run_with(&model, scale.n, seed, par, &obs, Some(&store))
-        .expect("baseline campaign runs");
-    drop(store);
-    let baseline_bits: Vec<u64> = baseline
-        .performances()
-        .iter()
-        .map(|p| p.to_bits())
-        .collect();
-
-    // ---- kill / corrupt / repair / resume loop -----------------------
-    let chaos_dir = work.join("chaos");
-    std::fs::create_dir_all(&chaos_dir).expect("creating chaos dir");
     let mut quarantined_total = 0u64;
     let mut torn_total = 0u64;
     for round in 0..scale.rounds {
+        // Each round's campaign gets stores of its own: the evaluation
+        // cache is keyed by equivalence class, so on a shared store a
+        // campaign could read another campaign's value for an
+        // equivalent placement, and which one depends on what survived.
+        let round_dir = work.join(format!("round-{round}"));
+        let study_seed = seed ^ mix(round ^ 0x5EED);
+        let campaign = |store: &CampaignStore, what: &str| -> Vec<u64> {
+            let study = SampleStudy::run_with(&model, scale.n, study_seed, par, &obs, Some(store))
+                .unwrap_or_else(|e| panic!("round {round}: {what} failed: {e}"));
+            study.performances().iter().map(|p| p.to_bits()).collect()
+        };
+
+        // ---- fault-free baseline -------------------------------------
+        let baseline_dir = round_dir.join("baseline");
+        std::fs::create_dir_all(&baseline_dir).expect("creating baseline dir");
+        let store =
+            CampaignStore::open_with(&baseline_dir, &RealIo, &obs).expect("baseline store opens");
+        let baseline = campaign(&store, "baseline campaign");
+        drop(store);
+
+        // ---- faults, crash, repair -----------------------------------
+        let chaos_dir = round_dir.join("chaos");
+        std::fs::create_dir_all(&chaos_dir).expect("creating chaos dir");
         let round_seed = seed ^ mix(round + 1);
-        let budget = 24 + mix(round_seed) % 150;
+        // A campaign makes at least one store mutation per slot, so a
+        // budget below `n` kills the disk mid-campaign.
+        let budget = 8 + mix(round_seed) % (scale.n as u64 - 8);
         let plan = IoFaultPlan {
             crash_after_ops: Some(budget),
             ..IoFaultPlan::harsh(round_seed)
         };
         let faulty = FaultyIo::new(plan);
         match CampaignStore::open_with(&chaos_dir, &faulty, &obs) {
-            Ok(store) => {
-                // Storage faults are swallowed and counted by the store;
-                // the campaign itself must still complete.
-                let study = SampleStudy::run_with(&model, scale.n, seed, par, &obs, Some(&store))
-                    .expect("campaign survives storage faults");
-                assert_eq!(
-                    study
-                        .performances()
-                        .iter()
-                        .map(|p| p.to_bits())
-                        .collect::<Vec<_>>(),
-                    baseline_bits,
-                    "round {round}: output diverged under storage faults"
-                );
-                drop(store);
-            }
+            // Storage faults are swallowed and counted by the store; the
+            // campaign itself must still complete.
+            Ok(store) => assert_eq!(
+                campaign(&store, "campaign under storage faults"),
+                baseline,
+                "round {round}: output diverged under storage faults"
+            ),
             // The repair itself can hit the fault plan (dead disk, torn
             // repair write); the RealIo fsck below picks up the pieces.
             Err(e) => eprintln!("[chaos] round {round}: open failed under faults ({e})"),
@@ -166,9 +168,10 @@ fn main() {
         quarantined_total += report.quarantined_frames;
         torn_total += report.tail_truncated_bytes;
         eprintln!(
-            "[chaos] round {round}: budget {budget} ops → {} enospc, {} short, {} bit-flips, \
+            "[chaos] round {round}: budget {budget} of {} ops → {} enospc, {} short, {} bit-flips, \
              {} lost syncs, {} dead ops; crash tore {torn} files; fsck kept {} records, \
              quarantined {} frames, truncated {} tail bytes",
+            stats.ops,
             stats.enospc,
             stats.short_writes,
             stats.corrupted,
@@ -178,40 +181,46 @@ fn main() {
             report.quarantined_frames,
             report.tail_truncated_bytes
         );
+        let injected =
+            stats.enospc + stats.short_writes + stats.corrupted + stats.lost_syncs + stats.dead_ops;
+        assert!(
+            injected > 0,
+            "round {round}: no storage fault landed in its {} store ops",
+            stats.ops
+        );
+
+        // ---- guaranteed quarantine round-trip ------------------------
+        // Complete the campaign cleanly so the log holds every record,
+        // flip one interior bit, and check fsck moves exactly that
+        // damage aside; the resumed campaign must match the baseline.
+        let store =
+            CampaignStore::open_with(&chaos_dir, &RealIo, &obs).expect("repaired store opens");
+        assert_eq!(
+            campaign(&store, "clean fill-in"),
+            baseline,
+            "round {round}: clean fill-in diverged from the fault-free baseline"
+        );
+        drop(store);
+        assert!(
+            flip_interior_bit(&chaos_dir.join(WAL_FILE), round_seed ^ 0xF11B),
+            "filled log must be long enough to corrupt"
+        );
+        let report = fsck(&chaos_dir, &RealIo, true, &obs).expect("fsck after bit flip");
+        assert!(
+            report.quarantined_frames >= 1,
+            "round {round}: interior bit flip must be quarantined, got {report:?}"
+        );
+        assert!(report.repaired, "fsck --repair must rewrite the log");
+        quarantined_total += report.quarantined_frames;
+
+        let store = CampaignStore::open_with(&chaos_dir, &RealIo, &obs).expect("final store opens");
+        assert_eq!(
+            campaign(&store, "final resume"),
+            baseline,
+            "round {round}: resumed campaign must be bit-identical to the fault-free baseline"
+        );
+        drop(store);
     }
-
-    // ---- guaranteed quarantine round-trip ----------------------------
-    // Complete the campaign cleanly so the log holds every record, flip
-    // one interior bit, and check fsck moves exactly that damage aside.
-    let store = CampaignStore::open_with(&chaos_dir, &RealIo, &obs).expect("repaired store opens");
-    SampleStudy::run_with(&model, scale.n, seed, par, &obs, Some(&store))
-        .expect("clean fill-in run");
-    drop(store);
-    assert!(
-        flip_interior_bit(&chaos_dir.join(WAL_FILE), seed ^ 0xF11B),
-        "filled log must be long enough to corrupt"
-    );
-    let report = fsck(&chaos_dir, &RealIo, true, &obs).expect("fsck after bit flip");
-    assert!(
-        report.quarantined_frames >= 1,
-        "interior bit flip must be quarantined, got {report:?}"
-    );
-    assert!(report.repaired, "fsck --repair must rewrite the log");
-    quarantined_total += report.quarantined_frames;
-
-    let store = CampaignStore::open_with(&chaos_dir, &RealIo, &obs).expect("final store opens");
-    let resumed = SampleStudy::run_with(&model, scale.n, seed, par, &obs, Some(&store))
-        .expect("final resume");
-    drop(store);
-    let resumed_bits: Vec<u64> = resumed.performances().iter().map(|p| p.to_bits()).collect();
-    assert_eq!(
-        resumed_bits, baseline_bits,
-        "resumed campaign must be bit-identical to the fault-free baseline"
-    );
-    assert!(
-        quarantined_total >= 1,
-        "the soak must exercise quarantine at least once"
-    );
 
     std::fs::remove_dir_all(&work).expect("cleaning work dir");
     println!(

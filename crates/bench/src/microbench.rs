@@ -99,7 +99,7 @@ pub fn group(title: &str) {
 }
 
 /// One baseline-vs-candidate comparison row of a bench report: the
-/// scalar vs the batched path, an offline vs a served campaign, one vs
+/// scalar engine vs the model, an offline vs a served campaign, one vs
 /// three workers — whatever the bench compares, in one unit.
 #[derive(Debug, Clone)]
 pub struct BenchEntry {
@@ -123,13 +123,12 @@ impl BenchEntry {
 }
 
 /// Renders a bench report as the JSON document the perf gate consumes
-/// (`BENCH_<name>.json`): a `bench` tag, the batch size the batched
-/// variants ran at, and one entry per benchmark.
+/// (`BENCH_<name>.json`): a `bench` tag and one entry per benchmark.
 #[must_use]
-pub fn bench_report_json(bench: &str, batch: usize, entries: &[BenchEntry]) -> String {
+pub fn bench_report_json(bench: &str, entries: &[BenchEntry]) -> String {
     let mut out = String::new();
     out.push_str(&format!(
-        "{{\n  \"bench\": \"{bench}\",\n  \"batch\": {batch},\n  \"entries\": [\n"
+        "{{\n  \"bench\": \"{bench}\",\n  \"entries\": [\n"
     ));
     for (i, e) in entries.iter().enumerate() {
         let comma = if i + 1 < entries.len() { "," } else { "" };

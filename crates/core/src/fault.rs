@@ -11,9 +11,8 @@
 //! Faults are keyed on that explicit pair rather than on a call counter,
 //! so the parallel runners can measure slots in any interleaving and
 //! still produce bit-identical results for every worker count. They flow
-//! only through the fallible keyed path —
-//! [`PerformanceModel::try_evaluate_at`] and its batched twin
-//! [`PerformanceModel::try_evaluate_batch_at`]; the infallible
+//! only through the fallible keyed path,
+//! [`PerformanceModel::try_evaluate_at`]; the infallible
 //! [`PerformanceModel::evaluate`] passes through to the wrapped model
 //! untouched, which keeps ground truth available for relative-error
 //! reporting in robustness studies.
@@ -256,57 +255,6 @@ impl<M: PerformanceModel> FaultyModel<M> {
         h ^= u64::from(attempt).wrapping_mul(0xA076_1D64_78BD_642F);
         StdRng::seed_from_u64(h)
     }
-
-    /// Applies the value-fault chain (stuck → spike → noise → heavy tail
-    /// → quantize → floor → finite check) to one successful reading.
-    /// `stuck_prev` supplies the "previous reading" the stuck-counter
-    /// fault would repeat; the RNG draw order is identical on the scalar
-    /// and batched keyed paths.
-    fn apply_value_faults(
-        &self,
-        rng: &mut StdRng,
-        mut value: f64,
-        stuck_prev: Option<f64>,
-        stats: &mut FaultStats,
-    ) -> Result<f64, MeasureError> {
-        if rng.gen_bool(self.plan.stuck_rate) {
-            if let Some(prev) = stuck_prev {
-                stats.stuck += 1;
-                value = prev;
-            }
-        }
-        if rng.gen_bool(self.plan.spike_rate) {
-            stats.spikes += 1;
-            let magnitude = 1.0 + (self.plan.spike_factor - 1.0) * rng.next_f64();
-            value *= if rng.gen_bool(0.5) {
-                magnitude
-            } else {
-                1.0 / magnitude
-            };
-        }
-        if rng.gen_bool(self.plan.noise_rate) {
-            stats.noisy += 1;
-            value *= 1.0 + self.plan.noise_sd * standard_normal(rng);
-        }
-        if rng.gen_bool(self.plan.heavy_tail_rate) {
-            stats.heavy_tails += 1;
-            // Pareto(α) multiplier, ≥ 1: rare extreme inflations.
-            let u = (1.0 - rng.next_f64()).max(f64::MIN_POSITIVE);
-            value *= u.powf(-1.0 / self.plan.heavy_tail_alpha);
-        }
-        if self.plan.quantize_step > 0.0 {
-            stats.quantized += 1;
-            value = (value / self.plan.quantize_step).round() * self.plan.quantize_step;
-        }
-
-        // A pile-up of downward faults can cross zero; performance is a
-        // rate, so floor at zero rather than emit a negative reading.
-        value = value.max(0.0);
-        if !value.is_finite() {
-            return Err(MeasureError::NonFinite(value));
-        }
-        Ok(value)
-    }
 }
 
 impl<M: PerformanceModel> PerformanceModel for FaultyModel<M> {
@@ -340,17 +288,48 @@ impl<M: PerformanceModel> PerformanceModel for FaultyModel<M> {
                     "injected fault (stream {stream:#x}, attempt {attempt})"
                 )));
             }
-            let value = self.inner.try_evaluate_at(assignment, stream, attempt)?;
-            // The stuck-counter fault repeats the *stream's* previous
-            // reading: calls within a stream are sequential, so this is
-            // order-free across slots. A stream's first reading has no
-            // predecessor and passes through unchanged.
-            let stuck_prev = if self.plan.stuck_rate > 0.0 {
-                lock(&self.stream_last).get(&stream).copied()
-            } else {
-                None
-            };
-            let value = self.apply_value_faults(&mut rng, value, stuck_prev, &mut stats)?;
+            let mut value = self.inner.try_evaluate_at(assignment, stream, attempt)?;
+            // The value-fault chain: stuck → spike → noise → heavy tail
+            // → quantize → floor → finite check. The stuck-counter fault
+            // repeats the *stream's* previous reading: calls within a
+            // stream are sequential, so this is order-free across slots.
+            // A stream's first reading has no predecessor and passes
+            // through unchanged.
+            if rng.gen_bool(self.plan.stuck_rate) {
+                if let Some(prev) = lock(&self.stream_last).get(&stream).copied() {
+                    stats.stuck += 1;
+                    value = prev;
+                }
+            }
+            if rng.gen_bool(self.plan.spike_rate) {
+                stats.spikes += 1;
+                let magnitude = 1.0 + (self.plan.spike_factor - 1.0) * rng.next_f64();
+                value *= if rng.gen_bool(0.5) {
+                    magnitude
+                } else {
+                    1.0 / magnitude
+                };
+            }
+            if rng.gen_bool(self.plan.noise_rate) {
+                stats.noisy += 1;
+                value *= 1.0 + self.plan.noise_sd * standard_normal(&mut rng);
+            }
+            if rng.gen_bool(self.plan.heavy_tail_rate) {
+                stats.heavy_tails += 1;
+                // Pareto(α) multiplier, ≥ 1: rare extreme inflations.
+                let u = (1.0 - rng.next_f64()).max(f64::MIN_POSITIVE);
+                value *= u.powf(-1.0 / self.plan.heavy_tail_alpha);
+            }
+            if self.plan.quantize_step > 0.0 {
+                stats.quantized += 1;
+                value = (value / self.plan.quantize_step).round() * self.plan.quantize_step;
+            }
+            // A pile-up of downward faults can cross zero; performance is
+            // a rate, so floor at zero rather than emit a negative reading.
+            value = value.max(0.0);
+            if !value.is_finite() {
+                return Err(MeasureError::NonFinite(value));
+            }
             if self.plan.stuck_rate > 0.0 {
                 lock(&self.stream_last).insert(stream, value);
             }
@@ -358,97 +337,6 @@ impl<M: PerformanceModel> PerformanceModel for FaultyModel<M> {
         })();
         lock(&self.stats).merge(&stats);
         outcome
-    }
-
-    /// Ground truth stays batched: the wrapped model's fast path runs
-    /// with no injection, mirroring the scalar `evaluate` passthrough.
-    fn evaluate_batch(&self, assignments: &[Assignment]) -> Vec<f64> {
-        self.inner.evaluate_batch(assignments)
-    }
-
-    /// Keyed batch evaluation with faults: the fault draws replay the
-    /// scalar keyed path slot for slot — each slot's RNG draws its fail
-    /// check first, then (for surviving slots) the value-fault chain —
-    /// while the *inner* evaluations of the surviving slots run through
-    /// the wrapped model's batched hot path.
-    ///
-    /// Slot outcomes are keyed, so they cannot observe the batch
-    /// boundary; the stuck-counter state is per stream and updated in
-    /// slot order, exactly as a sequential scan would.
-    fn try_evaluate_batch_at(
-        &self,
-        assignments: &[Assignment],
-        keys: &[(u64, u32)],
-    ) -> Vec<Result<f64, MeasureError>> {
-        assert_eq!(
-            assignments.len(),
-            keys.len(),
-            "one (stream, attempt) key per assignment"
-        );
-        let mut stats = FaultStats::default();
-        stats.attempts += assignments.len() as u64;
-
-        // Phase 1: per-slot fail check, preserving each slot's RNG for
-        // the value-fault draws that follow its inner evaluation.
-        let mut rngs = Vec::with_capacity(assignments.len());
-        let mut failed = Vec::with_capacity(assignments.len());
-        for (a, &(stream, attempt)) in assignments.iter().zip(keys) {
-            let mut rng = self.fault_rng_at(a, stream, attempt);
-            let f = rng.gen_bool(self.plan.fail_rate);
-            if f {
-                stats.failures += 1;
-            }
-            rngs.push(rng);
-            failed.push(f);
-        }
-
-        // Phase 2: surviving slots go through the inner batched path.
-        let survivor_idx: Vec<usize> = (0..assignments.len()).filter(|&i| !failed[i]).collect();
-        let survivor_assignments: Vec<Assignment> = survivor_idx
-            .iter()
-            .map(|&i| assignments[i].clone())
-            .collect();
-        let survivor_keys: Vec<(u64, u32)> = survivor_idx.iter().map(|&i| keys[i]).collect();
-        let mut inner_results = self
-            .inner
-            .try_evaluate_batch_at(&survivor_assignments, &survivor_keys)
-            .into_iter();
-
-        // Phase 3: value faults in slot order (stuck state is per
-        // stream, updated exactly as the sequential scan would).
-        let out = assignments
-            .iter()
-            .zip(keys)
-            .zip(rngs.iter_mut().zip(&failed))
-            .map(|((_, &(stream, attempt)), (rng, &f))| {
-                if f {
-                    return Err(MeasureError::Failed(format!(
-                        "injected fault (stream {stream:#x}, attempt {attempt})"
-                    )));
-                }
-                // One inner result per survivor is the trait contract;
-                // a short inner batch surfaces as a typed failure rather
-                // than a panic (library crates are panic-free).
-                let Some(inner) = inner_results.next() else {
-                    return Err(MeasureError::Failed(
-                        "inner model returned fewer batch results than survivors".to_string(),
-                    ));
-                };
-                let value = inner?;
-                let stuck_prev = if self.plan.stuck_rate > 0.0 {
-                    lock(&self.stream_last).get(&stream).copied()
-                } else {
-                    None
-                };
-                let value = self.apply_value_faults(rng, value, stuck_prev, &mut stats)?;
-                if self.plan.stuck_rate > 0.0 {
-                    lock(&self.stream_last).insert(stream, value);
-                }
-                Ok(value)
-            })
-            .collect();
-        lock(&self.stats).merge(&stats);
-        out
     }
 }
 
@@ -617,29 +505,6 @@ mod tests {
             }
         }
         assert!(saw_failure && saw_success);
-    }
-
-    #[test]
-    fn keyed_batch_matches_scalar_keyed_path_at_any_chunking() {
-        // Streams repeat across slots (with ascending attempts) so the
-        // stuck-counter state is exercised across batch boundaries.
-        let xs = assignments(40);
-        let keys: Vec<(u64, u32)> = (0..40).map(|i| (500 + i % 8, (i / 8) as u32)).collect();
-        let scalar_m = FaultyModel::new(inner(), FaultPlan::harsh(31));
-        let scalar: Vec<_> = xs
-            .iter()
-            .zip(&keys)
-            .map(|(a, &(s, t))| scalar_m.try_evaluate_at(a, s, t))
-            .collect();
-        for chunk in [1usize, 3, 16, 1000] {
-            let m = FaultyModel::new(inner(), FaultPlan::harsh(31));
-            let mut out = Vec::new();
-            for (ac, kc) in xs.chunks(chunk).zip(keys.chunks(chunk)) {
-                out.extend(m.try_evaluate_batch_at(ac, kc));
-            }
-            assert_eq!(out, scalar, "chunk={chunk}");
-            assert_eq!(m.stats(), scalar_m.stats(), "chunk={chunk}");
-        }
     }
 
     #[test]

@@ -17,7 +17,7 @@ use crate::model::{MeasureError, PerformanceModel};
 use crate::persist;
 use crate::sampling::random_assignment;
 use crate::{Assignment, CoreError};
-use optassign_exec::{split_seed, try_parallel_map_batched, Parallelism};
+use optassign_exec::{parallel_map, split_seed, Parallelism};
 use optassign_obs::Obs;
 use optassign_stats::rng::StdRng;
 use optassign_store::CampaignStore;
@@ -124,16 +124,12 @@ pub(crate) struct Ladder {
 }
 
 impl Ladder {
-    /// Climbs one slot's ladder. `first` is the outcome of the slot's
-    /// first attempt (key 0 on the primary), prefetched for its whole
-    /// chunk through [`PerformanceModel::try_evaluate_batch_at`]; the
-    /// keyed contract makes it exactly what the scalar call would return.
+    /// Climbs one slot's ladder from its primary assignment.
     fn climb<M: PerformanceModel>(
         &self,
         model: &M,
         primary: &Assignment,
         slot: u64,
-        first: Result<f64, MeasureError>,
     ) -> Result<SlotOutcome, CoreError> {
         let stream = split_seed(self.stream_salt, slot);
         let mut redraw_rng: Option<StdRng> = None;
@@ -145,17 +141,11 @@ impl Ladder {
             redrawn: 0,
         };
         let mut last_err = MeasureError::Failed("no measurement attempted".into());
-        // Consumed by the first iteration (draw 0, attempt 0).
-        let mut prefetched = Some(first);
         for draw in 0..self.draw_cap {
             for attempt in 0..=self.max_retries {
                 out.attempts += 1;
                 let key = (draw * (self.max_retries + 1) + attempt) as u32;
-                let outcome = match prefetched.take() {
-                    Some(r) => r,
-                    None => model.try_evaluate_at(&current, stream, key),
-                };
-                match outcome {
+                match model.try_evaluate_at(&current, stream, key) {
                     Ok(v) => {
                         out.retries = attempt;
                         out.measured = Some((current, v));
@@ -186,18 +176,18 @@ impl Ladder {
 /// How a slot that nothing resolves is measured.
 #[derive(Debug, Clone, Copy)]
 pub(crate) enum Measure {
-    /// Ground truth through [`PerformanceModel::evaluate_batch`]: one
-    /// attempt per slot, never fails, values admitted as they come.
+    /// Ground truth through [`PerformanceModel::evaluate`]: one attempt
+    /// per slot, never fails, values admitted as they come.
     Plain,
     /// The fallible keyed retry/redraw ladder.
     Ladder(Ladder),
 }
 
 impl Measure {
-    /// Measures slot `slots[i]` with primary `primaries[i]`, one batched
-    /// model call per run of `parallelism.batch` slots (the ladder
-    /// finishes retries and redraws per slot). Errors as
-    /// [`try_parallel_map_batched`].
+    /// Measures slot `slots[i]` with primary `primaries[i]`, one slot
+    /// per task of [`parallel_map`]. Every slot runs, even after another
+    /// fails, and the error reported is the smallest failing slot's, at
+    /// any worker count. An empty batch enters no parallel region.
     pub(crate) fn run<M: PerformanceModel + Sync>(
         self,
         model: &M,
@@ -206,29 +196,21 @@ impl Measure {
         parallelism: Parallelism,
         obs: &Obs,
     ) -> Result<Vec<SlotOutcome>, CoreError> {
-        try_parallel_map_batched(parallelism, slots.len(), obs, |run| {
-            let (slots, primaries) = (&slots[run.clone()], &primaries[run]);
-            match self {
-                Measure::Plain => primaries
-                    .iter()
-                    .zip(model.evaluate_batch(primaries))
-                    .map(|(a, v)| Ok(SlotOutcome::known(a.clone(), v, 1)))
-                    .collect(),
-                Measure::Ladder(ladder) => {
-                    let keys: Vec<(u64, u32)> = slots
-                        .iter()
-                        .map(|&slot| (split_seed(ladder.stream_salt, slot), 0))
-                        .collect();
-                    let first = model.try_evaluate_batch_at(primaries, &keys);
-                    primaries
-                        .iter()
-                        .zip(slots)
-                        .zip(first)
-                        .map(|((primary, &slot), f)| ladder.climb(model, primary, slot, f))
-                        .collect()
-                }
-            }
+        if slots.is_empty() {
+            return Ok(Vec::new());
+        }
+        // Outcomes come back in slot order, so collecting them stops at
+        // the smallest failing slot.
+        parallel_map(parallelism, slots.len(), obs, |i| match self {
+            Measure::Plain => Ok(SlotOutcome::known(
+                primaries[i].clone(),
+                model.evaluate(&primaries[i]),
+                1,
+            )),
+            Measure::Ladder(ladder) => ladder.climb(model, &primaries[i], slots[i]),
         })
+        .into_iter()
+        .collect()
     }
 }
 

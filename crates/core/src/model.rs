@@ -16,7 +16,8 @@
 
 use crate::assignment::Assignment;
 use optassign_sim::program::Op;
-use optassign_sim::{BatchSimulator, MachineConfig, Simulator, Topology, WorkloadSpec};
+use optassign_sim::{BatchSimulator, MachineConfig, Topology, WorkloadSpec};
+use std::sync::{Arc, Mutex, PoisonError};
 
 /// Why a single measurement attempt failed.
 ///
@@ -110,62 +111,40 @@ pub trait PerformanceModel {
             Err(MeasureError::NonFinite(v))
         }
     }
-
-    /// Performance of several assignments at once.
-    ///
-    /// The contract is strict: the returned vector is **bit-identical** to
-    /// evaluating each assignment through [`PerformanceModel::evaluate`]
-    /// in order, at any batch size. Batching is purely a throughput
-    /// optimization — models that can amortize per-evaluation setup
-    /// (decode tables, cache images, allocation) across the batch override
-    /// this (see [`SimModel`]); the default is the scalar loop itself, so
-    /// the contract holds trivially.
-    ///
-    /// # Panics
-    ///
-    /// As [`PerformanceModel::evaluate`], for the first offending
-    /// assignment in order.
-    fn evaluate_batch(&self, assignments: &[Assignment]) -> Vec<f64> {
-        assignments.iter().map(|a| self.evaluate(a)).collect()
-    }
-
-    /// Keyed fallible batch evaluation: slot `i` is evaluated under key
-    /// `keys[i] = (stream, attempt)`, bit-identical to calling
-    /// [`PerformanceModel::try_evaluate_at`] per slot in order. Because
-    /// the keyed path is order-free by contract, a batch boundary is
-    /// invisible: parallel runners may prefetch whole chunks of first
-    /// attempts through this method and fall back to the per-slot path
-    /// for retries without changing a single bit of the outcome.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `keys.len() != assignments.len()`.
-    fn try_evaluate_batch_at(
-        &self,
-        assignments: &[Assignment],
-        keys: &[(u64, u32)],
-    ) -> Vec<Result<f64, MeasureError>> {
-        assert_eq!(
-            assignments.len(),
-            keys.len(),
-            "one (stream, attempt) key per assignment"
-        );
-        assignments
-            .iter()
-            .zip(keys)
-            .map(|(a, &(stream, attempt))| self.try_evaluate_at(a, stream, attempt))
-            .collect()
-    }
 }
 
 /// Simulator-backed model: every evaluation runs the cycle-approximate
 /// T2-like machine.
-#[derive(Debug, Clone)]
+///
+/// Each evaluation is one [`BatchSimulator::run_one`], bit-identical to
+/// `Simulator::new(..)?.run(..)`. Building a simulator decodes the
+/// workload and prefills a 1 MiB L2 image, so the model keeps the ones
+/// it built: an evaluation takes an idle simulator from a pool shared by
+/// every clone, or builds one when none is idle, and returns it after
+/// the run. The pool therefore holds at most one simulator (about 2 MiB)
+/// per thread that evaluated at the same time, and is freed with the
+/// last clone. A simulator carries nothing from one assignment to the
+/// next, so which one serves an evaluation never changes its result.
+#[derive(Clone)]
 pub struct SimModel {
     machine: MachineConfig,
     workload: WorkloadSpec,
     warmup_cycles: u64,
     measure_cycles: u64,
+    idle: Arc<Mutex<Vec<BatchSimulator>>>,
+}
+
+/// Leaves the pool out: its simulators are large, and how many sit idle
+/// depends on the model's history, not on what it measures.
+impl std::fmt::Debug for SimModel {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("SimModel")
+            .field("machine", &self.machine)
+            .field("workload", &self.workload)
+            .field("warmup_cycles", &self.warmup_cycles)
+            .field("measure_cycles", &self.measure_cycles)
+            .finish_non_exhaustive()
+    }
 }
 
 impl SimModel {
@@ -178,6 +157,7 @@ impl SimModel {
             workload,
             warmup_cycles: 20_000,
             measure_cycles: 80_000,
+            idle: Arc::default(),
         }
     }
 
@@ -198,6 +178,11 @@ impl SimModel {
     pub fn workload(&self) -> &WorkloadSpec {
         &self.workload
     }
+
+    /// The warm-up and measurement windows (cycles) every evaluation runs.
+    pub fn windows(&self) -> (u64, u64) {
+        (self.warmup_cycles, self.measure_cycles)
+    }
 }
 
 impl PerformanceModel for SimModel {
@@ -210,96 +195,37 @@ impl PerformanceModel for SimModel {
     }
 
     fn evaluate(&self, assignment: &Assignment) -> f64 {
-        let sim = match Simulator::new(&self.machine, &self.workload, assignment.contexts()) {
-            Ok(sim) => sim,
+        // Only a pop or a push runs under the lock, and either leaves the
+        // pool valid, so a poisoned lock still guards a sound pool. The
+        // pop is its own statement: the lock must not be held while a
+        // missing simulator is built.
+        let idle = self
+            .idle
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .pop();
+        let report = match idle {
+            Some(sim) => Ok(sim),
+            None => BatchSimulator::new(&self.machine, &self.workload),
+        }
+        .and_then(|mut sim| {
+            let report = sim.run_one(
+                assignment.contexts(),
+                self.warmup_cycles,
+                self.measure_cycles,
+            );
+            self.idle
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner)
+                .push(sim);
+            report
+        });
+        match report {
+            Ok(report) => report.pps(),
             // Assignment validity is enforced at construction; reaching
             // this means the assignment belongs to a different model.
             Err(e) => panic!("assignment incompatible with this model: {e}"),
-        };
-        sim.run(self.warmup_cycles, self.measure_cycles).pps()
-    }
-
-    /// Batched hot path: one [`BatchSimulator`] decodes the workload and
-    /// builds the shared L2 image once, then every assignment in the
-    /// batch reuses them. Bit-identical to the scalar path by the
-    /// simulator's replay contract (`BatchSimulator` reproduces
-    /// `Simulator::run` draw for draw), which
-    /// `crates/core/tests/batch_parity.rs` enforces.
-    fn evaluate_batch(&self, assignments: &[Assignment]) -> Vec<f64> {
-        if assignments.is_empty() {
-            return Vec::new();
         }
-        let mut sim = match BatchSimulator::new(&self.machine, &self.workload) {
-            Ok(sim) => sim,
-            Err(e) => panic!("assignment incompatible with this model: {e}"),
-        };
-        assignments
-            .iter()
-            .map(|a| {
-                match sim.run_one(a.contexts(), self.warmup_cycles, self.measure_cycles) {
-                    Ok(report) => report.pps(),
-                    // Same panic the scalar path raises for this slot.
-                    Err(e) => panic!("assignment incompatible with this model: {e}"),
-                }
-            })
-            .collect()
-    }
-
-    fn try_evaluate_batch_at(
-        &self,
-        assignments: &[Assignment],
-        keys: &[(u64, u32)],
-    ) -> Vec<Result<f64, MeasureError>> {
-        assert_eq!(
-            assignments.len(),
-            keys.len(),
-            "one (stream, attempt) key per assignment"
-        );
-        // Deterministic model: the key is irrelevant. `try_evaluate_at`'s
-        // default wraps `evaluate`, which panics on an incompatible
-        // assignment — so the batched path does too, and the only
-        // per-slot error left is a non-finite reading.
-        self.evaluate_batch(assignments)
-            .into_iter()
-            .map(|v| {
-                if v.is_finite() {
-                    Ok(v)
-                } else {
-                    Err(MeasureError::NonFinite(v))
-                }
-            })
-            .collect()
-    }
-}
-
-/// The scalar reference of any model: forwards only the scalar trait
-/// methods, so the trait's scalar-loop batch defaults run instead of the
-/// wrapped model's batched overrides. Batch parity tests and benches
-/// compare a model against `Unbatched(model)`; by the batch contract the
-/// two are bit-identical at every batch size.
-#[derive(Debug, Clone)]
-pub struct Unbatched<M>(pub M);
-
-impl<M: PerformanceModel> PerformanceModel for Unbatched<M> {
-    fn tasks(&self) -> usize {
-        self.0.tasks()
-    }
-
-    fn topology(&self) -> Topology {
-        self.0.topology()
-    }
-
-    fn evaluate(&self, assignment: &Assignment) -> f64 {
-        self.0.evaluate(assignment)
-    }
-
-    fn try_evaluate_at(
-        &self,
-        assignment: &Assignment,
-        stream: u64,
-        attempt: u32,
-    ) -> Result<f64, MeasureError> {
-        self.0.try_evaluate_at(assignment, stream, attempt)
     }
 }
 
@@ -637,69 +563,63 @@ mod tests {
     }
 
     #[test]
-    fn unbatched_runs_the_scalar_defaults_not_the_overrides() {
-        /// A model whose batched overrides must never be reached.
-        struct BatchPanics(SyntheticModel);
-        impl PerformanceModel for BatchPanics {
-            fn tasks(&self) -> usize {
-                self.0.tasks()
-            }
-            fn topology(&self) -> Topology {
-                self.0.topology()
-            }
-            fn evaluate(&self, assignment: &Assignment) -> f64 {
-                self.0.evaluate(assignment)
-            }
-            fn evaluate_batch(&self, _: &[Assignment]) -> Vec<f64> {
-                panic!("batched override reached")
-            }
-            fn try_evaluate_batch_at(
-                &self,
-                _: &[Assignment],
-                _: &[(u64, u32)],
-            ) -> Vec<Result<f64, MeasureError>> {
-                panic!("keyed batched override reached")
-            }
-        }
-        let inner = SyntheticModel::new(Topology::ultrasparc_t2(), 5, 1.0e6);
-        let model = Unbatched(BatchPanics(inner.clone()));
-        let mut rng = optassign_stats::rng::StdRng::seed_from_u64(8);
-        let xs: Vec<Assignment> = (0..7)
-            .map(|_| random_assignment(5, model.topology(), &mut rng).unwrap())
-            .collect();
-        let scalar: Vec<u64> = xs.iter().map(|a| inner.evaluate(a).to_bits()).collect();
-        let batched: Vec<u64> = model
-            .evaluate_batch(&xs)
-            .into_iter()
-            .map(f64::to_bits)
-            .collect();
-        assert_eq!(batched, scalar);
-        let keys: Vec<(u64, u32)> = (0..7).map(|i| (i, 0)).collect();
-        let keyed: Vec<u64> = model
-            .try_evaluate_batch_at(&xs, &keys)
-            .into_iter()
-            .map(|r| r.unwrap().to_bits())
-            .collect();
-        assert_eq!(keyed, scalar);
-    }
-
-    #[test]
-    fn sim_model_batch_is_bit_identical_to_scalar() {
+    fn sim_model_matches_the_scalar_simulator_on_pooled_simulators() {
+        use optassign_sim::Simulator;
         let machine = MachineConfig::ultrasparc_t2();
         let w = Benchmark::IpFwdMem.build_workload(2, 3);
-        let model = SimModel::new(machine, w).with_windows(2_000, 10_000);
+        let model = SimModel::new(machine.clone(), w.clone()).with_windows(2_000, 10_000);
         let mut rng = optassign_stats::rng::StdRng::seed_from_u64(5);
         let xs: Vec<Assignment> = (0..6)
             .map(|_| random_assignment(6, model.topology(), &mut rng).unwrap())
             .collect();
-        let scalar: Vec<u64> = xs.iter().map(|a| model.evaluate(a).to_bits()).collect();
-        for chunk in [1usize, 3, 16] {
-            let batched: Vec<u64> = xs
-                .chunks(chunk)
-                .flat_map(|c| model.evaluate_batch(c))
-                .map(f64::to_bits)
-                .collect();
-            assert_eq!(batched, scalar, "chunk={chunk}");
+        let scalar: Vec<u64> = xs
+            .iter()
+            .map(|a| {
+                let sim = Simulator::new(&machine, &w, a.contexts()).unwrap();
+                sim.run(2_000, 10_000).pps().to_bits()
+            })
+            .collect();
+        // One thread: every evaluation after the first reuses the
+        // simulator the previous one returned.
+        let serial: Vec<u64> = xs.iter().map(|a| model.evaluate(a).to_bits()).collect();
+        assert_eq!(serial, scalar);
+        assert_eq!(model.idle.lock().unwrap().len(), 1);
+        // Two threads on clones share the pool, which then holds at most
+        // one simulator per thread.
+        let clone = model.clone();
+        assert_eq!(clone.idle.lock().unwrap().len(), 1);
+        let (left, right) = std::thread::scope(|scope| {
+            let left = scope.spawn(|| xs.iter().map(|a| model.evaluate(a).to_bits()).collect());
+            let right = scope.spawn(|| xs.iter().map(|a| clone.evaluate(a).to_bits()).collect());
+            (left.join().unwrap(), right.join().unwrap())
+        });
+        assert_eq!((left, right), (scalar.clone(), scalar));
+        assert!(model.idle.lock().unwrap().len() <= 2);
+        assert!(!format!("{model:?}").contains("BatchSimulator"));
+    }
+
+    #[test]
+    fn default_try_evaluate_at_rejects_non_finite_values() {
+        /// Reads whatever value it was built with.
+        struct Constant(f64);
+        impl PerformanceModel for Constant {
+            fn tasks(&self) -> usize {
+                1
+            }
+            fn topology(&self) -> Topology {
+                Topology::ultrasparc_t2()
+            }
+            fn evaluate(&self, _: &Assignment) -> f64 {
+                self.0
+            }
+        }
+        let a = Assignment::new(vec![0], Topology::ultrasparc_t2()).unwrap();
+        assert_eq!(Constant(2.5).try_evaluate_at(&a, 7, 1), Ok(2.5));
+        for v in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            match Constant(v).try_evaluate_at(&a, 7, 1) {
+                Err(MeasureError::NonFinite(x)) => assert_eq!(x.to_bits(), v.to_bits()),
+                other => panic!("{v}: expected NonFinite, got {other:?}"),
+            }
         }
     }
 

@@ -103,7 +103,7 @@ impl SampleStudy {
     /// The assignments are drawn from the same sequential stream as the
     /// serial path and each slot's measurement is a pure function of its
     /// assignment, so the result is **bit-identical for every worker
-    /// count and batch size** — parallelism is purely a throughput knob.
+    /// count** — parallelism is purely a throughput knob.
     /// The measurement fan-out reports per-task latency and worker
     /// utilization through `obs` (see [`optassign_exec::parallel_map`]),
     /// the campaign is bracketed by `study_start`/`study_done` events, and
@@ -227,7 +227,7 @@ impl SampleStudy {
     /// assignment come from a slot-private stream. No parallel state is
     /// shared, reductions ([`MeasurementLog`] sums, error selection) are
     /// order-fixed, and the result is **bit-identical for every worker
-    /// count and batch size**.
+    /// count**.
     ///
     /// Beyond the fan-out instrumentation of [`SampleStudy::run_with`],
     /// the aggregated [`MeasurementLog`] is recorded as a
@@ -838,15 +838,18 @@ mod tests {
                 "exec_replayed_total",
                 "exec_cache_hits_total",
                 "exec_cache_misses_total",
+                "exec_regions_total",
             ]
             .map(|name| snap.counter(name))
         };
-        assert_eq!(resolve(80), [0, 0, 80], "cold: every slot measures");
-        // The same campaign again: every slot replays from the journal.
-        assert_eq!(resolve(80), [80, 0, 0], "rerun");
+        assert_eq!(resolve(80), [0, 0, 80, 1], "cold: every slot measures");
+        // The same campaign again: every slot replays from the journal,
+        // and a batch with nothing left to measure enters no parallel
+        // region.
+        assert_eq!(resolve(80), [80, 0, 0, 0], "rerun");
         // A longer study on the same seed is another campaign whose first
         // 80 draws are the first one's: they hit the evaluation cache.
-        assert_eq!(resolve(120), [0, 80, 40], "longer study");
+        assert_eq!(resolve(120), [0, 80, 40, 1], "longer study");
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -1049,18 +1052,31 @@ mod tests {
             ..FaultPlan::none(2)
         };
         let m = FaultyModel::new(model(), plan);
-        let par = Parallelism::new(2).with_batch(3);
-        let unstored = SampleStudy::run_resilient_with(&m, 20, 13, 0, par, &Obs::disabled(), None);
-        let dir = store_dir("exhausted");
-        let store = CampaignStore::open(&dir).unwrap();
-        let stored =
-            SampleStudy::run_resilient_with(&m, 20, 13, 0, par, &Obs::disabled(), Some(&store));
-        match (&unstored, &stored) {
-            (Err(CoreError::Measurement(a)), Err(CoreError::Measurement(b))) => assert_eq!(a, b),
-            other => panic!("expected two Measurement errors, got {other:?}"),
-        }
         let campaign = persist::resilient_campaign_id(13, 20, 0, m.tasks(), m.topology());
-        assert!((0..20).all(|slot| store.lookup_slot(campaign, 0, slot).is_none()));
-        std::fs::remove_dir_all(&dir).unwrap();
+        let mut serial_err = None;
+        for workers in [1, 2, 4, 7] {
+            let par = Parallelism::new(workers);
+            let unstored =
+                SampleStudy::run_resilient_with(&m, 20, 13, 0, par, &Obs::disabled(), None);
+            let dir = store_dir(&format!("exhausted-{workers}"));
+            let store = CampaignStore::open(&dir).unwrap();
+            let stored =
+                SampleStudy::run_resilient_with(&m, 20, 13, 0, par, &Obs::disabled(), Some(&store));
+            let err = match (unstored, stored) {
+                (Err(CoreError::Measurement(a)), Err(CoreError::Measurement(b))) => {
+                    assert_eq!(a, b, "workers={workers}");
+                    a
+                }
+                other => panic!("expected two Measurement errors, got {other:?}"),
+            };
+            // Every worker count reports the same (smallest) failing slot.
+            assert_eq!(
+                serial_err.get_or_insert_with(|| err.clone()),
+                &err,
+                "workers={workers}"
+            );
+            assert!((0..20).all(|slot| store.lookup_slot(campaign, 0, slot).is_none()));
+            std::fs::remove_dir_all(&dir).unwrap();
+        }
     }
 }

@@ -16,15 +16,14 @@
 //!    depend on scheduling order.
 //! 2. **Pre-indexed slots** — every task writes its result into the
 //!    slot for its index; nothing is appended in completion order.
-//! 3. **Order-fixed reduction** — results (and errors) are folded in
-//!    index order after the parallel region, never as workers finish.
-//!    [`try_parallel_map_batched`] always reports the error of the
+//! 3. **Order-fixed reduction** — results come back in index order,
+//!    never in the order workers finish. A fallible caller maps to
+//!    `Result`s and collects them, which reports the error of the
 //!    *smallest* failing index.
 //!
-//! There are two maps: [`parallel_map`], the per-index engine, and
-//! [`try_parallel_map_batched`], the one fallible, batched map built on
-//! it. Neither knows about caches or journals: the caller resolves what
-//! it already knows and maps only the rest.
+//! There is one map, [`parallel_map`]. It knows nothing about caches or
+//! journals: the caller resolves what it already knows and maps only the
+//! rest.
 //!
 //! The engine is dependency-free beyond the workspace's observability
 //! crate (`std::thread::scope` only) and the `workers == 1` path is a
@@ -32,7 +31,7 @@
 //!
 //! ## Observability
 //!
-//! Both maps take an [`Obs`] handle and report per-task latency, queue
+//! The map takes an [`Obs`] handle and reports per-task latency, queue
 //! occupancy, and worker utilization. Instrumentation follows the
 //! crate's own rules: each worker accumulates into a thread-local
 //! [`MetricsRegistry`] (integer-valued, so totals are exact and
@@ -41,7 +40,6 @@
 //! determinism contract holds with any recorder attached.
 
 use optassign_obs::{lane_span_id, Event, MetricsRegistry, Obs, SpanGuard, VALUE_BUCKETS};
-use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Derives an independent, reproducible RNG seed for one task index.
@@ -69,12 +67,6 @@ pub const fn split_seed(seed: u64, index: u64) -> u64 {
 pub struct Parallelism {
     /// Number of worker threads to use (at least 1).
     pub workers: usize,
-    /// Chunk size of the batched map ([`try_parallel_map_batched`]):
-    /// how many items one `evaluate_batch` call covers (at least 1; 1 is
-    /// the scalar path). Like `workers`, this is purely a throughput knob
-    /// — every batched path in the workspace is bit-identical at every
-    /// batch size.
-    pub batch: usize,
 }
 
 impl Parallelism {
@@ -82,18 +74,10 @@ impl Parallelism {
     /// [`Parallelism::max_available`].
     pub const ENV_VAR: &'static str = "OPTASSIGN_WORKERS";
 
-    /// Default batch size: large enough to amortize per-batch setup
-    /// (shared decode tables, cache prefill images), small enough that
-    /// chunk-level work stealing still load-balances.
-    pub const DEFAULT_BATCH: usize = 32;
-
     /// Sequential execution: one worker, no threads spawned.
     #[must_use]
     pub const fn serial() -> Self {
-        Self {
-            workers: 1,
-            batch: Self::DEFAULT_BATCH,
-        }
+        Self { workers: 1 }
     }
 
     /// Exactly `workers` workers (floored at 1).
@@ -101,15 +85,7 @@ impl Parallelism {
     pub const fn new(workers: usize) -> Self {
         Self {
             workers: if workers == 0 { 1 } else { workers },
-            batch: Self::DEFAULT_BATCH,
         }
-    }
-
-    /// Returns `self` with the given batch size (floored at 1).
-    #[must_use]
-    pub const fn with_batch(mut self, batch: usize) -> Self {
-        self.batch = if batch == 0 { 1 } else { batch };
-        self
     }
 
     /// All hardware threads the OS reports (at least 1).
@@ -342,64 +318,9 @@ where
     collected.into_iter().map(|(_, v)| v).collect()
 }
 
-/// The fallible, batched map: maps `f` over `0..n`, handing it ascending
-/// runs of `par.batch` indices (floored at 1, the scalar path) so the
-/// callee can amortize per-call setup across the run; `f` must return
-/// exactly one result per index, in order. With `n == 0` no parallel
-/// region is entered and `f` is never called. Infallible callers use
-/// [`std::convert::Infallible`] as `E`.
-///
-/// Runs are distributed over the workers by [`parallel_map`], and the
-/// output is in index order — bit-identical at every worker count and
-/// every batch size, provided `f` is pure per index. Runs are counted
-/// (`exec_batches_total`).
-///
-/// Errors are reduced in a fixed order: the call reports the error at
-/// the **smallest failing index**, for any worker count and batch size.
-/// A run is an indivisible unit for `f`, so there is no early exit —
-/// every run executes even after a failure.
-///
-/// # Errors
-///
-/// Returns the error of the smallest index at which `f` failed.
-///
-/// # Panics
-///
-/// Re-raises a panic from `f` on the calling thread, and panics if `f`
-/// returns a vector of the wrong length.
-pub fn try_parallel_map_batched<T, E, F>(
-    par: Parallelism,
-    n: usize,
-    obs: &Obs,
-    f: F,
-) -> Result<Vec<T>, E>
-where
-    T: Send,
-    E: Send,
-    F: Fn(Range<usize>) -> Vec<Result<T, E>> + Sync,
-{
-    if n == 0 {
-        return Ok(Vec::new());
-    }
-    let batch = par.batch.max(1);
-    let runs = n.div_ceil(batch);
-    obs.counter_add("exec_batches_total", runs as u64);
-    let computed = parallel_map(par, runs, obs, |c| {
-        let run = c * batch..((c + 1) * batch).min(n);
-        let len = run.len();
-        let out = f(run);
-        assert_eq!(out.len(), len, "batch fn must return one value per index");
-        out
-    });
-    // Order-fixed error reduction: runs ascend and indices ascend within
-    // a run, so the first Err seen in this scan is the smallest index's.
-    computed.into_iter().flatten().collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::convert::Infallible;
 
     #[test]
     fn split_seed_separates_indices() {
@@ -472,100 +393,11 @@ mod tests {
     }
 
     #[test]
-    fn observed_batched_map_keeps_error_selection() {
-        use optassign_obs::{MonotonicClock, NullRecorder};
-        let f = |run: Range<usize>| -> Vec<Result<usize, String>> {
-            run.map(|i| {
-                if i == 9 {
-                    Err("boom at 9".into())
-                } else {
-                    Ok(i)
-                }
-            })
-            .collect()
-        };
-        for workers in [1, 4] {
-            let obs = Obs::new(Box::new(NullRecorder), Box::new(MonotonicClock::new()));
-            let par = Parallelism::new(workers).with_batch(1);
-            let err = try_parallel_map_batched(par, 64, &obs, f).expect_err("must fail");
-            assert_eq!(err, "boom at 9", "workers={workers}");
-            assert_eq!(obs.metrics().counter("exec_tasks_total"), 64);
-        }
-    }
-
-    #[test]
     fn disabled_obs_map_records_nothing() {
         let obs = Obs::disabled();
         let out = parallel_map(Parallelism::new(4), 50, &obs, |i| i + 1);
         assert_eq!(out.len(), 50);
         assert!(obs.metrics().is_empty());
-    }
-
-    #[test]
-    fn batched_map_matches_per_index_map_at_every_batch_size_and_worker_count() {
-        let f = |i: usize| (i as u64).wrapping_mul(0x517C_C1B7).rotate_left(11);
-        for n in [0, 203] {
-            let fresh: Vec<u64> = (0..n).map(f).collect();
-            for workers in [1, 2, 4, 7] {
-                for batch in [1, 3, 16, 1000] {
-                    let obs = Obs::metrics_only();
-                    let par = Parallelism::new(workers).with_batch(batch);
-                    let out = try_parallel_map_batched(par, n, &obs, |run| {
-                        assert!(!run.is_empty() && run.len() <= batch, "run {run:?}");
-                        run.map(|i| Ok::<_, Infallible>(f(i))).collect()
-                    });
-                    assert_eq!(
-                        out,
-                        Ok(fresh.clone()),
-                        "n={n} workers={workers} batch={batch}"
-                    );
-                    let snap = obs.metrics();
-                    assert_eq!(snap.counter("exec_batches_total"), n.div_ceil(batch) as u64);
-                    // An empty map enters no parallel region.
-                    assert_eq!(snap.counter("exec_regions_total") == 0, n == 0);
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn try_batched_map_reports_smallest_failing_index() {
-        let f = |i: usize| -> Result<usize, String> {
-            if i == 30 || i == 70 {
-                Err(format!("boom at {i}"))
-            } else {
-                Ok(i)
-            }
-        };
-        let chunked = |run: Range<usize>| -> Vec<Result<usize, String>> { run.map(f).collect() };
-        for workers in [1, 2, 4, 7] {
-            for batch in [1, 3, 16, 1000] {
-                let par = Parallelism::new(workers).with_batch(batch);
-                let err = try_parallel_map_batched(par, 100, &Obs::disabled(), chunked)
-                    .expect_err("must fail");
-                assert_eq!(err, "boom at 30", "workers={workers} batch={batch}");
-                // With slot 30 succeeding, 70 is the smallest failure.
-                let err = try_parallel_map_batched(par, 71, &Obs::disabled(), |run| {
-                    run.map(|i| if i == 30 { Ok(i) } else { f(i) }).collect()
-                })
-                .expect_err("must fail");
-                assert_eq!(err, "boom at 70", "workers={workers} batch={batch}");
-                // Success path matches the per-item engine.
-                let ok = try_parallel_map_batched(par, 100, &Obs::disabled(), |run| {
-                    run.map(|i| Ok::<_, String>(i * 3)).collect()
-                })
-                .expect("must succeed");
-                assert_eq!(ok, (0..100).map(|i| i * 3).collect::<Vec<_>>());
-            }
-        }
-    }
-
-    #[test]
-    fn batch_knob_constructors() {
-        assert_eq!(Parallelism::serial().batch, Parallelism::DEFAULT_BATCH);
-        assert_eq!(Parallelism::new(3).batch, Parallelism::DEFAULT_BATCH);
-        assert_eq!(Parallelism::new(3).with_batch(0).batch, 1);
-        assert_eq!(Parallelism::new(3).with_batch(7).batch, 7);
     }
 
     #[test]

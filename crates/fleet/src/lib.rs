@@ -12,7 +12,7 @@
 //! * [`wire`] — the JSON lease protocol (integers exact, measured
 //!   values as IEEE-754 bit patterns);
 //! * [`worker`] — a node that measures leased slot ranges through the
-//!   batched persistent path, journals them to its own shard store (its
+//!   persistent path, journals them to its own shard store (its
 //!   evaluation cache and replay log), and serves that cache to peers;
 //! * [`coordinator`] — drives the iterative session over its own
 //!   journal, leases the slots the session could not resolve from it,

@@ -30,7 +30,7 @@ use optassign::{Parallelism, PerformanceModel};
 use optassign_httpd::{HttpConfig, HttpServer, Request, Response};
 use optassign_obs::{json_string, lane_span_id, Json, Obs, TraceContext};
 use optassign_optd::client::{http_call_traced, CallOptions};
-use optassign_optd::spec::{CampaignSpec, TenantModel};
+use optassign_optd::spec::{CampaignSpec, ModelSpec};
 use optassign_store::io::RealIo;
 use std::collections::HashMap;
 use std::path::PathBuf;
@@ -164,10 +164,11 @@ impl PeerCache for HttpPeers {
 
 struct WorkerState {
     store: Arc<CampaignStore>,
-    /// Installed campaigns by fingerprint. The model is rebuilt from the
-    /// effective spec at install time, so every worker measures the
-    /// exact workload the coordinator fingerprinted.
-    campaigns: Mutex<HashMap<u64, Arc<TenantModel>>>,
+    /// Installed campaigns by fingerprint. Each lease builds its model
+    /// from the effective spec, so every worker measures the exact
+    /// workload the coordinator fingerprinted, and a simulator-backed
+    /// model's pooled simulators are freed when the lease ends.
+    campaigns: Mutex<HashMap<u64, ModelSpec>>,
     peers: HttpPeers,
     parallelism: Parallelism,
     obs: Obs,
@@ -298,7 +299,7 @@ fn install_campaign(state: &WorkerState, req: &Request) -> Response {
         .lock()
         .unwrap_or_else(PoisonError::into_inner)
         .entry(fingerprint)
-        .or_insert_with(|| Arc::new(model));
+        .or_insert(spec.model);
     Response::json(201, format!("{{\"campaign\":{fingerprint}}}"))
 }
 
@@ -311,14 +312,14 @@ fn serve_lease(state: &WorkerState, req: &Request) -> Response {
     else {
         return Response::json(400, "{\"error\":\"lease carries no campaign\"}");
     };
-    let model = {
+    let spec = {
         let campaigns = state
             .campaigns
             .lock()
             .unwrap_or_else(PoisonError::into_inner);
         campaigns.get(&campaign).cloned()
     };
-    let Some(model) = model else {
+    let Some(model) = spec.map(|spec| spec.build()) else {
         return Response::json(
             404,
             format!("{{\"error\":\"campaign {campaign} is not installed on this worker\"}}"),
@@ -339,7 +340,7 @@ fn serve_lease(state: &WorkerState, req: &Request) -> Response {
             .unwrap_or_else(PoisonError::into_inner) = Some(ctx.child(remote_parent));
     }
     let measured = measure_leased_slots(
-        model.as_ref(),
+        &model,
         &lease,
         &state.store,
         &state.peers,

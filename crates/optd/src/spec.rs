@@ -147,9 +147,9 @@ impl ModelSpec {
 
 /// The model behind one tenant's campaign: enum dispatch over the
 /// concrete models so [`optassign::iterative::IterativeSession::step`]
-/// stays statically typed (and the batched hot path of each inner model
-/// is preserved — every trait method delegates, including the batch
-/// entry points).
+/// stays statically typed. Every trait method delegates, so a
+/// simulator-backed tenant keeps its [`SimModel`]'s pooled simulators
+/// for as long as the daemon keeps the campaign.
 pub enum TenantModel {
     /// Closed-form synthetic model.
     Synthetic(SyntheticModel),
@@ -189,24 +189,6 @@ impl PerformanceModel for TenantModel {
         match self {
             TenantModel::Synthetic(m) => m.try_evaluate_at(assignment, stream, attempt),
             TenantModel::Sim(m) => m.try_evaluate_at(assignment, stream, attempt),
-        }
-    }
-
-    fn evaluate_batch(&self, assignments: &[Assignment]) -> Vec<f64> {
-        match self {
-            TenantModel::Synthetic(m) => m.evaluate_batch(assignments),
-            TenantModel::Sim(m) => m.evaluate_batch(assignments),
-        }
-    }
-
-    fn try_evaluate_batch_at(
-        &self,
-        assignments: &[Assignment],
-        keys: &[(u64, u32)],
-    ) -> Vec<Result<f64, MeasureError>> {
-        match self {
-            TenantModel::Synthetic(m) => m.try_evaluate_batch_at(assignments, keys),
-            TenantModel::Sim(m) => m.try_evaluate_batch_at(assignments, keys),
         }
     }
 }
@@ -610,30 +592,5 @@ mod tests {
             assert_eq!(benchmark_by_name(b.name()), Some(b));
         }
         assert_eq!(benchmark_by_name("nope"), None);
-    }
-
-    #[test]
-    fn tenant_model_delegates_batches_bit_identically() {
-        use optassign::sampling::random_assignment;
-        use optassign_exec::split_seed;
-        use optassign_stats::rng::StdRng;
-
-        let model = ModelSpec::Synthetic {
-            tasks: 8,
-            base_pps: 2.0e6,
-        }
-        .build();
-        let mut rng = StdRng::seed_from_u64(5);
-        let assignments: Vec<_> = (0..16)
-            .map(|_| random_assignment(model.tasks(), model.topology(), &mut rng).unwrap())
-            .collect();
-        let keys: Vec<(u64, u32)> = (0..16).map(|i| (split_seed(9, i as u64), 0)).collect();
-        let batched = model.try_evaluate_batch_at(&assignments, &keys);
-        for (i, a) in assignments.iter().enumerate() {
-            assert_eq!(
-                batched[i].clone().unwrap(),
-                model.try_evaluate_at(a, keys[i].0, keys[i].1).unwrap()
-            );
-        }
     }
 }

@@ -462,7 +462,10 @@ struct Scratch {
 /// L2 prefill image. [`BatchSimulator::run_one`] then evaluates a single
 /// assignment reusing that shared state; results are bit-identical to
 /// [`crate::Simulator`]. Each evaluation runs as the per-pipe event loop
-/// the [module docs](self) describe.
+/// the [module docs](self) describe. The simulator owns copies of its
+/// machine and workload, and `run_one` carries nothing from one
+/// assignment to the next, so one simulator can serve a model for its
+/// whole life.
 ///
 /// # Examples
 ///
@@ -479,9 +482,9 @@ struct Scratch {
 /// assert_eq!(fast, slow);
 /// ```
 #[derive(Debug, Clone)]
-pub struct BatchSimulator<'a> {
-    cfg: &'a MachineConfig,
-    workload: &'a WorkloadSpec,
+pub struct BatchSimulator {
+    cfg: MachineConfig,
+    workload: WorkloadSpec,
     /// L2 image after steady-state prefill, stats already reset; each lane
     /// starts from it (see [`L2Lane::restore`]) instead of replaying the
     /// fill.
@@ -500,14 +503,14 @@ pub struct BatchSimulator<'a> {
     scratch: Scratch,
 }
 
-impl<'a> BatchSimulator<'a> {
+impl BatchSimulator {
     /// Prepares the shared state for a batch of evaluations.
     ///
     /// # Errors
     ///
     /// [`SimError::BadWorkload`] — inconsistent workload (see
     /// [`WorkloadSpec::validate`]).
-    pub fn new(cfg: &'a MachineConfig, workload: &'a WorkloadSpec) -> Result<Self, SimError> {
+    pub fn new(cfg: &MachineConfig, workload: &WorkloadSpec) -> Result<Self, SimError> {
         workload.validate()?;
         let topo = &cfg.topology;
 
@@ -622,8 +625,8 @@ impl<'a> BatchSimulator<'a> {
         };
 
         Ok(BatchSimulator {
-            cfg,
-            workload,
+            cfg: cfg.clone(),
+            workload: workload.clone(),
             l2_template,
             bank_sel: BankSel::new(cfg.l2_line, cfg.l2_banks),
             mc_sel: McSel::new(cfg.mem_controllers),
@@ -637,7 +640,7 @@ impl<'a> BatchSimulator<'a> {
 
     /// The workload this batch evaluates.
     pub fn workload(&self) -> &WorkloadSpec {
-        self.workload
+        &self.workload
     }
 
     /// Evaluates one assignment, reusing the shared batch state. Returns
@@ -655,12 +658,11 @@ impl<'a> BatchSimulator<'a> {
         warmup_cycles: u64,
         measure_cycles: u64,
     ) -> Result<SimReport, SimError> {
-        let cfg = self.cfg;
-        let topo = &cfg.topology;
         let n_tasks = self.workload.tasks().len();
+        let clock_hz = self.cfg.clock_hz;
 
         // ---- validation (same checks, same messages as Simulator::new) --
-        let contexts = topo.contexts();
+        let contexts = self.cfg.topology.contexts();
         if assignment.len() != n_tasks {
             return Err(SimError::BadAssignment(format!(
                 "assignment has {} entries for {} tasks",
@@ -713,7 +715,7 @@ impl<'a> BatchSimulator<'a> {
         let s = &self.scratch;
         Ok(SimReport {
             measured_cycles: measure_cycles,
-            clock_hz: cfg.clock_hz,
+            clock_hz,
             packets_transmitted: s.transmits.iter().sum(),
             per_task_transmits: s.transmits.clone(),
             per_task_iterations: s.iterations.clone(),
@@ -728,7 +730,7 @@ impl<'a> BatchSimulator<'a> {
     /// Resets the scratch to the machine state at cycle 0 for `assignment`
     /// (already validated).
     fn reset_lane(&mut self, assignment: &[usize]) {
-        let cfg = self.cfg;
+        let cfg = &self.cfg;
         let topo = &cfg.topology;
         let s = &mut self.scratch;
 
@@ -850,7 +852,7 @@ impl<'a> BatchSimulator<'a> {
     /// pending in `at` and `pos`) or falls at or past `end`.
     #[inline]
     fn advance<const MEASURING: bool>(&mut self, p: usize, end: u64) {
-        let cfg = self.cfg;
+        let cfg = &self.cfg;
         let ops = &self.ops[..];
         let s = &mut self.scratch;
         let pipe = &mut s.pipes[p];
@@ -935,7 +937,7 @@ impl<'a> BatchSimulator<'a> {
 
     /// Grants pipe `p`'s pending shared op on its cycle.
     fn serve<const MEASURING: bool>(&mut self, p: usize, warmup: u64) {
-        let cfg = self.cfg;
+        let cfg = &self.cfg;
         let s = &mut self.scratch;
         let pipe = &mut s.pipes[p];
         let (now, pos) = (pipe.at, pipe.pos);

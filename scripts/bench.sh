@@ -1,10 +1,10 @@
 #!/usr/bin/env bash
-# Batched-vs-scalar perf benchmark runner.
+# Model-vs-scalar perf benchmark runner.
 #
 # Runs the pinned-seed simulator and sampling benches and writes their
 # machine-readable reports (BENCH_simulator.json / BENCH_sampling.json)
 # to the repo root, then gates them against the committed baselines via
-# bench_gate: the batch/scalar speedup ratio must not regress more than
+# bench_gate: the model/scalar speedup ratio must not regress more than
 # 10% (the raw ns/eval medians are recorded for reference but only the
 # within-run ratio transfers across machines — see DESIGN.md §10).
 #
@@ -70,8 +70,8 @@ for name in simulator sampling; do
         continue
     fi
     echo "==> bench_gate ${name}"
-    # Floor 1.1x: the batched path must beat scalar by a clear margin
-    # even under VM noise (measured speedups sit at 1.25-1.5x).
+    # Floor 1.1x: the model must beat the scalar engine by a clear margin
+    # even under VM noise (committed speedups sit at 1.8-2.6x).
     if [[ -f "${BASELINE}" ]]; then
         target/release/bench_gate "${CURRENT}" "${BASELINE}" \
             --threshold 0.10 --floor 1.1 || STATUS=1

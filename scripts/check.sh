@@ -150,11 +150,16 @@ if [[ "${FAST}" == "0" ]]; then
     # times the simulator study), and ext_deep_pipeline honours every
     # flag.
     echo "==> experiment-flag smokes"
-    cargo build -q --release -p optassign-bench \
-        --bin ext_selection --bin ablation_predictor --bin ext_deep_pipeline
+    cargo build -q --release -p optassign-bench --bin ext_selection \
+        --bin ablation_predictor --bin ext_deep_pipeline --bin ext_scheduler_eval
     rc=0; target/release/ext_selection --workers 1 --metrics "${METRICS_TMP}/sel.jsonl" --scale 0.01 >/dev/null 2>&1 || rc=$?; [[ "${rc}" == 2 && ! -e "${METRICS_TMP}/sel.jsonl" ]]
     rc=0; target/release/ablation_predictor --checkpoint "${METRICS_TMP}/ckpt-abl" --scale 0.01 >/dev/null 2>&1 || rc=$?; [[ "${rc}" == 2 && ! -e "${METRICS_TMP}/ckpt-abl" ]]
     target/release/ext_deep_pipeline --scale 0.01 --workers 2 --metrics "${METRICS_TMP}/deep.jsonl" --checkpoint "${METRICS_TMP}/ckpt-deep" >/dev/null; grep -qx 'exec_cache_misses_total 900' "${METRICS_TMP}/deep.jsonl.prom"; [[ -d "${METRICS_TMP}/ckpt-deep/deep-p3" ]]
+    # ext_scheduler_eval at a scale whose 300-draw pools may have no
+    # bounded tail: it reports the tail unresolved and exits 0, after
+    # running local search and best-of-n on SimModel::evaluate.
+    target/release/ext_scheduler_eval --scale 0.1 --workers 2 >"${METRICS_TMP}/sched.out"
+    grep -q 'local search' "${METRICS_TMP}/sched.out"
 
     # obs_report smoke: deterministic tables from the serve run's journal,
     # tolerant of its exact content; chrome trace export parses as JSON.
@@ -385,7 +390,7 @@ EOF
     grep -Eq '[1-9][0-9]* cross-process pair\(s\)' "${FLEET_DIR}/fleet-report.out"
     grep -q '"traceEvents":\[' "${FLEET_DIR}/merged_trace.json"
 
-    # Perf-trajectory smoke: the batched evaluation hot path, measured at
+    # Perf-trajectory smoke: the model's evaluation path, measured at
     # a tiny window and diffed against the committed BENCH_*.json
     # baselines (>10% speedup-ratio regression fails; see DESIGN.md §10).
     echo "==> bench.sh --smoke perf gate"

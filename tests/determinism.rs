@@ -4,17 +4,17 @@
 
 use optassign::fault::{FaultPlan, FaultyModel};
 use optassign::iterative::{run_iterative, IterativeConfig};
-use optassign::model::{SimModel, SyntheticModel, Unbatched};
+use optassign::model::{SimModel, SyntheticModel};
 use optassign::study::SampleStudy;
 use optassign::{Parallelism, Topology};
 use optassign_evt::bootstrap::bootstrap_max_with;
 use optassign_netapps::Benchmark;
 use optassign_obs::Obs;
-use optassign_sim::MachineConfig;
+use optassign_sim::{MachineConfig, Simulator};
 use optassign_stats::rng::Rng;
 
 /// Worker counts exercised by every parity test: serial, even splits, and
-/// a count that does not divide typical batch sizes.
+/// a count that divides none of the sample sizes here.
 const WORKER_COUNTS: [usize; 4] = [1, 2, 4, 7];
 
 #[test]
@@ -67,7 +67,7 @@ fn iterative_algorithm_replays_exactly() {
 fn plain_study_is_bit_identical_across_worker_counts() {
     let machine = MachineConfig::ultrasparc_t2();
     let workload = Benchmark::IpFwdL1.build_workload(2, 9);
-    let model = SimModel::new(machine, workload).with_windows(2_000, 8_000);
+    let model = SimModel::new(machine.clone(), workload.clone()).with_windows(2_000, 8_000);
     let serial = SampleStudy::run_with(
         &model,
         60,
@@ -77,6 +77,15 @@ fn plain_study_is_bit_identical_across_worker_counts() {
         None,
     )
     .unwrap();
+    // The engine reference: every performance is what the scalar
+    // simulator reads for its assignment.
+    for (a, &p) in serial.assignments().iter().zip(serial.performances()) {
+        let scalar = Simulator::new(&machine, &workload, a.contexts())
+            .unwrap()
+            .run(2_000, 8_000)
+            .pps();
+        assert_eq!(p.to_bits(), scalar.to_bits(), "{:?}", a.contexts());
+    }
     for workers in WORKER_COUNTS {
         let par = SampleStudy::run_with(
             &model,
@@ -172,113 +181,6 @@ fn iterative_algorithm_is_bit_identical_across_worker_counts() {
             par.best_assignment.contexts(),
             "{workers} workers"
         );
-    }
-}
-
-/// Batch sizes exercised by the batched-variant tests below: degenerate,
-/// prime (misaligned with every worker count), the default-ish 16, and
-/// far larger than any study here (a single chunk).
-const BATCH_SIZES: [usize; 4] = [1, 3, 16, 1000];
-
-#[test]
-fn plain_study_is_bit_identical_across_batch_sizes() {
-    let machine = MachineConfig::ultrasparc_t2();
-    let workload = Benchmark::IpFwdL1.build_workload(2, 9);
-    let model = SimModel::new(machine, workload).with_windows(2_000, 8_000);
-    // The unbatched model is the scalar reference: every evaluation runs
-    // through `SimModel::evaluate`.
-    let scalar = SampleStudy::run_with(
-        &Unbatched(model.clone()),
-        60,
-        31,
-        Parallelism::serial(),
-        &Obs::disabled(),
-        None,
-    )
-    .unwrap();
-    for workers in [1usize, 4] {
-        for batch in BATCH_SIZES {
-            let par = Parallelism::new(workers).with_batch(batch);
-            let study = SampleStudy::run_with(&model, 60, 31, par, &Obs::disabled(), None).unwrap();
-            assert_eq!(
-                scalar.performances(),
-                study.performances(),
-                "{workers} workers, batch {batch}"
-            );
-            assert_eq!(scalar.assignments(), study.assignments());
-        }
-    }
-}
-
-#[test]
-fn resilient_study_is_bit_identical_across_batch_sizes() {
-    let build = || {
-        let model = SyntheticModel::new(Topology::ultrasparc_t2(), 8, 1.5e6);
-        FaultyModel::new(model, FaultPlan::harsh(41))
-    };
-    let (s_study, s_log) = SampleStudy::run_resilient_with(
-        &Unbatched(build()),
-        120,
-        13,
-        3,
-        Parallelism::serial(),
-        &Obs::disabled(),
-        None,
-    )
-    .unwrap();
-    for workers in [1usize, 4] {
-        for batch in BATCH_SIZES {
-            let par = Parallelism::new(workers).with_batch(batch);
-            let (study, log) =
-                SampleStudy::run_resilient_with(&build(), 120, 13, 3, par, &Obs::disabled(), None)
-                    .unwrap();
-            assert_eq!(
-                s_study.performances(),
-                study.performances(),
-                "{workers} workers, batch {batch}"
-            );
-            assert_eq!(s_study.assignments(), study.assignments());
-            assert_eq!(s_log, log, "{workers} workers, batch {batch}");
-        }
-    }
-}
-
-#[test]
-fn iterative_algorithm_is_bit_identical_across_batch_sizes() {
-    let model = || {
-        FaultyModel::new(
-            SyntheticModel::new(Topology::ultrasparc_t2(), 6, 1.0e6),
-            FaultPlan::light(77),
-        )
-    };
-    let cfg = |par: Parallelism| IterativeConfig {
-        n_init: 300,
-        n_delta: 100,
-        acceptable_loss: 0.08,
-        parallelism: par,
-        ..IterativeConfig::default()
-    };
-    let scalar = run_iterative(&Unbatched(model()), &cfg(Parallelism::serial()), 21).unwrap();
-    for workers in [1usize, 4] {
-        for batch in BATCH_SIZES {
-            let par = run_iterative(
-                &model(),
-                &cfg(Parallelism::new(workers).with_batch(batch)),
-                21,
-            )
-            .unwrap();
-            assert_eq!(
-                scalar.samples_used, par.samples_used,
-                "{workers} workers, batch {batch}"
-            );
-            assert_eq!(scalar.evaluations, par.evaluations);
-            assert_eq!(scalar.best_performance, par.best_performance);
-            assert_eq!(scalar.trace, par.trace, "{workers} workers, batch {batch}");
-            assert_eq!(
-                scalar.best_assignment.contexts(),
-                par.best_assignment.contexts()
-            );
-        }
     }
 }
 

@@ -5,7 +5,7 @@
 
 use optassign::fault::{FaultPlan, FaultyModel};
 use optassign::iterative::{run_iterative, run_iterative_obs, IterativeConfig};
-use optassign::model::{SyntheticModel, Unbatched};
+use optassign::model::SyntheticModel;
 use optassign::persist::CampaignStore;
 use optassign::study::SampleStudy;
 use optassign::{Parallelism, Topology};
@@ -80,58 +80,10 @@ fn run_resilient_is_bit_identical_with_recording_on_and_off() {
 }
 
 #[test]
-fn batched_resilient_run_is_bit_identical_with_recording_on_and_off() {
-    // The batch-size sweep of the recorder-parity contract: with batching
-    // enabled (any chunk size, any worker count), attaching a recorder
-    // still changes nothing, and every combination reproduces the
-    // unbatched scalar baseline bit for bit.
-    let faulty = FaultyModel::new(model(), FaultPlan::light(41));
-    let scalar = Unbatched(FaultyModel::new(model(), FaultPlan::light(41)));
-    let (base, base_log) = SampleStudy::run_resilient_with(
-        &scalar,
-        200,
-        41,
-        3,
-        Parallelism::serial(),
-        &Obs::disabled(),
-        None,
-    )
-    .unwrap();
-
-    for workers in [1, 4] {
-        for batch in [1usize, 3, 16, 1000] {
-            let par = Parallelism::new(workers).with_batch(batch);
-            faulty.reset();
-            let null_obs = Obs::new(
-                Box::new(NullRecorder),
-                Box::new(Arc::new(FakeClock::new(0))),
-            );
-            let (null_study, null_log) =
-                SampleStudy::run_resilient_with(&faulty, 200, 41, 3, par, &null_obs, None).unwrap();
-            faulty.reset();
-            let (full_obs, recorder) = recording_obs();
-            let (full_study, full_log) =
-                SampleStudy::run_resilient_with(&faulty, 200, 41, 3, par, &full_obs, None).unwrap();
-
-            for (study, log) in [(&null_study, null_log), (&full_study, full_log)] {
-                assert_eq!(
-                    study.performances(),
-                    base.performances(),
-                    "workers={workers} batch={batch}"
-                );
-                assert_eq!(study.assignments(), base.assignments());
-                assert_eq!(log, base_log, "workers={workers} batch={batch}");
-            }
-            assert!(!recorder.lines().is_empty(), "recorder captured nothing");
-        }
-    }
-}
-
-#[test]
 fn wal_bytes_are_identical_across_batch_sizes_and_worker_counts() {
     // The durable journal is derived from the campaign's *results*, which
-    // the batch contract pins bit-for-bit — so the WAL a persistent run
-    // leaves behind must be byte-identical at every batch size and worker
+    // are pinned bit for bit at every worker count — so the WAL a
+    // persistent run leaves behind must be byte-identical at every worker
     // count, and a warm re-run (pure replay) must leave it untouched.
     let scratch = |tag: &str| {
         std::env::temp_dir().join(format!("optassign-obs-wal-{tag}-{}", std::process::id()))
@@ -140,64 +92,56 @@ fn wal_bytes_are_identical_across_batch_sizes_and_worker_counts() {
 
     let mut reference: Option<(Vec<u8>, Vec<f64>)> = None;
     for workers in [1usize, 4] {
-        for batch in [0usize, 1, 3, 16, 1000] {
-            let dir = scratch(&format!("w{workers}b{batch}"));
-            let _ = std::fs::remove_dir_all(&dir);
-            std::fs::create_dir_all(&dir).unwrap();
-            let par = Parallelism::new(workers).with_batch(batch);
-            let store = CampaignStore::open(&dir).unwrap();
-            let (study, _log) = SampleStudy::run_resilient_with(
-                &build(),
-                120,
-                53,
-                3,
-                par,
-                &Obs::disabled(),
-                Some(&store),
-            )
-            .unwrap();
-            assert_eq!(store.io_errors(), 0);
-            drop(store);
-            let wal = std::fs::read(dir.join(WAL_FILE)).unwrap();
-            assert!(
-                !wal.is_empty(),
-                "empty WAL at workers={workers} batch={batch}"
-            );
+        let dir = scratch(&format!("w{workers}"));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let par = Parallelism::new(workers);
+        let store = CampaignStore::open(&dir).unwrap();
+        let (study, _log) = SampleStudy::run_resilient_with(
+            &build(),
+            120,
+            53,
+            3,
+            par,
+            &Obs::disabled(),
+            Some(&store),
+        )
+        .unwrap();
+        assert_eq!(store.io_errors(), 0);
+        drop(store);
+        let wal = std::fs::read(dir.join(WAL_FILE)).unwrap();
+        assert!(!wal.is_empty(), "empty WAL at workers={workers}");
 
-            match &reference {
-                None => reference = Some((wal.clone(), study.performances().to_vec())),
-                Some((ref_wal, ref_perf)) => {
-                    assert_eq!(
-                        &wal, ref_wal,
-                        "WAL bytes diverged at workers={workers} batch={batch}"
-                    );
-                    assert_eq!(study.performances(), &ref_perf[..]);
-                }
+        match &reference {
+            None => reference = Some((wal.clone(), study.performances().to_vec())),
+            Some((ref_wal, ref_perf)) => {
+                assert_eq!(&wal, ref_wal, "WAL bytes diverged at workers={workers}");
+                assert_eq!(study.performances(), &ref_perf[..]);
             }
-
-            // Warm re-run: the completed campaign replays from the journal
-            // without touching the model's fault stream, reproduces the
-            // same study, and appends nothing to the WAL.
-            let reopened = CampaignStore::open(&dir).unwrap();
-            let (warm, _warm_log) = SampleStudy::run_resilient_with(
-                &build(),
-                120,
-                53,
-                3,
-                par,
-                &Obs::disabled(),
-                Some(&reopened),
-            )
-            .unwrap();
-            assert_eq!(warm.performances(), study.performances());
-            drop(reopened);
-            let wal_after = std::fs::read(dir.join(WAL_FILE)).unwrap();
-            assert_eq!(
-                wal_after, wal,
-                "warm replay mutated the WAL at workers={workers} batch={batch}"
-            );
-            std::fs::remove_dir_all(&dir).ok();
         }
+
+        // Warm re-run: the completed campaign replays from the journal
+        // without touching the model's fault stream, reproduces the
+        // same study, and appends nothing to the WAL.
+        let reopened = CampaignStore::open(&dir).unwrap();
+        let (warm, _warm_log) = SampleStudy::run_resilient_with(
+            &build(),
+            120,
+            53,
+            3,
+            par,
+            &Obs::disabled(),
+            Some(&reopened),
+        )
+        .unwrap();
+        assert_eq!(warm.performances(), study.performances());
+        drop(reopened);
+        let wal_after = std::fs::read(dir.join(WAL_FILE)).unwrap();
+        assert_eq!(
+            wal_after, wal,
+            "warm replay mutated the WAL at workers={workers}"
+        );
+        std::fs::remove_dir_all(&dir).ok();
     }
 }
 
