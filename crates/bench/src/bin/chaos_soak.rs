@@ -118,10 +118,8 @@ fn main() {
     let mut quarantined_total = 0u64;
     let mut torn_total = 0u64;
     for round in 0..scale.rounds {
-        // Each round's campaign gets stores of its own: the evaluation
-        // cache is keyed by equivalence class, so on a shared store a
-        // campaign could read another campaign's value for an
-        // equivalent placement, and which one depends on what survived.
+        // Each round's campaign gets stores of its own, so a round's
+        // fault budget lands in its own campaign's mutations.
         let round_dir = work.join(format!("round-{round}"));
         let study_seed = seed ^ mix(round ^ 0x5EED);
         let campaign = |store: &CampaignStore, what: &str| -> Vec<u64> {

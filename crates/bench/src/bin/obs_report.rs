@@ -7,8 +7,8 @@
 //!   histograms, interpolated like `histogram_quantile`),
 //! * the round-by-round convergence trace of the iterative loop
 //!   (the Figure 14 gap trace, from `iteration` events),
-//! * journal replays and evaluation-cache hit/miss rates (from the
-//!   resolution counters),
+//! * how the campaign's slots were resolved — replayed from the journal,
+//!   served by a peer, or measured (from the resolution counters),
 //! * the fault/degradation timeline (`degradation` and
 //!   `recorder_io_errors` events, in order of occurrence).
 //!
@@ -123,7 +123,7 @@ fn main() -> ExitCode {
     let snapshot = final_snapshot(&events);
     phase_latency_section(snapshot.as_ref());
     convergence_section(&events);
-    cache_section(snapshot.as_ref());
+    resolution_section(snapshot.as_ref());
     degradation_section(&events);
 
     if let Some(out) = chrome_out {
@@ -328,27 +328,19 @@ fn convergence_section(events: &[Json]) {
     }
 }
 
-fn cache_section(snapshot: Option<&MetricsRegistry>) {
-    println!("\n== evaluation cache ==");
+fn resolution_section(snapshot: Option<&MetricsRegistry>) {
+    println!("\n== slot resolution ==");
     let counter = |name: &str| snapshot.map_or(0, |m| m.counter(name));
     let replayed = counter("exec_replayed_total");
-    let hits = counter("exec_cache_hits_total");
-    let misses = counter("exec_cache_misses_total");
-    let total = hits + misses;
-    if replayed + total == 0 {
-        println!("no cached evaluations (run without a campaign store?)");
+    let peer_hits = counter("exec_peer_hits_total");
+    let measured = counter("exec_measured_total");
+    if replayed + peer_hits + measured == 0 {
+        println!("no resolved slots (run without a campaign store?)");
         return;
     }
-    // Replays restore a campaign's own journal; they are not cache hits.
     println!("{replayed} replayed from the journal");
-    // Integer permille avoids float formatting drift across platforms.
-    if let Some(permille) = hits.saturating_mul(1000).checked_div(total) {
-        println!(
-            "{hits} hits, {misses} misses ({}.{}% hit rate)",
-            permille / 10,
-            permille % 10
-        );
-    }
+    println!("{peer_hits} served by peers");
+    println!("{measured} measured");
 }
 
 fn degradation_section(events: &[Json]) {

@@ -29,6 +29,7 @@ fn print_report(dir: &std::path::Path, report: &FsckReport) {
     println!("  quarantined frames  : {}", report.quarantined_frames);
     println!("  quarantined bytes   : {}", report.quarantined_bytes);
     println!("  torn-tail bytes     : {}", report.tail_truncated_bytes);
+    println!("  magic one bit off   : {}", report.header_damaged);
     println!("  sidecar entries     : {}", report.sidecar_entries);
     println!("  repaired            : {}", report.repaired);
 }

@@ -279,10 +279,9 @@ impl BenchArgs {
         match CampaignStore::open_with(&dir, &RealIo, obs) {
             Ok(store) => {
                 eprintln!(
-                    "[store] {}: {} journaled measurements, {} cached evaluations",
+                    "[store] {}: {} journaled measurements",
                     dir.display(),
-                    store.journaled_measurements(),
-                    store.cache_stats().entries
+                    store.journaled_measurements()
                 );
                 let report = store.open_report();
                 if !report.is_clean() {
@@ -330,13 +329,12 @@ impl BenchArgs {
     /// [`case_study_model`] at seed `BASE_SEED ^ seed_tag(bench)`, on this
     /// run's worker policy, journaled into the benchmark's store scope
     /// `pool-<bench>` under `--checkpoint`. Every pool of a benchmark is a
-    /// prefix of one seeded draw sequence, so binaries that share a
-    /// checkpoint measure each draw once: a pool of the same size replays
-    /// from the journal, and a larger one finds its prefix in the
-    /// evaluation cache (exact while no assignment class repeats inside
-    /// the pool; DESIGN.md §8). Progress events go to `obs` and the pool's
-    /// wall time to its `pool_ns` histogram. The pool is bit-identical
-    /// however it is observed, stored or parallelized.
+    /// prefix of one seeded draw sequence and one campaign, so binaries
+    /// that share a checkpoint measure each draw once: a pool replays
+    /// every draw the journal holds and measures only the rest (DESIGN.md
+    /// §8). Progress events go to `obs` and the pool's wall time to its
+    /// `pool_ns` histogram. The pool is bit-identical however it is
+    /// observed, stored or parallelized.
     ///
     /// # Errors
     ///
@@ -431,13 +429,9 @@ pub fn case_study_model_small(bench: Benchmark, instances: usize) -> SimModel {
 /// the experiment's deterministic table output, so interrupted-vs-clean
 /// runs can be diffed on stdout alone).
 pub fn report_store(store: &CampaignStore) {
-    let stats = store.cache_stats();
     store.sync();
     eprintln!(
-        "[store] cache: {} hits, {} misses, {} entries; {} journaled measurements; {} I/O errors",
-        stats.hits,
-        stats.misses,
-        stats.entries,
+        "[store] {} journaled measurements; {} I/O errors",
         store.journaled_measurements(),
         store.io_errors()
     );
@@ -715,12 +709,12 @@ mod tests {
         };
         let bench = Benchmark::IpFwdL1;
         stored.pool(bench, 20, &Obs::disabled()).expect("fits");
-        // The 30-draw pool is a new campaign: its first 20 draws come
-        // from the evaluation cache, the other 10 from the simulator.
+        // The 30-draw pool is the same campaign grown: its first 20
+        // draws replay from the journal, the other 10 are simulated.
         let obs = Obs::metrics_only();
         let grown = stored.pool(bench, 30, &obs).expect("fits");
-        assert_eq!(obs.metrics().counter("exec_cache_misses_total"), 10);
-        assert_eq!(obs.metrics().counter("exec_cache_hits_total"), 20);
+        assert_eq!(obs.metrics().counter("exec_replayed_total"), 20);
+        assert_eq!(obs.metrics().counter("exec_measured_total"), 10);
         let fresh = plain(1.0, None)
             .pool(bench, 30, &Obs::disabled())
             .expect("fits");

@@ -128,9 +128,9 @@ impl Assignment {
     ///
     /// The hash is FNV-1a 64 over a fixed serialization — topology
     /// dimensions, then the canonical key with every list length-prefixed
-    /// — so it does not depend on `std`'s hasher internals. It keys the
-    /// durable evaluation cache in `optassign-store`; changing the
-    /// serialization invalidates every cache on disk.
+    /// — so it does not depend on `std`'s hasher internals. Every
+    /// journal record in `optassign-store` carries it as its `key` field,
+    /// so changing the serialization changes the store's bytes.
     pub fn canonical_hash(&self) -> u64 {
         const OFFSET_BASIS: u64 = 0xcbf2_9ce4_8422_2325;
         const PRIME: u64 = 0x0000_0100_0000_01b3;
@@ -297,15 +297,15 @@ mod tests {
             }
         }
         // And the topology is part of the address: the same placement on
-        // a different machine is a different cache entry.
+        // a different machine is a different address.
         let small = Topology::new(2, 2, 4);
         let on_t2 = Assignment::new(vec![0, 1], t2()).unwrap();
         let on_small = Assignment::new(vec![0, 1], small).unwrap();
         assert_ne!(on_t2.canonical_hash(), on_small.canonical_hash());
     }
 
-    /// The hash is a durable on-disk cache key, so its exact values are
-    /// part of the store format. This pins one vector; if it ever changes,
+    /// The hash is written into every journal record, so its exact
+    /// values are part of the store format. This pins one vector; if it ever changes,
     /// bump the store magic as well.
     #[test]
     fn canonical_hash_is_stable_across_releases() {

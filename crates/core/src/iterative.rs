@@ -40,7 +40,7 @@ use optassign_sim::Topology;
 use optassign_stats::rng::{Rng, StdRng};
 use optassign_store::CampaignStore;
 
-pub use crate::measure::{LeaseResolution, NoPeers, PeerCache, SlotOutcome};
+pub use crate::measure::{LeaseResolution, NoPeers, PeerSlots, SlotOutcome};
 
 /// Salt deriving each round's batch stream from the campaign seed.
 const BATCH_SALT: u64 = 0x4954_4552_4241_5443;
@@ -308,8 +308,8 @@ pub struct BatchRequest<'a> {
 /// [`IterativeSession::step`] wraps the model in the in-process backend
 /// (evaluate on this node's threads); the distributed fleet supplies a
 /// coordinator backend that farms slots out to workers over HTTP. The
-/// session resolves (journal replay, evaluation cache) and journals
-/// every batch itself, so a backend only measures. The contract that
+/// session resolves (journal replay) and journals every batch itself, so
+/// a backend only measures. The contract that
 /// keeps every backend bit-identical: slot `slots[i]` must return
 /// exactly what the keyed retry/redraw ladder for `primaries[i]` under
 /// `(batch_salt, slots[i])` returns. The backend sees batches in journal
@@ -506,14 +506,15 @@ pub struct LeaseOutcome {
 /// fleet worker's entry into the persistent measurement path.
 ///
 /// Each slot resolves in a fixed ladder: this worker's own journal
-/// (replay, nothing re-journaled), its evaluation cache, the federated
-/// peer caches, and only then the model via the same keyed retry/redraw
+/// (replay, nothing re-journaled), a federated peer's record of the
+/// same `(campaign, sequence, slot)` whose contexts equal the slot's
+/// primary, and only then the model via the same keyed retry/redraw
 /// ladder the in-process batch path uses. Freshly measured slots are
 /// journaled in lease order through the worker's store (identical
 /// records to a single-node run of the same batch), followed by a batch
-/// marker with the lease's slot count. The store is the worker's own
-/// cache and replay log; the coordinator journals the campaign from the
-/// returned outcomes.
+/// marker with the lease's slot count. The store is the worker's replay
+/// log and the slot source it serves to peers; the coordinator journals
+/// the campaign from the returned outcomes.
 ///
 /// The lease is timed into the `fleet_lease_measure_ns` histogram. Under
 /// a remote trace parent (`remote_parent != 0`, the worker-side server
@@ -522,8 +523,8 @@ pub struct LeaseOutcome {
 /// Either way the measurement itself never observes the observer.
 ///
 /// Metrics: `fleet_slot_evals_total` counts slots that reached the
-/// model, `fleet_peer_hits_total` peer-cache resolutions (journal
-/// replays are `measure_slots`' `exec_replayed_total`).
+/// model, `fleet_peer_hits_total` slots a peer's record resolved
+/// (journal replays are `measure_slots`' `exec_replayed_total`).
 ///
 /// # Errors
 ///
@@ -535,7 +536,7 @@ pub fn measure_leased_slots<M: PerformanceModel + Sync>(
     model: &M,
     lease: &LeaseRequest,
     store: &CampaignStore,
-    peers: &dyn PeerCache,
+    peers: &dyn PeerSlots,
     parallelism: Parallelism,
     obs: &Obs,
     remote_parent: u64,
@@ -664,17 +665,16 @@ pub fn run_iterative_obs<M: PerformanceModel + Sync>(
 /// it completes, and a campaign whose records are already (partially)
 /// journaled — an interrupted run, or the same call repeated — replays
 /// them instead of re-measuring, continuing mid-round from wherever the
-/// log ends. Unjournaled slots consult the store's content-addressed
-/// evaluation cache before touching the model.
+/// log ends. A slot is only ever resolved from its own record, so the
+/// run is the store-free [`run_iterative`]'s, bit for bit, whatever the
+/// model.
 ///
 /// **Resume contract:** a campaign killed at any record boundary and
 /// re-invoked with the same model, config (ignoring
 /// [`IterativeConfig::parallelism`]) and seed produces exactly the
 /// [`IterativeResult`] of an uninterrupted run — samples, evaluations,
 /// trace, degradation events and all — at any worker count, with or
-/// without a recorder attached. A cache hit consumes zero evaluation
-/// attempts, so a warm-cache campaign can finish cheaper than a cold
-/// one, deterministically.
+/// without a recorder attached.
 ///
 /// # Errors
 ///
@@ -690,9 +690,9 @@ pub fn run_iterative_persistent<M: PerformanceModel + Sync>(
 }
 
 /// [`run_iterative_persistent`] with observability (see
-/// [`run_iterative_obs`] for what is recorded; journal replays, cache
-/// hits and misses additionally land in `exec_replayed_total`,
-/// `exec_cache_hits_total` and `exec_cache_misses_total`).
+/// [`run_iterative_obs`] for what is recorded; journal replays and
+/// measured slots additionally land in `exec_replayed_total` and
+/// `exec_measured_total`).
 ///
 /// # Errors
 ///
@@ -1638,11 +1638,12 @@ mod tests {
     }
 
     #[test]
-    fn peer_cache_hits_skip_the_model_and_journal_zero_attempts() {
-        struct MapPeer(std::collections::HashMap<u64, f64>);
-        impl PeerCache for MapPeer {
-            fn lookup(&self, key: u64) -> Option<f64> {
-                self.0.get(&key).copied()
+    fn peer_records_of_the_same_slot_skip_the_model_and_journal_zero_attempts() {
+        type Key = (u64, u64, u64);
+        struct MapPeer(std::collections::HashMap<Key, (Vec<usize>, f64)>);
+        impl PeerSlots for MapPeer {
+            fn lookup(&self, campaign: u64, sequence: u64, slot: u64) -> Option<(Vec<usize>, f64)> {
+                self.0.get(&(campaign, sequence, slot)).cloned()
             }
         }
 
@@ -1654,13 +1655,16 @@ mod tests {
         let primaries: Vec<Assignment> = (0..4)
             .map(|_| random_assignment(m.tasks(), m.topology(), &mut rng).unwrap())
             .collect();
-        let peers = MapPeer(
-            primaries
-                .iter()
-                .zip(0u64..)
-                .map(|(p, slot)| (p.canonical_hash(), 42.0 + slot as f64))
-                .collect(),
-        );
+        // Slots 0–2 have peer records of their own primaries; slot 3's
+        // record measured another placement, so it is not the slot's.
+        let mut records: std::collections::HashMap<Key, _> = (0..3u64)
+            .map(|slot| {
+                let contexts = primaries[slot as usize].contexts().to_vec();
+                ((9, 0, slot), (contexts, 42.0 + slot as f64))
+            })
+            .collect();
+        records.insert((9, 0, 3), (primaries[0].contexts().to_vec(), 45.0));
+        let peers = MapPeer(records);
         let store = CampaignStore::open(&root.join("shard")).unwrap();
         let lease = LeaseRequest {
             campaign: 9,
@@ -1674,10 +1678,21 @@ mod tests {
         let obs = Obs::metrics_only();
         let out = measure_leased_slots(&m, &lease, &store, &peers, Parallelism::default(), &obs, 0)
             .unwrap();
-        assert!(out.iter().all(|o| o.resolution == LeaseResolution::PeerHit));
-        assert!(out.iter().all(|o| o.outcome.attempts == 0));
-        assert_eq!(obs.metrics().counter("fleet_slot_evals_total"), 0);
-        assert_eq!(obs.metrics().counter("fleet_peer_hits_total"), 4);
+        let resolutions: Vec<LeaseResolution> = out.iter().map(|o| o.resolution).collect();
+        assert_eq!(
+            resolutions,
+            [
+                LeaseResolution::PeerHit,
+                LeaseResolution::PeerHit,
+                LeaseResolution::PeerHit,
+                LeaseResolution::Evaluated
+            ]
+        );
+        assert!(out[..3].iter().all(|o| o.outcome.attempts == 0));
+        assert_ne!(out[3].outcome.measured.as_ref().unwrap().1, 45.0);
+        assert_eq!(obs.metrics().counter("fleet_slot_evals_total"), 1);
+        assert_eq!(obs.metrics().counter("fleet_peer_hits_total"), 3);
+        assert_eq!(obs.metrics().counter("exec_peer_hits_total"), 3);
         // The peer-sourced values were journaled for this shard.
         let rec = store.lookup_slot(9, 0, 2).unwrap();
         assert_eq!(rec.value, 44.0);

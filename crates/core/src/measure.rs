@@ -7,9 +7,12 @@
 //! loop's batches on any backend, and a fleet worker's leased slots —
 //! measures through [`measure_slots`], which fixes in one place:
 //!
-//! * the **slot-resolution policy**: the store's journal (replay), its
-//!   evaluation cache, the peer caches, and only then the measurement —
-//!   a model through [`Measure::run`], or a fleet coordinator's leases;
+//! * the **slot-resolution policy**: the slot's own journal record
+//!   (replay), on a fleet worker a peer's record of the same slot, and
+//!   only then the measurement — a model through [`Measure::run`], or a
+//!   fleet coordinator's leases. Nothing resolves a slot from another
+//!   slot's value, so a persistent run equals a store-free run bit for
+//!   bit, whatever the model;
 //! * the **journaling order**: freshly resolved, measured slots in slot
 //!   order, then the batch marker with the call's slot count.
 
@@ -49,24 +52,22 @@ impl SlotOutcome {
     }
 }
 
-/// A read-only source of already-measured values keyed by canonical
-/// assignment hash — the federation interface a fleet worker consults
-/// before spending model evaluations on a leased slot. Lookup order is
-/// fixed (own journal, own cache, peers), so for a given peer
-/// configuration the journaled bytes are deterministic; with no peers
-/// (or none that answer) the worker journals exactly what a single node
-/// would.
-pub trait PeerCache {
-    /// The measured value for a canonical assignment hash, if any peer
-    /// knows it. Must be cheap to call serially per miss slot.
-    fn lookup(&self, key: u64) -> Option<f64>;
+/// A read-only source of other stores' journal records, keyed by slot —
+/// the federation interface a fleet worker consults before spending
+/// model evaluations on a leased slot. With no peers (or none that
+/// answer) the worker journals exactly what a single node would.
+pub trait PeerSlots {
+    /// A peer's record of slot `slot` of batch `sequence` of `campaign`,
+    /// as the contexts of the measured assignment and its value. Must be
+    /// cheap to call serially per unresolved slot.
+    fn lookup(&self, campaign: u64, sequence: u64, slot: u64) -> Option<(Vec<usize>, f64)>;
 }
 
 /// The empty federation: every lookup misses.
 pub struct NoPeers;
 
-impl PeerCache for NoPeers {
-    fn lookup(&self, _key: u64) -> Option<f64> {
+impl PeerSlots for NoPeers {
+    fn lookup(&self, _campaign: u64, _sequence: u64, _slot: u64) -> Option<(Vec<usize>, f64)> {
         None
     }
 }
@@ -76,9 +77,8 @@ impl PeerCache for NoPeers {
 pub enum LeaseResolution {
     /// Already journaled in this store; replayed, not re-run.
     Replayed,
-    /// Served from the store's own evaluation cache at zero attempts.
-    CacheHit,
-    /// Served from a federated peer cache at zero attempts.
+    /// Served from a federated peer's record of the same slot at zero
+    /// attempts.
     PeerHit,
     /// Evaluated against the model.
     Evaluated,
@@ -92,7 +92,6 @@ impl LeaseResolution {
     pub fn name(self) -> &'static str {
         match self {
             LeaseResolution::Replayed => "replayed",
-            LeaseResolution::CacheHit => "cache_hit",
             LeaseResolution::PeerHit => "peer_hit",
             LeaseResolution::Evaluated => "evaluated",
             LeaseResolution::Abandoned => "abandoned",
@@ -226,17 +225,16 @@ pub(crate) struct Journal<'a> {
 /// with primary assignment `primaries[i]`.
 ///
 /// Each slot resolves in a fixed order: its journal record (replayed,
-/// never re-journaled), the store's evaluation cache, the peer caches,
-/// and only then `measure`, which gets the unresolved slots (ascending,
-/// with their primaries) and returns one outcome per slot. Cache and
-/// peer hits cost zero attempts and never touch the slot's fault
-/// stream. Every lookup precedes `measure`, and cache inserts only
-/// happen at the batch marker, so what a slot sees never depends on
-/// scheduling. Then freshly resolved measured slots are journaled in
-/// slot order, then the batch marker with `slots.len()`; an abandoned
-/// slot journals nothing and re-measures deterministically on resume.
-/// Each slot counts once: `exec_replayed_total`, `exec_cache_hits_total`
-/// (own cache or peers) or `exec_cache_misses_total` (measured).
+/// never re-journaled), a peer's record of the same `(campaign,
+/// sequence, slot)` whose contexts equal the primary's, and only then
+/// `measure`, which gets the unresolved slots (ascending, with their
+/// primaries) and returns one outcome per slot. A peer hit costs zero
+/// attempts and never touches the slot's fault stream. Then freshly
+/// resolved measured slots are journaled in slot order, then the batch
+/// marker with `slots.len()`; an abandoned slot journals nothing and
+/// re-measures deterministically on resume. Each slot counts once:
+/// `exec_replayed_total`, `exec_peer_hits_total` or
+/// `exec_measured_total`.
 ///
 /// # Errors
 ///
@@ -247,7 +245,7 @@ pub(crate) fn measure_slots(
     slots: &[u64],
     primaries: &[Assignment],
     journal: Option<Journal<'_>>,
-    peers: &dyn PeerCache,
+    peers: &dyn PeerSlots,
     obs: &Obs,
     measure: impl FnOnce(&[u64], &[Assignment]) -> Result<Vec<SlotOutcome>, CoreError>,
 ) -> Result<Vec<(SlotOutcome, LeaseResolution)>, CoreError> {
@@ -255,8 +253,12 @@ pub(crate) fn measure_slots(
         .iter()
         .zip(primaries)
         .map(|(&slot, primary)| {
-            let replayed = journal
-                .and_then(|j| j.store.lookup_slot(j.campaign, j.sequence, slot))
+            let Some(j) = journal else {
+                return (None, LeaseResolution::Evaluated);
+            };
+            let replayed = j
+                .store
+                .lookup_slot(j.campaign, j.sequence, slot)
                 .and_then(|rec| {
                     persist::assignment_from_record(&rec, primary.topology()).map(|a| SlotOutcome {
                         measured: Some((a, rec.value)),
@@ -268,26 +270,21 @@ pub(crate) fn measure_slots(
             if replayed.is_some() {
                 return (replayed, LeaseResolution::Replayed);
             }
-            let key = primary.canonical_hash();
-            let hit = journal
-                .and_then(|j| j.store.cache_lookup(key))
-                .map(|v| (v, LeaseResolution::CacheHit))
-                .or_else(|| peers.lookup(key).map(|v| (v, LeaseResolution::PeerHit)));
-            match hit {
-                Some((v, how)) => (Some(SlotOutcome::known(primary.clone(), v, 0)), how),
-                None => (None, LeaseResolution::Evaluated),
+            match peers.lookup(j.campaign, j.sequence, slot) {
+                Some((contexts, v)) if contexts == primary.contexts() => (
+                    Some(SlotOutcome::known(primary.clone(), v, 0)),
+                    LeaseResolution::PeerHit,
+                ),
+                _ => (None, LeaseResolution::Evaluated),
             }
         })
         .unzip();
     for (counter, what) in [
-        ("exec_replayed_total", &[LeaseResolution::Replayed][..]),
-        (
-            "exec_cache_hits_total",
-            &[LeaseResolution::CacheHit, LeaseResolution::PeerHit],
-        ),
-        ("exec_cache_misses_total", &[LeaseResolution::Evaluated]),
+        ("exec_replayed_total", LeaseResolution::Replayed),
+        ("exec_peer_hits_total", LeaseResolution::PeerHit),
+        ("exec_measured_total", LeaseResolution::Evaluated),
     ] {
-        let n = resolutions.iter().filter(|r| what.contains(r)).count();
+        let n = resolutions.iter().filter(|&&r| r == what).count();
         obs.counter_add(counter, n as u64);
     }
 

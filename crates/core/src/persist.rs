@@ -12,7 +12,9 @@
 //! A campaign's records are keyed by a **campaign identity**: a
 //! fingerprint of the seed and every shape parameter that influences the
 //! measurement sequence. Two campaigns share records only when their
-//! identities collide on purpose (the same call repeated). The identity
+//! identities collide on purpose: the same call repeated, or a plain
+//! study of another size on the same seed, whose slots are the same
+//! draws (see [`study_campaign_id`]). The identity
 //! deliberately excludes the worker count — resuming at a different
 //! `parallelism` is supported and exact — and cannot include the model
 //! itself (models are arbitrary code), so **distinct models or fault
@@ -45,14 +47,18 @@ fn topology_parts(topo: Topology) -> [u64; 3] {
 }
 
 /// Campaign identity of a persistent [`crate::study::SampleStudy::run_with`].
+/// It leaves out the sample size: slot `k` is the `k`-th draw of the
+/// seeded stream measured on its own, whatever `n` is, so studies of
+/// different sizes on one seed share their common prefix of records.
 #[must_use]
-pub fn study_campaign_id(seed: u64, n: usize, tasks: usize, topo: Topology) -> u64 {
+pub fn study_campaign_id(seed: u64, tasks: usize, topo: Topology) -> u64 {
     let t = topology_parts(topo);
-    fingerprint(&[STUDY_SALT, seed, n as u64, tasks as u64, t[0], t[1], t[2]])
+    fingerprint(&[STUDY_SALT, seed, tasks as u64, t[0], t[1], t[2]])
 }
 
 /// Campaign identity of a persistent
-/// [`crate::study::SampleStudy::run_resilient_with`].
+/// [`crate::study::SampleStudy::run_resilient_with`]. Unlike the plain
+/// study's, it includes `n`: each slot's draw cap depends on it.
 #[must_use]
 pub fn resilient_campaign_id(
     seed: u64,
@@ -149,8 +155,8 @@ pub(crate) fn slot_record(
 
 /// Rebuilds the measured assignment journaled in `record`, validating it
 /// against the model's topology. Returns `None` when the record does not
-/// describe a feasible assignment for this topology — the caller treats
-/// that as a cache miss and re-measures.
+/// describe a feasible assignment for this topology — the caller then
+/// re-measures the slot.
 #[must_use]
 pub fn assignment_from_record(record: &MeasurementRecord, topo: Topology) -> Option<Assignment> {
     let contexts: Vec<usize> = record.contexts.iter().map(|&c| c as usize).collect();
@@ -167,14 +173,17 @@ mod tests {
 
     #[test]
     fn campaign_ids_separate_kinds_and_parameters() {
-        let study = study_campaign_id(7, 100, 6, t2());
-        assert_eq!(study, study_campaign_id(7, 100, 6, t2()));
-        assert_ne!(study, study_campaign_id(8, 100, 6, t2()));
-        assert_ne!(study, study_campaign_id(7, 101, 6, t2()));
-        assert_ne!(study, study_campaign_id(7, 100, 7, t2()));
-        assert_ne!(study, study_campaign_id(7, 100, 6, Topology::new(4, 2, 4)));
+        let study = study_campaign_id(7, 6, t2());
+        assert_eq!(study, study_campaign_id(7, 6, t2()));
+        assert_ne!(study, study_campaign_id(8, 6, t2()));
+        assert_ne!(study, study_campaign_id(7, 7, t2()));
+        assert_ne!(study, study_campaign_id(7, 6, Topology::new(4, 2, 4)));
+        // The resilient study's draw cap depends on n, so n separates
+        // its campaigns.
+        let resilient = resilient_campaign_id(7, 100, 0, 6, t2());
+        assert_ne!(resilient, resilient_campaign_id(7, 101, 0, 6, t2()));
         // Same parameters, different campaign kind: distinct records.
-        assert_ne!(study, resilient_campaign_id(7, 100, 0, 6, t2()));
+        assert_ne!(study, resilient);
     }
 
     #[test]

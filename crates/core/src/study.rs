@@ -113,22 +113,18 @@ impl SampleStudy {
     /// With a `store`, every measurement is written to the store's
     /// write-ahead log, and a study whose records are already (partially)
     /// journaled — an interrupted run, or the same call repeated —
-    /// replays them instead of re-measuring. Slots with no journal record
-    /// consult the store's content-addressed evaluation cache (keyed by
-    /// [`Assignment::canonical_hash`]) before evaluating the model.
-    /// Replays, hits and misses land in `exec_replayed_total`,
-    /// `exec_cache_hits_total` and `exec_cache_misses_total`.
+    /// replays them instead of re-measuring. Slot `k` is the `k`-th draw
+    /// of the seeded stream whatever `n` is, so the campaign identity
+    /// leaves `n` out ([`persist::study_campaign_id`]): a study of
+    /// another size on the same seed replays the prefix the two share
+    /// and measures only the rest. Replays and measurements land in
+    /// `exec_replayed_total` and `exec_measured_total`.
     ///
     /// **Resume contract:** a run killed at any point and re-invoked with
     /// the same arguments produces the study an uninterrupted run would
-    /// have, bit for bit, at any worker count. A cache hit returns the
-    /// value of whichever *equivalent* assignment (same canonical class)
-    /// the store measured first. Neither the simulator nor
-    /// `SyntheticModel` is invariant under the machine's symmetry, so a
-    /// run that resolves draws through the cache matches a store-free run
-    /// only while no class repeats among them; small spaces repeat often
-    /// (fig3's 6-task space has 1,526 classes). Distinct models need
-    /// distinct store directories (DESIGN.md §8).
+    /// have, bit for bit, at any worker count — the study a run with no
+    /// store produces, for any model. Distinct models need distinct store
+    /// directories (DESIGN.md §8).
     ///
     /// # Errors
     ///
@@ -154,7 +150,7 @@ impl SampleStudy {
         let primaries = sample_assignments(n, model.tasks(), model.topology(), &mut rng)?;
         let journal = store.map(|store| Journal {
             store,
-            campaign: persist::study_campaign_id(seed, n, model.tasks(), model.topology()),
+            campaign: persist::study_campaign_id(seed, model.tasks(), model.topology()),
             sequence: 0,
         });
         let slots = measure_slots(&slot_ids(n), &primaries, journal, &NoPeers, obs, |s, p| {
@@ -240,10 +236,8 @@ impl SampleStudy {
     /// A `store` gives the same replay/resume semantics as
     /// [`SampleStudy::run_with`]. The journal records each slot's
     /// attempt/retry/redraw bookkeeping, so a resumed campaign's
-    /// [`MeasurementLog`] is bit-identical too. A slot resolved from the
-    /// evaluation cache consumes **zero** attempts (it skips its fault
-    /// stream entirely), so a warm-cache run can report fewer attempts
-    /// than a cold one — deterministically.
+    /// [`MeasurementLog`] is bit-identical too. Its campaign identity
+    /// keeps `n`, because each slot's draw cap depends on it.
     ///
     /// # Errors
     ///
@@ -737,7 +731,7 @@ mod tests {
     fn persistent_run_matches_plain_and_warm_rerun_skips_evaluation() {
         use std::sync::atomic::{AtomicUsize, Ordering};
 
-        /// Counts evaluations so the warm-cache contract is checkable.
+        /// Counts evaluations so the replay contract is checkable.
         struct Counting<'a> {
             inner: &'a SyntheticModel,
             evals: AtomicUsize,
@@ -756,11 +750,7 @@ mod tests {
         }
 
         let dir = store_dir("plain");
-        // Zero jitter makes the model canonical-invariant, so
-        // cross-campaign cache hits are exact (see the cache-key note on
-        // [`SampleStudy::run_with`]).
-        let mut m = model();
-        m.jitter = 0.0;
+        let m = model();
         let plain = SampleStudy::run(&m, 80, 21).unwrap();
         let store = CampaignStore::open(&dir).unwrap();
         let counting = Counting {
@@ -806,8 +796,7 @@ mod tests {
         assert_eq!(resumed.performances(), plain.performances());
         assert_eq!(counting.evals.load(Ordering::Relaxed), 80);
 
-        // A different seed is a different campaign but shares the
-        // evaluation cache: only assignments never seen before evaluate.
+        // A different seed is a different campaign: every slot measures.
         let fresh_plain = SampleStudy::run(&m, 80, 22).unwrap();
         let fresh = SampleStudy::run_with(
             &counting,
@@ -819,37 +808,86 @@ mod tests {
         )
         .unwrap();
         assert_eq!(fresh.performances(), fresh_plain.performances());
-        assert!(counting.evals.load(Ordering::Relaxed) <= 160);
+        assert_eq!(counting.evals.load(Ordering::Relaxed), 160);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
-    fn resolution_counters_tell_replays_from_cache_hits() {
+    fn resolution_counters_tell_replays_from_measurements() {
         let dir = store_dir("counters");
         let store = CampaignStore::open(&dir).unwrap();
-        // 24 tasks: no assignment class repeats among 120 draws, so only
-        // the shared prefix can hit the cache (6 tasks repeat often).
         let m = SyntheticModel::new(Topology::ultrasparc_t2(), 24, 1.0e6);
         let resolve = |n: usize| {
             let obs = Obs::metrics_only();
-            SampleStudy::run_with(&m, n, 41, Parallelism::default(), &obs, Some(&store)).unwrap();
+            let study =
+                SampleStudy::run_with(&m, n, 41, Parallelism::default(), &obs, Some(&store))
+                    .unwrap();
             let snap = obs.metrics();
-            [
+            let counts = [
                 "exec_replayed_total",
-                "exec_cache_hits_total",
-                "exec_cache_misses_total",
+                "exec_peer_hits_total",
+                "exec_measured_total",
                 "exec_regions_total",
             ]
-            .map(|name| snap.counter(name))
+            .map(|name| snap.counter(name));
+            (study, counts)
         };
-        assert_eq!(resolve(80), [0, 0, 80, 1], "cold: every slot measures");
+        assert_eq!(resolve(80).1, [0, 0, 80, 1], "cold: every slot measures");
         // The same campaign again: every slot replays from the journal,
         // and a batch with nothing left to measure enters no parallel
         // region.
-        assert_eq!(resolve(80), [80, 0, 0, 0], "rerun");
-        // A longer study on the same seed is another campaign whose first
-        // 80 draws are the first one's: they hit the evaluation cache.
-        assert_eq!(resolve(120), [0, 80, 40, 1], "longer study");
+        assert_eq!(resolve(80).1, [80, 0, 0, 0], "rerun");
+        // A longer study on the same seed is the same campaign: its first
+        // 80 draws replay, and only the other 40 measure.
+        let (longer, counts) = resolve(120);
+        assert_eq!(counts, [80, 0, 40, 1], "longer study");
+        let plain = SampleStudy::run(&m, 120, 41).unwrap();
+        assert_eq!(longer.performances(), plain.performances());
+        // A shorter one replays its prefix.
+        assert_eq!(resolve(50).1, [50, 0, 0, 0], "shorter study");
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_lost_record_is_measured_again_not_copied_from_its_class() {
+        // A small space repeats classes: find a slot whose placement is
+        // equivalent to an earlier slot's but labelled differently, so
+        // the jittered model measures the two differently.
+        let m = model();
+        let (n, seed) = (200, 43);
+        let plain = SampleStudy::run(&m, n, seed).unwrap();
+        let a = plain.assignments();
+        let lost = (1..n)
+            .find(|&j| {
+                (0..j).any(|i| {
+                    a[i].canonical_hash() == a[j].canonical_hash()
+                        && a[i].contexts() != a[j].contexts()
+                        && plain.performances()[i] != plain.performances()[j]
+                })
+            })
+            .expect("200 draws of 6 tasks repeat a class");
+
+        // Journal the whole study, then keep every record but `lost`'s
+        // in a store of its own, batch marker included.
+        let full_dir = store_dir("lost-full");
+        let full = CampaignStore::open(&full_dir).unwrap();
+        let par = Parallelism::new(2);
+        SampleStudy::run_with(&m, n, seed, par, &Obs::disabled(), Some(&full)).unwrap();
+        let campaign = persist::study_campaign_id(seed, m.tasks(), m.topology());
+        let dir = store_dir("lost");
+        let store = CampaignStore::open(&dir).unwrap();
+        for slot in (0..n as u64).filter(|&k| k != lost as u64) {
+            store.append_measurement(&full.lookup_slot(campaign, 0, slot).unwrap());
+        }
+        store.end_batch(campaign, 0, n as u64);
+
+        let obs = Obs::metrics_only();
+        let resumed = SampleStudy::run_with(&m, n, seed, par, &obs, Some(&store)).unwrap();
+        assert_eq!(resumed.performances(), plain.performances());
+        assert_eq!(resumed.assignments(), plain.assignments());
+        assert_eq!(obs.metrics().counter("exec_measured_total"), 1);
+        drop((full, store));
+        std::fs::remove_dir_all(&full_dir).unwrap();
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

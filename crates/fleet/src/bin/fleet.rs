@@ -11,11 +11,11 @@
 //!
 //! `work` runs one worker until killed: a control endpoint taking
 //! campaign installs and slot-range leases, and a federation endpoint
-//! serving its evaluation cache. `run` drives one campaign spec across
-//! the given workers through the same admission path as `optd offline`
-//! and journals it into `DATA/merged` — a store byte-identical to the
-//! single-node run. Rerun on the same `DATA`, it resumes that journal:
-//! journaled slots replay and only the rest is leased.
+//! serving its journaled slots to peers. `run` drives one campaign spec
+//! across the given workers through the same admission path as `optd
+//! offline` and journals it into `DATA/merged` — a store byte-identical
+//! to the single-node run. Rerun on the same `DATA`, it resumes that
+//! journal: journaled slots replay and only the rest is leased.
 //!
 //! `--journal PATH` (both modes) writes the process's JSONL journal
 //! with span tracing on, so coordinator→worker leases and federation

@@ -8,22 +8,19 @@
 //! as a single node's persistent run does; the coordinator's
 //! [`BatchBackend`] only measures what the session could not resolve:
 //!
-//! 1. the session replays every slot the journal already holds and
-//!    resolves the rest against the journal's evaluation cache, which
-//!    folds only at batch markers, so the hits are exactly the
-//!    single-node ones;
+//! 1. the session replays every slot the journal already holds;
 //! 2. the backend partitions the remaining slots into contiguous leases,
 //!    one per live worker, and dispatches them concurrently;
 //! 3. it re-leases the slots of any worker that fails to answer (connect
 //!    error, timeout, malformed response) among the survivors — a dead
 //!    worker only *moves* slots, it cannot change their values, because
 //!    every slot is a pure function of `(batch_salt, slot)`;
-//! 4. the session journals every freshly resolved slot, cache hits and
-//!    lease answers alike, in slot order, then the batch marker — so a
-//!    rerun on the same data dir resumes the journal.
+//! 4. the session journals every lease answer in slot order, then the
+//!    batch marker — so a rerun on the same data dir resumes the
+//!    journal.
 //!
-//! Workers journal their leases into shards of their own — their
-//! evaluation caches and replay logs. The coordinator never reads them:
+//! Workers journal their leases into shards of their own — their replay
+//! logs and peer slot sources. The coordinator never reads them:
 //! each lease answer carries the full record of every slot it measured.
 
 use optassign::iterative::{

@@ -12,8 +12,8 @@
 //! * [`wire`] — the JSON lease protocol (integers exact, measured
 //!   values as IEEE-754 bit patterns);
 //! * [`worker`] — a node that measures leased slot ranges through the
-//!   persistent path, journals them to its own shard store (its
-//!   evaluation cache and replay log), and serves that cache to peers;
+//!   persistent path, journals them to its own shard store (its replay
+//!   log), and serves that shard's slots to peers;
 //! * [`coordinator`] — drives the iterative session over its own
 //!   journal, leases the slots the session could not resolve from it,
 //!   and re-leases on worker death;
@@ -26,15 +26,16 @@
 //! index, so a slot measures to the same record wherever it lands, and
 //! a lease answer carries that whole record. The coordinator resolves
 //! and journals each batch through the code a single node runs — replay
-//! and cache hits from its own journal, measurements slot-ascending,
-//! then the batch-end marker — so worker death only moves slots to
+//! from its own journal, measurements slot-ascending, then the
+//! batch-end marker — so worker death only moves slots to
 //! another worker (synchronous re-lease) and never touches the journal,
 //! and a coordinator rerun on its data dir resumes the journal.
 //!
-//! Cold runs federate *nothing*: peer caches are consulted only when a
-//! worker is started with `--peers`, the warm-rerun configuration. A
-//! warm rerun resolves every slot from replay, local cache, or a peer's
-//! cache and performs zero model evaluations.
+//! Cold runs federate *nothing*: peers are asked for a slot's record
+//! only when a worker is started with `--peers`, the warm-rerun
+//! configuration. A warm rerun resolves every slot from replay or from
+//! a peer's record of the same slot and performs zero model
+//! evaluations.
 
 pub mod coordinator;
 pub mod plane;

@@ -20,10 +20,11 @@
 use optassign::iterative::{LeaseOutcome, LeaseRequest, LeaseResolution, SlotOutcome};
 use optassign::{Assignment, Topology};
 use optassign_obs::Json;
+use optassign_store::record::MeasurementRecord;
 use std::fmt::Write as _;
 
 /// Renders a context array (`[0,5,12]`).
-fn push_contexts(out: &mut String, contexts: &[usize]) {
+fn push_contexts<T: std::fmt::Display>(out: &mut String, contexts: &[T]) {
     out.push('[');
     for (i, c) in contexts.iter().enumerate() {
         if i > 0 {
@@ -140,13 +141,33 @@ pub fn encode_outcomes(outcomes: &[LeaseOutcome]) -> String {
 fn resolution_by_name(name: &str) -> Option<LeaseResolution> {
     [
         LeaseResolution::Replayed,
-        LeaseResolution::CacheHit,
         LeaseResolution::PeerHit,
         LeaseResolution::Evaluated,
         LeaseResolution::Abandoned,
     ]
     .into_iter()
     .find(|r| r.name() == name)
+}
+
+/// Encodes a journaled slot as the answer to
+/// `GET /v1/slot/{campaign}/{sequence}/{slot}`: the measured contexts and
+/// the value's bits, all a peer needs to check the record is its slot's.
+#[must_use]
+pub fn encode_slot(record: &MeasurementRecord) -> String {
+    let mut out = format!("{{\"value_bits\":{},\"contexts\":", record.value.to_bits());
+    push_contexts(&mut out, &record.contexts);
+    out.push('}');
+    out
+}
+
+/// Decodes a slot answer into its contexts and value; `None` when the
+/// body is malformed.
+#[must_use]
+pub fn decode_slot(text: &str) -> Option<(Vec<usize>, f64)> {
+    let doc = Json::parse(text)?;
+    let bits = doc.get("value_bits").and_then(Json::as_u64)?;
+    let contexts = doc.get("contexts").and_then(contexts_of)?;
+    Some((contexts, f64::from_bits(bits)))
 }
 
 /// Decodes a lease response, rebuilding measured assignments against
@@ -293,6 +314,30 @@ mod tests {
         assert_eq!(decoded, outcomes);
         let (_, roundtripped) = decoded[0].outcome.measured.clone().unwrap();
         assert_eq!(roundtripped.to_bits(), value.to_bits());
+    }
+
+    #[test]
+    fn slot_answers_round_trip_with_exact_value_bits() {
+        let record = MeasurementRecord {
+            campaign: 1,
+            sequence: 2,
+            slot: 3,
+            key: 4,
+            value: f64::from_bits(0x3FF0_0000_0000_0001),
+            attempts: 1,
+            retries: 0,
+            redrawn: 0,
+            contexts: vec![0, 9, 63],
+        };
+        let text = encode_slot(&record);
+        assert_eq!(
+            text,
+            "{\"value_bits\":4607182418800017409,\"contexts\":[0,9,63]}"
+        );
+        let (contexts, value) = decode_slot(&text).unwrap();
+        assert_eq!(contexts, [0, 9, 63]);
+        assert_eq!(value.to_bits(), record.value.to_bits());
+        assert_eq!(decode_slot("{\"value_bits\":1}"), None);
     }
 
     #[test]

@@ -1,5 +1,5 @@
 //! The fleet worker: a node that measures leased slot ranges and serves
-//! its evaluation cache.
+//! its journaled slots to peers.
 //!
 //! One worker runs two single-threaded HTTP endpoints over one campaign
 //! store (its *shard*):
@@ -10,21 +10,22 @@
 //!   measurement, which is exactly the backpressure a coordinator
 //!   wants from a node it leases to; and
 //! * the **federation** endpoint stays responsive while a lease runs,
-//!   serving the worker's evaluation cache (`GET /v1/cache/{key}`) and
-//!   its JSONL journal (`GET /v1/journal`) — everything a peer or the
-//!   observability plane reads, nothing that feeds back into
-//!   measurement.
+//!   serving the worker's journaled slots
+//!   (`GET /v1/slot/{campaign}/{sequence}/{slot}`, answered from
+//!   [`CampaignStore::lookup_slot`]) and its JSONL journal
+//!   (`GET /v1/journal`) — everything a peer or the observability plane
+//!   reads, nothing that feeds back into measurement.
 //!
 //! Both answer `GET /healthz`, `/metrics` and `/metrics.json` from the
 //! worker's `Obs` handle, as every endpoint on the shared HTTP core does;
 //! the plane scrapes the federation endpoint's `/metrics.json`.
 //!
 //! Leased slots journal through [`measure_leased_slots`] into the shard,
-//! which is the worker's evaluation cache, its federation source, and
-//! its replay log. The campaign journal itself is the coordinator's,
-//! written from the lease answers.
+//! which is the worker's replay log and the slot source it serves to
+//! peers. The campaign journal itself is the coordinator's, written from
+//! the lease answers.
 
-use optassign::iterative::{measure_leased_slots, PeerCache};
+use optassign::iterative::{measure_leased_slots, PeerSlots};
 use optassign::persist::{iterative_campaign_id, CampaignStore};
 use optassign::{Parallelism, PerformanceModel};
 use optassign_httpd::{HttpConfig, HttpServer, Request, Response};
@@ -60,11 +61,11 @@ pub struct WorkerConfig {
     pub ctrl_addr: String,
     /// Bind address of the federation endpoint.
     pub peer_addr: String,
-    /// Federation peers (other workers' federation addresses) consulted
-    /// before evaluating a leased slot. Peer hits journal at zero
-    /// attempts, so cold runs that must stay byte-identical to a
-    /// single node run with no peers; federation is for warm reruns and
-    /// concurrent experiments sharing measured values.
+    /// Federation peers (other workers' federation addresses) asked for
+    /// their record of a leased slot before it is evaluated. Peer hits
+    /// journal at zero attempts, so cold runs that must stay
+    /// byte-identical to a single node run with no peers; federation is
+    /// for warm reruns of a campaign some peer has journaled.
     pub peers: Vec<String>,
     /// Thread/batch shape for leased-slot evaluation (a throughput knob;
     /// results are bit-identical at any setting).
@@ -88,9 +89,9 @@ impl Default for WorkerConfig {
     }
 }
 
-/// Consults other workers' federation endpoints, first hit wins. Lookup
-/// misses on any transport error — a dead peer degrades hit rate, never
-/// a campaign.
+/// Asks other workers' federation endpoints for a slot's record, first
+/// answer wins. Lookup misses on any transport error — a dead peer
+/// degrades hit rate, never a campaign.
 pub struct HttpPeers {
     peers: Vec<String>,
     options: CallOptions,
@@ -98,7 +99,7 @@ pub struct HttpPeers {
     /// trace context of the lease currently occupying the control
     /// thread (leases are served one at a time, so one slot suffices).
     /// Federation fetches made while a traced lease runs inherit its
-    /// context — the cache-federation hop of the causal timeline.
+    /// context — the federation hop of the causal timeline.
     obs: Obs,
     lease_trace: Arc<Mutex<Option<TraceContext>>>,
 }
@@ -132,33 +133,26 @@ impl HttpPeers {
     }
 }
 
-impl PeerCache for HttpPeers {
-    fn lookup(&self, key: u64) -> Option<f64> {
+impl PeerSlots for HttpPeers {
+    fn lookup(&self, campaign: u64, sequence: u64, slot: u64) -> Option<(Vec<usize>, f64)> {
         let ctx = *self
             .lease_trace
             .lock()
             .unwrap_or_else(PoisonError::into_inner);
-        for addr in &self.peers {
+        self.peers.iter().find_map(|addr| {
             let Ok((200, body)) = http_call_traced(
                 addr,
                 "GET",
-                &format!("/v1/cache/{key}"),
+                &format!("/v1/slot/{campaign}/{sequence}/{slot}"),
                 None,
                 &self.options,
                 &self.obs,
                 ctx.as_ref(),
             ) else {
-                continue;
+                return None;
             };
-            if let Some(bits) = Json::parse(&body)
-                .as_ref()
-                .and_then(|d| d.get("value_bits"))
-                .and_then(Json::as_u64)
-            {
-                return Some(f64::from_bits(bits));
-            }
-        }
-        None
+            wire::decode_slot(&body)
+        })
     }
 }
 
@@ -294,13 +288,26 @@ fn install_campaign(state: &WorkerState, req: &Request) -> Response {
             ),
         );
     }
-    state
+    // The fingerprint leaves the model out, so two campaigns on
+    // different models can share one; measuring one's leases on the
+    // other's model would journal wrong values under the right slots.
+    let mut campaigns = state
         .campaigns
         .lock()
-        .unwrap_or_else(PoisonError::into_inner)
-        .entry(fingerprint)
-        .or_insert(spec.model);
-    Response::json(201, format!("{{\"campaign\":{fingerprint}}}"))
+        .unwrap_or_else(PoisonError::into_inner);
+    match campaigns.get(&fingerprint) {
+        Some(installed) if *installed != spec.model => Response::json(
+            409,
+            format!(
+                "{{\"error\":\"campaign {fingerprint} is installed with another model\",\
+                 \"campaign\":{fingerprint}}}"
+            ),
+        ),
+        _ => {
+            campaigns.insert(fingerprint, spec.model);
+            Response::json(201, format!("{{\"campaign\":{fingerprint}}}"))
+        }
+    }
 }
 
 fn serve_lease(state: &WorkerState, req: &Request) -> Response {
@@ -361,9 +368,9 @@ fn serve_lease(state: &WorkerState, req: &Request) -> Response {
             )
         }
     };
-    // Sync before answering: the shard is this worker's evaluation cache
-    // and replay log, so a worker restarted on it after a kill replays
-    // every slot it reported instead of measuring it again.
+    // Sync before answering: the shard is this worker's replay log, so a
+    // worker restarted on it after a kill replays every slot it reported
+    // instead of measuring it again.
     let sync_start_ns = state.obs.now_ns();
     state.store.sync();
     if remote_parent != 0 {
@@ -394,15 +401,25 @@ fn peer_route(state: &WorkerState, req: &Request) -> Response {
             }
             None => Response::not_found(),
         },
-        path => match path.strip_prefix("/v1/cache/").map(str::parse::<u64>) {
-            Some(Ok(key)) => match state.store.cache_lookup(key) {
-                Some(value) => Response::json(
-                    200,
-                    format!("{{\"key\":{key},\"value_bits\":{}}}", value.to_bits()),
-                ),
-                None => Response::not_found(),
-            },
-            _ => Response::not_found(),
+        path => match path.strip_prefix("/v1/slot/").and_then(parse_slot_path) {
+            Some((campaign, sequence, slot)) => {
+                match state.store.lookup_slot(campaign, sequence, slot) {
+                    Some(record) => Response::json(200, wire::encode_slot(&record)),
+                    None => Response::not_found(),
+                }
+            }
+            None => Response::not_found(),
         },
+    }
+}
+
+/// Parses `{campaign}/{sequence}/{slot}`.
+fn parse_slot_path(rest: &str) -> Option<(u64, u64, u64)> {
+    let mut parts = rest.split('/').map(str::parse::<u64>);
+    match (parts.next(), parts.next(), parts.next(), parts.next()) {
+        (Some(Ok(campaign)), Some(Ok(sequence)), Some(Ok(slot)), None) => {
+            Some((campaign, sequence, slot))
+        }
+        _ => None,
     }
 }

@@ -1,19 +1,19 @@
 //! End-to-end fleet fabric tests, in process: a coordinator and three
 //! loopback workers, one of which dies mid-campaign, must journal a
 //! store byte-identical to the single-node run — at any worker thread
-//! count, and with cache hits in the campaign — and a warm rerun against
-//! federated peer caches must perform zero model evaluations.
+//! count, and on a simulator campaign that redraws equivalent
+//! placements — and a warm rerun against federated peers must perform
+//! zero model evaluations and reproduce the cold run.
 
 use optassign::iterative::run_iterative_persistent;
-use optassign::persist::CampaignStore;
-use optassign::Parallelism;
+use optassign::persist::{iterative_campaign_id, CampaignStore};
+use optassign::{Parallelism, PerformanceModel};
 use optassign_fleet::{
     run_fleet_campaign, start_plane, FleetConfig, PlaneConfig, Worker, WorkerConfig,
 };
 use optassign_obs::{fleet_counters, Obs};
 use optassign_optd::client::http_call;
 use optassign_optd::spec::CampaignSpec;
-use optassign_store::record::StoreRecord;
 use optassign_store::wal;
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
@@ -152,12 +152,11 @@ fn digest(bytes: &[u8]) -> (usize, u64) {
 }
 
 #[test]
-fn coordinator_cache_hits_journal_like_a_single_node() {
+fn coordinator_journals_a_simulator_campaign_like_a_single_node() {
     // One IPFwd instance has few distinct placements, so later batches
-    // redraw assignments measured in earlier ones: the coordinator must
-    // serve those from its own journal's cache and journal them at zero
-    // attempts in slot order among the leased slots, exactly where a
-    // single node journals its cache hits.
+    // redraw classes measured in earlier ones, and the simulator measures
+    // equivalent placements differently: the coordinator must lease and
+    // journal every such slot exactly where a single node measures it.
     let spec = CampaignSpec::from_json(
         r#"{"tenant":"fleet-hits","seed":20120301,
             "model":{"kind":"netapps","benchmark":"IPFwd-L1","instances":1,
@@ -194,12 +193,6 @@ fn coordinator_cache_hits_journal_like_a_single_node() {
         digest(&reference),
         "fleet WAL (len, fnv1a64) diverged from the single-node journal"
     );
-    let cache_hits = wal::scan_body(&fleet[wal::WAL_MAGIC.len()..])
-        .records
-        .iter()
-        .filter(|r| matches!(r, StoreRecord::Measurement(m) if m.attempts == 0))
-        .count();
-    assert!(cache_hits >= 1, "the campaign journaled no cache hits");
     let _ = std::fs::remove_dir_all(&root);
 }
 
@@ -222,8 +215,7 @@ fn coordinator_resumes_its_own_journal_from_every_record_boundary() {
     // A coordinator killed anywhere reruns on its own data dir: every
     // slot its journal holds replays (neither leased nor re-journaled),
     // the rest is leased, and the journal and result come out exactly
-    // as an uninterrupted run's. This seed runs to the sample cap, and
-    // one of its slots is a coordinator cache hit.
+    // as an uninterrupted run's. This seed runs to the sample cap.
     let spec = CampaignSpec::from_json(
         r#"{"tenant":"fleet-resume","seed":5,
             "model":{"kind":"synthetic","tasks":8,"base_pps":1000000},
@@ -356,7 +348,17 @@ fn traced_fleet_run_merges_identically_and_journals_cross_process_rpcs() {
 #[test]
 fn warm_rerun_against_federated_peers_performs_zero_evaluations() {
     let root = temp_dir("warm");
-    let spec = spec();
+    // Six tasks repeat equivalence classes within a batch, and the
+    // synthetic model's jitter measures equivalent placements
+    // differently, so only a peer that answers for the very slot
+    // reproduces the cold run.
+    let spec = CampaignSpec::from_json(
+        r#"{"tenant":"fleet-warm","seed":7,
+            "model":{"kind":"synthetic","tasks":6,"base_pps":1000000},
+            "config":{"n_init":100,"n_delta":20,"acceptable_loss":0.0005,
+                      "max_samples":300,"eval_budget":5000}}"#,
+    )
+    .unwrap();
 
     // Cold run, no failures, to produce a complete merged store.
     let cold_obs = Obs::metrics_only();
@@ -372,8 +374,8 @@ fn warm_rerun_against_federated_peers_performs_zero_evaluations() {
     drop(cw1);
     assert!(counter(&cold_obs, fleet_counters::SLOT_EVALS) > 0);
 
-    // A federation source serving the merged store's evaluation cache
-    // (copied, so the comparison artifact stays untouched).
+    // A federation source serving the merged store's slots (copied, so
+    // the comparison artifact stays untouched).
     let source_dir = root.join("source");
     std::fs::create_dir_all(&source_dir).unwrap();
     std::fs::copy(
@@ -403,16 +405,58 @@ fn warm_rerun_against_federated_peers_performs_zero_evaluations() {
     assert_eq!(
         counter(&warm_obs, fleet_counters::SLOT_EVALS),
         0,
-        "a warm rerun must serve every slot from replay, cache, or peers"
+        "a warm rerun must serve every slot from replay or peers"
     );
     assert!(counter(&warm_obs, fleet_counters::PEER_HITS) > 0);
-    // The warm trajectory is value-equivalent, not value-identical: a
-    // batch holding two same-class placements measures both cold (cache
-    // folds only at batch boundaries) but serves both from the class
-    // representative warm. Both runs still pin the stop at the sample
-    // cap, so the shape of the campaign matches exactly.
+    // Each slot takes the peer's record of that very slot, so the warm
+    // trajectory is the cold one, value for value; only the attempts
+    // differ (a peer hit costs none).
+    assert_eq!(warm.result.evaluations, 0);
     assert_eq!(warm.result.samples_used, cold.result.samples_used);
     assert_eq!(warm.result.stop.name(), cold.result.stop.name());
+    assert_eq!(warm.result.best_assignment, cold.result.best_assignment);
+    assert_eq!(
+        warm.result.best_performance.to_bits(),
+        cold.result.best_performance.to_bits()
+    );
+    assert_eq!(
+        format!("{:?}", warm.result.trace),
+        format!("{:?}", cold.result.trace)
+    );
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+#[test]
+fn a_worker_refuses_a_second_model_under_one_fingerprint() {
+    // The fingerprint leaves the model out, so these two campaigns share
+    // one; a worker that measured one's leases on the other's model would
+    // journal wrong values under the right slots.
+    let spec_with = |base_pps: u32| {
+        CampaignSpec::from_json(&format!(
+            r#"{{"tenant":"fleet-models","seed":3,
+                "model":{{"kind":"synthetic","tasks":8,"base_pps":{base_pps}}},
+                "config":{{"n_init":100,"n_delta":20,"max_samples":200}}}}"#
+        ))
+        .unwrap()
+    };
+    let (first, second) = (spec_with(1_000_000), spec_with(2_000_000));
+    let fingerprint = |spec: &CampaignSpec| {
+        let model = spec.model.build();
+        iterative_campaign_id(spec.seed, &spec.config, model.tasks(), model.topology())
+    };
+    assert_eq!(fingerprint(&first), fingerprint(&second));
+    let root = temp_dir("models");
+    let worker = start_worker(&root.join("w0"), 1, Vec::new(), &Obs::disabled());
+    let install = |spec: &CampaignSpec| {
+        let path = format!("/v1/campaigns?campaign={}", fingerprint(spec));
+        http_call(&worker.ctrl_addr(), "POST", &path, Some(&spec.to_json()))
+            .unwrap()
+            .0
+    };
+    assert_eq!(install(&first), 201);
+    assert_eq!(install(&first), 201, "the same spec again is accepted");
+    assert_eq!(install(&second), 409);
+    drop(worker);
     let _ = std::fs::remove_dir_all(&root);
 }
 

@@ -431,7 +431,7 @@ fn record_request(obs: &Obs, request: &Request, response: &Response, recv_ns: u6
 
 /// Collapses identifier-looking path segments (`12345`, `c000017`) to
 /// `{id}` so per-route series stay bounded no matter how many campaigns
-/// or cache keys a server answers for.
+/// or slots a server answers for.
 fn route_key(path: &str) -> String {
     let mut out = String::new();
     for segment in path.split('/').skip(1) {
@@ -777,7 +777,10 @@ mod tests {
             route_key("/v1/campaigns/c000017/best"),
             "/v1/campaigns/{id}/best"
         );
-        assert_eq!(route_key("/v1/cache/123456789"), "/v1/cache/{id}");
+        assert_eq!(
+            route_key("/v1/slot/123456789/3/17"),
+            "/v1/slot/{id}/{id}/{id}"
+        );
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //! Measurement campaigns on real hardware are expensive: each sample
 //! costs seconds to minutes of machine time, and the iterative algorithm
 //! of the paper's §5.3 runs many rounds of them. This crate makes those
-//! campaigns durable with three pieces, all dependency-free:
+//! campaigns durable with two pieces, both dependency-free:
 //!
 //! 1. **A crash-safe write-ahead measurement log** ([`wal`]). Every
 //!    measurement is journaled as one checksummed frame the moment it
@@ -14,29 +14,19 @@
 //! 2. **Checkpoint/resume** ([`CampaignStore::lookup_slot`]). The core
 //!    layer's `_persistent` entry points re-run a campaign from its seed
 //!    and substitute journaled results for slots already measured —
-//!    deterministic replay, so a resumed campaign is bit-identical to an
-//!    uninterrupted one at any worker count.
-//! 3. **A content-addressed evaluation cache** ([`cache`]), keyed by the
-//!    canonical-form assignment hash and rebuilt from the log on every
-//!    open, so the log is the only record of a measurement.
+//!    deterministic replay keyed by `(campaign, sequence, slot)`, so a
+//!    resumed campaign is bit-identical to an uninterrupted one at any
+//!    worker count, and to a run with no store at all. The log is the
+//!    only record of a measurement, and a slot is only ever resolved
+//!    from its own record.
 //!
-//! A fourth piece makes failure a first-class citizen:
+//! A third piece makes failure a first-class citizen:
 //!
-//! 4. **Injectable I/O** ([`io`]). Every byte the store persists flows
+//! 3. **Injectable I/O** ([`io`]). Every byte the store persists flows
 //!    through a [`io::StoreIo`] handle; [`io::FaultyIo`] injects a
 //!    seeded, deterministic schedule of storage faults so each recovery
 //!    path above is exercised reproducibly (see `chaos_soak`), and
 //!    [`fsck`] checks and repairs a store offline.
-//!
-//! ## Batch-boundary cache visibility
-//!
-//! Cache entries become visible only when the batch that produced them
-//! completes (its `BatchEnd` record is journaled): [`CampaignStore::end_batch`]
-//! folds the batch's measurements into the cache in slot order,
-//! first-wins, and rebuilding on open folds only completed batches the
-//! same way. Lookups for a batch all happen before its parallel region
-//! runs, so what a slot can see never depends on worker scheduling —
-//! the property the resume contract rests on.
 //!
 //! ## Failure policy
 //!
@@ -49,7 +39,6 @@
 //! and the obs counters `store_tail_truncated_total` /
 //! `store_frames_quarantined_total` — never silently ignored.
 
-pub mod cache;
 pub mod io;
 pub mod record;
 pub mod wal;
@@ -59,7 +48,6 @@ use std::fmt;
 use std::path::Path;
 use std::sync::{Mutex, PoisonError};
 
-use cache::{CacheStats, EvalCache};
 use io::{RealIo, StoreIo};
 use optassign_obs::{Event, Obs};
 use record::{MeasurementRecord, StoreRecord};
@@ -123,26 +111,21 @@ struct StoreInner {
     wal: Wal,
     /// Every journaled measurement, keyed for slot replay.
     measurements: HashMap<(u64, u64, u64), MeasurementRecord>,
-    /// Measurements of batches whose `BatchEnd` has not been journaled
-    /// yet, staged for cache folding.
-    staged: HashMap<(u64, u64), Vec<MeasurementRecord>>,
-    /// Batches whose `BatchEnd` is journaled; `end_batch` is a no-op for
-    /// these, which makes replay idempotent.
+    /// Batches whose `BatchEnd` is journaled; `end_batch` journals no
+    /// second marker for these, which makes replay idempotent.
     completed: HashSet<(u64, u64)>,
-    cache: EvalCache,
+    /// Whether measurements were appended since the last sync.
+    unsynced: bool,
     io_errors: u64,
     open_report: OpenReport,
 }
 
 impl StoreInner {
-    fn fold_batch_into_cache(&mut self, batch: (u64, u64)) {
-        if let Some(mut records) = self.staged.remove(&batch) {
-            records.sort_by_key(|r| r.slot);
-            for r in records {
-                self.cache.insert_if_absent(r.key, r.value);
-            }
+    fn sync_wal(&mut self) {
+        if self.wal.sync().is_err() {
+            self.count_io_error();
         }
-        self.completed.insert(batch);
+        self.unsynced = false;
     }
 
     fn count_io_error(&mut self) {
@@ -181,8 +164,9 @@ impl CampaignStore {
     /// Opens the store at `dir` through `io`, creating the directory and
     /// an empty log as needed, replaying every intact log frame, and
     /// repairing damage (truncating a torn tail, quarantining interior
-    /// corruption). Repairs are reported through `obs` —
-    /// `store_tail_truncated_total` / `store_frames_quarantined_total`
+    /// corruption, rewriting a magic one bit off). Repairs are reported
+    /// through `obs` — `store_tail_truncated_total` /
+    /// `store_frames_quarantined_total` / `store_header_repaired_total`
     /// counters plus warning events — and via [`CampaignStore::open_report`].
     ///
     /// # Errors
@@ -202,9 +186,8 @@ impl CampaignStore {
             obs: obs.clone(),
             wal,
             measurements: HashMap::new(),
-            staged: HashMap::new(),
             completed: HashSet::new(),
-            cache: EvalCache::new(),
+            unsynced: false,
             io_errors: 0,
             open_report,
         };
@@ -212,17 +195,12 @@ impl CampaignStore {
             match record {
                 StoreRecord::Measurement(m) => {
                     let slot_key = (m.campaign, m.sequence, m.slot);
-                    inner
-                        .staged
-                        .entry((m.campaign, m.sequence))
-                        .or_default()
-                        .push(m.clone());
                     inner.measurements.entry(slot_key).or_insert(m);
                 }
                 StoreRecord::BatchEnd {
                     campaign, sequence, ..
                 } => {
-                    inner.fold_batch_into_cache((campaign, sequence));
+                    inner.completed.insert((campaign, sequence));
                 }
             }
         }
@@ -250,31 +228,17 @@ impl CampaignStore {
             .cloned()
     }
 
-    /// Looks up a content-addressed evaluation, counting the hit or miss.
-    /// Callers must do all of a batch's lookups before journaling any of
-    /// its measurements (the visibility rule documented at crate level).
-    #[must_use]
-    pub fn cache_lookup(&self, key: u64) -> Option<f64> {
-        self.lock().cache.lookup(key)
-    }
-
     /// Journals one measurement. Idempotent per `(campaign, sequence,
     /// slot)`: a record for an already-journaled slot is dropped, which
     /// keeps replayed campaigns from rewriting their history. I/O
-    /// failures are counted, not raised, and the measurement still
-    /// reaches the cache when its batch ends, so the running campaign
-    /// sees the same cache whether or not the disk cooperates.
+    /// failures are counted, not raised; the slot then has no record and
+    /// is measured again on resume.
     pub fn append_measurement(&self, record: &MeasurementRecord) {
         let mut inner = self.lock();
         let slot_key = (record.campaign, record.sequence, record.slot);
         if inner.measurements.contains_key(&slot_key) {
             return;
         }
-        inner
-            .staged
-            .entry((record.campaign, record.sequence))
-            .or_default()
-            .push(record.clone());
         if inner
             .wal
             .append(&StoreRecord::Measurement(record.clone()))
@@ -283,51 +247,44 @@ impl CampaignStore {
             inner.count_io_error();
             return;
         }
+        inner.unsynced = true;
         inner.measurements.insert(slot_key, record.clone());
     }
 
-    /// Journals a batch-completion marker and folds the batch's staged
-    /// measurements into the evaluation cache (slot order, first-wins).
-    /// No-op for a batch already marked complete. Syncs the log so a
-    /// completed batch survives power loss. I/O failures are counted,
-    /// not raised.
+    /// Journals a batch-completion marker and syncs the log, so a
+    /// completed batch survives power loss. A batch already marked
+    /// complete gets no second marker, and is synced again only when
+    /// measurements were appended since the last sync — a batch that
+    /// grew (a longer study on the same seed) or a lost record measured
+    /// again — so its records are durable when this returns either way.
+    /// I/O failures are counted, not raised.
     pub fn end_batch(&self, campaign: u64, sequence: u64, len: u64) {
         let mut inner = self.lock();
-        if inner.completed.contains(&(campaign, sequence)) {
+        if inner.completed.insert((campaign, sequence)) {
+            // The batch completes in memory even if the marker is lost:
+            // the running campaign must behave identically whether or
+            // not the disk cooperates.
+            if inner
+                .wal
+                .append(&StoreRecord::BatchEnd {
+                    campaign,
+                    sequence,
+                    len,
+                })
+                .is_err()
+            {
+                inner.count_io_error();
+            }
+        } else if !inner.unsynced {
             return;
         }
-        if inner
-            .wal
-            .append(&StoreRecord::BatchEnd {
-                campaign,
-                sequence,
-                len,
-            })
-            .is_err()
-        {
-            inner.count_io_error();
-            // The batch still completes in memory: the running campaign
-            // must behave identically whether or not the disk cooperates.
-        }
-        if inner.wal.sync().is_err() {
-            inner.count_io_error();
-        }
-        inner.fold_batch_into_cache((campaign, sequence));
+        inner.sync_wal();
     }
 
     /// Forces journaled frames to durable storage. I/O failures are
     /// counted, not raised.
     pub fn sync(&self) {
-        let mut inner = self.lock();
-        if inner.wal.sync().is_err() {
-            inner.count_io_error();
-        }
-    }
-
-    /// Evaluation-cache counters.
-    #[must_use]
-    pub fn cache_stats(&self) -> CacheStats {
-        self.lock().cache.stats()
+        self.lock().sync_wal();
     }
 
     /// Runtime I/O failures swallowed so far.
@@ -364,6 +321,12 @@ fn report_open_damage(obs: &Obs, wal_path: &Path, report: &OpenReport) {
                 .with("bytes", report.tail_truncated_bytes)
         });
     }
+    if report.header_repaired {
+        obs.counter_add("store_header_repaired_total", 1);
+        obs.emit(|| {
+            Event::new("store_header_repaired").with("path", wal_path.display().to_string())
+        });
+    }
     if report.quarantined_frames > 0 {
         obs.counter_add("store_frames_quarantined_total", report.quarantined_frames);
         obs.counter_add("store_quarantined_bytes_total", report.quarantined_bytes);
@@ -390,6 +353,9 @@ pub struct FsckReport {
     pub tail_truncated_bytes: u64,
     /// Entries already in the quarantine sidecar before this check.
     pub sidecar_entries: u64,
+    /// Whether the log's magic is one bit off ([`wal::Header::OneBitOff`]);
+    /// a repair rewrites it and keeps every frame.
+    pub header_damaged: bool,
     /// Whether a repair pass rewrote the log.
     pub repaired: bool,
 }
@@ -398,21 +364,23 @@ impl FsckReport {
     /// Whether the store shows no damage at all.
     #[must_use]
     pub fn is_clean(&self) -> bool {
-        self.quarantined_frames == 0 && self.tail_truncated_bytes == 0
+        self.quarantined_frames == 0 && self.tail_truncated_bytes == 0 && !self.header_damaged
     }
 }
 
 /// Checks the store at `dir` for damage. With `repair == false` this is
 /// a pure read-only scan; with `repair == true` the write-ahead log is
 /// additionally run through the normal open path, which quarantines
-/// interior damage and truncates any torn tail. Damage found is also
-/// reported through `obs` exactly as [`CampaignStore::open_with`] would.
+/// interior damage, rewrites a magic one bit off and truncates any torn
+/// tail. Damage found is also reported through `obs` exactly as
+/// [`CampaignStore::open_with`] would.
 ///
 /// # Errors
 ///
 /// Returns [`StoreError::Io`] on filesystem failure, including a
 /// directory that does not exist, and [`StoreError::Corrupt`] when the
-/// log file exists but is not a campaign log at all (wrong magic).
+/// log file exists but is not a campaign log at all
+/// ([`wal::Header::Foreign`]).
 pub fn fsck(
     dir: &Path,
     io: &dyn StoreIo,
@@ -431,32 +399,26 @@ pub fn fsck(
         wal::read_quarantine(io, &wal::quarantine_path(&wal_path)).len() as u64;
 
     match io.read(&wal_path) {
-        Ok(bytes) => {
-            if bytes.len() < wal::WAL_MAGIC.len()
-                || &bytes[..wal::WAL_MAGIC.len()] != wal::WAL_MAGIC
-            {
-                if !(bytes.len() < wal::WAL_MAGIC.len() && wal::WAL_MAGIC.starts_with(&bytes)) {
-                    return Err(StoreError::Corrupt(format!(
-                        "{} is not a campaign log (bad magic)",
-                        wal_path.display()
-                    )));
-                }
-                report.tail_truncated_bytes = bytes.len() as u64;
-            } else {
+        Ok(bytes) => match wal::classify_header(&bytes) {
+            wal::Header::Foreign => return Err(wal::bad_magic(&wal_path)),
+            wal::Header::Torn => report.tail_truncated_bytes = bytes.len() as u64,
+            header @ (wal::Header::Intact | wal::Header::OneBitOff) => {
                 let scan = wal::scan_body(&bytes[wal::WAL_MAGIC.len()..]);
                 report.wal_records = scan.records.len() as u64;
                 report.quarantined_frames = scan.quarantined.len() as u64;
                 report.quarantined_bytes = scan.quarantined_bytes();
                 report.tail_truncated_bytes = scan.tail_discarded as u64;
+                report.header_damaged = header == wal::Header::OneBitOff;
             }
-        }
+        },
         Err(e) if e.kind() == std::io::ErrorKind::NotFound => {}
         Err(e) => return Err(StoreError::Io(format!("reading log: {e}"))),
     }
 
-    if repair && (report.quarantined_frames > 0 || report.tail_truncated_bytes > 0) {
+    if repair && !report.is_clean() {
         // The normal open path *is* the repair: it quarantines interior
-        // damage, rebuilds the log, and truncates the torn tail.
+        // damage, rebuilds the log, rewrites a magic one bit off, and
+        // truncates the torn tail.
         let (_wal, _records, open_report) = wal::open_log(io, &wal_path)?;
         report_open_damage(obs, &wal_path, &open_report);
         report.repaired = !open_report.is_clean();
@@ -515,37 +477,6 @@ mod tests {
     }
 
     #[test]
-    fn cache_sees_only_completed_batches() {
-        let dir = temp_dir("visibility");
-        let store = CampaignStore::open(&dir).unwrap();
-        store.append_measurement(&measurement(1, 0, 0, 100, 5.0));
-        assert_eq!(store.cache_lookup(100), None);
-        store.end_batch(1, 0, 1);
-        assert_eq!(store.cache_lookup(100), Some(5.0));
-        // The incomplete-batch rule also holds across a reopen.
-        store.append_measurement(&measurement(1, 1, 0, 200, 7.0));
-        drop(store);
-        let store = CampaignStore::open(&dir).unwrap();
-        assert_eq!(store.cache_lookup(100), Some(5.0));
-        assert_eq!(store.cache_lookup(200), None);
-        // …but the incomplete batch's slot still replays.
-        assert_eq!(store.lookup_slot(1, 1, 0).unwrap().value, 7.0);
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn first_record_wins_within_a_batch() {
-        let dir = temp_dir("firstwins");
-        let store = CampaignStore::open(&dir).unwrap();
-        store.append_measurement(&measurement(1, 0, 0, 100, 5.0));
-        store.append_measurement(&measurement(1, 0, 1, 100, 9.0));
-        store.end_batch(1, 0, 2);
-        // Slot order decides: slot 0's value wins the shared key.
-        assert_eq!(store.cache_lookup(100), Some(5.0));
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
     fn append_and_end_batch_are_idempotent() {
         let dir = temp_dir("idempotent");
         let store = CampaignStore::open(&dir).unwrap();
@@ -557,7 +488,34 @@ mod tests {
         assert_eq!(store.journaled_measurements(), 1);
         drop(store);
         let store = CampaignStore::open(&dir).unwrap();
-        assert_eq!(store.cache_lookup(100), Some(5.0));
+        assert_eq!(store.lookup_slot(1, 0, 0).unwrap().value, 5.0);
+        let report = fsck(&dir, &RealIo, false, &Obs::disabled()).unwrap();
+        assert_eq!(report.wal_records, 2, "one measurement, one batch end");
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_grown_batch_is_durable_when_end_batch_returns() {
+        let dir = temp_dir("grown");
+        let io = io::FaultyIo::new(io::IoFaultPlan::none(7));
+        {
+            let store = CampaignStore::open_with(&dir, &io, &Obs::disabled()).unwrap();
+            store.append_measurement(&measurement(1, 0, 0, 100, 5.0));
+            store.end_batch(1, 0, 1);
+            // The same batch one slot longer: its first slot is already
+            // journaled, the new one is appended under no second marker.
+            store.append_measurement(&measurement(1, 0, 0, 100, 5.0));
+            store.append_measurement(&measurement(1, 0, 1, 101, 6.0));
+            store.end_batch(1, 0, 2);
+        }
+        // Power loss keeps none of what was never synced.
+        io.crash().unwrap();
+        let store = CampaignStore::open(&dir).unwrap();
+        assert!(store.open_report().is_clean());
+        assert_eq!(store.lookup_slot(1, 0, 1).unwrap().value, 6.0);
+        assert_eq!(store.journaled_measurements(), 2);
+        let report = fsck(&dir, &RealIo, false, &Obs::disabled()).unwrap();
+        assert_eq!(report.wal_records, 3, "two measurements, one batch end");
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -668,5 +626,72 @@ mod tests {
             Err(StoreError::Io(msg)) => assert!(msg.starts_with("no store directory"), "{msg}"),
             other => panic!("expected an I/O error, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn a_magic_one_bit_off_keeps_every_frame_and_repairs_to_clean() {
+        let dir = temp_dir("magic-flip");
+        {
+            let store = CampaignStore::open(&dir).unwrap();
+            for slot in 0..3u64 {
+                store.append_measurement(&measurement(1, 0, slot, 100 + slot, slot as f64));
+            }
+            store.sync();
+        }
+        let wal_path = dir.join(WAL_FILE);
+        let intact = std::fs::read(&wal_path).unwrap();
+        let flipped = |bits: &[usize]| {
+            let mut bytes = intact.clone();
+            for &bit in bits {
+                bytes[bit / 8] ^= 1 << (bit % 8);
+            }
+            std::fs::write(&wal_path, &bytes).unwrap();
+        };
+        let replays_all = |store: &CampaignStore| {
+            store.journaled_measurements() == 3
+                && (0..3).all(|slot| store.lookup_slot(1, 0, slot).is_some())
+        };
+        let disabled = Obs::disabled();
+        for bit in 0..8 * wal::WAL_MAGIC.len() {
+            // fsck finds the damage, and its repair leaves a clean log.
+            flipped(&[bit]);
+            let report = fsck(&dir, &RealIo, false, &disabled).unwrap();
+            assert!(report.header_damaged && !report.is_clean(), "bit {bit}");
+            assert_eq!(report.wal_records, 3, "bit {bit}");
+            assert!(fsck(&dir, &RealIo, true, &disabled).unwrap().repaired);
+            assert!(fsck(&dir, &RealIo, false, &disabled).unwrap().is_clean());
+            assert_eq!(std::fs::read(&wal_path).unwrap(), intact, "bit {bit}");
+            // Opening repairs it the same way, and reports it.
+            flipped(&[bit]);
+            let obs = Obs::metrics_only();
+            let store = CampaignStore::open_with(&dir, &RealIo, &obs).unwrap();
+            assert!(store.open_report().header_repaired, "bit {bit}");
+            assert!(replays_all(&store), "bit {bit}");
+            assert_eq!(obs.metrics().counter("store_header_repaired_total"), 1);
+            drop(store);
+            assert!(fsck(&dir, &RealIo, false, &disabled).unwrap().is_clean());
+        }
+        // Two bits off, or a foreign file, is not a campaign log.
+        for bits in [&[0usize, 9][..], &[5, 6]] {
+            flipped(bits);
+            assert!(matches!(
+                fsck(&dir, &RealIo, true, &disabled),
+                Err(StoreError::Corrupt(_))
+            ));
+            assert!(matches!(
+                CampaignStore::open(&dir),
+                Err(StoreError::Corrupt(_))
+            ));
+        }
+        std::fs::write(&wal_path, b"hello world, this is text").unwrap();
+        assert!(matches!(
+            fsck(&dir, &RealIo, false, &disabled),
+            Err(StoreError::Corrupt(_))
+        ));
+        assert!(matches!(
+            CampaignStore::open(&dir),
+            Err(StoreError::Corrupt(_))
+        ));
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 }

@@ -18,8 +18,9 @@ pub const TAG_BATCH_END: u8 = 2;
 /// primary), what it cost, and what it scored.
 ///
 /// `key` is the content address of the measured assignment — the
-/// canonical-form hash computed by the core layer — so the record doubles
-/// as an evaluation-cache entry once its batch completes.
+/// canonical-form hash computed by the core layer. Nothing resolves a
+/// slot by it: a slot replays only from its own `(campaign, sequence,
+/// slot)` record.
 #[derive(Debug, Clone, PartialEq)]
 pub struct MeasurementRecord {
     /// Campaign identity (derived by the caller from seed + campaign
@@ -51,7 +52,7 @@ pub enum StoreRecord {
     /// write order within a batch follows completion, not slot, order).
     Measurement(MeasurementRecord),
     /// Marks a batch as complete: every one of its `len` slots was
-    /// resolved. Only completed batches feed the evaluation cache.
+    /// resolved.
     BatchEnd {
         /// Campaign the batch belongs to.
         campaign: u64,

@@ -21,9 +21,13 @@
 //! deterministically, so a quarantined frame costs a re-measurement,
 //! never a wrong answer.
 //!
-//! The log and its sidecar are a store's whole on-disk format: the
-//! evaluation cache is rebuilt from the log's completed batches on every
-//! open.
+//! The 8-byte magic gets the same treatment: a torn magic (a crash
+//! during a new log's first write) resets the log, and a magic one bit
+//! off (a silent flip of that write) is rewritten, tmp + rename, with
+//! every frame kept — see [`classify_header`]. Any other prefix is not a
+//! campaign log and is refused.
+//!
+//! The log and its sidecar are a store's whole on-disk format.
 
 use std::path::Path;
 
@@ -38,6 +42,53 @@ pub const QUARANTINE_MAGIC: &[u8; 8] = b"OASTQAR1";
 
 /// Bytes of frame overhead preceding each payload (u32 length + u64 crc).
 pub const FRAME_HEADER_LEN: usize = 12;
+
+/// What a log file's leading bytes say about it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Header {
+    /// Exactly [`WAL_MAGIC`].
+    Intact,
+    /// Shorter than the magic and a prefix of it (empty included): a
+    /// crash tore a new log's first write, so nothing else was written.
+    Torn,
+    /// The magic with exactly one bit flipped: a silently corrupted first
+    /// write. The frames after it are read as usual and the magic is
+    /// rewritten on repair.
+    OneBitOff,
+    /// Anything else: not a campaign log.
+    Foreign,
+}
+
+/// Classifies a log file's leading bytes — the one magic check that
+/// [`open_log`] and [`crate::fsck`] share.
+#[must_use]
+pub fn classify_header(bytes: &[u8]) -> Header {
+    let Some(head) = bytes.get(..WAL_MAGIC.len()) else {
+        return if WAL_MAGIC.starts_with(bytes) {
+            Header::Torn
+        } else {
+            Header::Foreign
+        };
+    };
+    let flipped: u32 = head
+        .iter()
+        .zip(WAL_MAGIC)
+        .map(|(a, b)| (a ^ b).count_ones())
+        .sum();
+    match flipped {
+        0 => Header::Intact,
+        1 => Header::OneBitOff,
+        _ => Header::Foreign,
+    }
+}
+
+/// The error for a file that is not a campaign log.
+pub(crate) fn bad_magic(path: &Path) -> StoreError {
+    StoreError::Corrupt(format!(
+        "{} is not a campaign log (bad magic)",
+        path.display()
+    ))
+}
 
 /// Refuse frames above this size; the largest legitimate record is a
 /// measurement with a few thousand contexts, well under a mebibyte.
@@ -194,13 +245,15 @@ pub struct OpenReport {
     pub quarantined_bytes: u64,
     /// Torn-tail bytes truncated off the end.
     pub tail_truncated_bytes: u64,
+    /// Whether a magic one bit off ([`Header::OneBitOff`]) was rewritten.
+    pub header_repaired: bool,
 }
 
 impl OpenReport {
     /// Whether the open found no damage at all.
     #[must_use]
     pub fn is_clean(&self) -> bool {
-        self.quarantined_frames == 0 && self.tail_truncated_bytes == 0
+        self.quarantined_frames == 0 && self.tail_truncated_bytes == 0 && !self.header_repaired
     }
 }
 
@@ -299,13 +352,15 @@ pub fn read_quarantine(io: &dyn StoreIo, path: &Path) -> Vec<(u64, Vec<u8>)> {
 /// every intact frame. Damage bounded by a later intact frame is moved
 /// to the quarantine sidecar and the log is rebuilt without it (tmp +
 /// rename, so a crash mid-repair leaves the original log); a torn tail
-/// with no later frame is truncated as before. The report says which.
+/// with no later frame is truncated as before. A torn magic resets the
+/// log, and a magic one bit off is rewritten by the same rebuild. The
+/// report says which.
 ///
 /// # Errors
 ///
 /// Returns [`StoreError::Io`] on filesystem failure and
-/// [`StoreError::Corrupt`] if the file exists but is not a log (bad
-/// magic).
+/// [`StoreError::Corrupt`] if the file exists but is not a log
+/// ([`Header::Foreign`]).
 pub fn open_log(
     io: &dyn StoreIo,
     path: &Path,
@@ -324,11 +379,12 @@ pub fn open_log(
             .map_err(|e| io_err("writing log magic", &e))?;
         return Ok((Wal { file }, Vec::new(), OpenReport::default()));
     }
-    if bytes.len() < WAL_MAGIC.len() || &bytes[..WAL_MAGIC.len()] != WAL_MAGIC {
+    let header = classify_header(&bytes);
+    match header {
+        Header::Intact | Header::OneBitOff => {}
         // A torn write of the magic itself can only happen to an empty
-        // log, so nothing is lost by starting over; anything else with a
-        // wrong prefix is not our file.
-        if bytes.len() < WAL_MAGIC.len() && WAL_MAGIC.starts_with(&bytes) {
+        // log, so nothing is lost by starting over.
+        Header::Torn => {
             io.write(path, WAL_MAGIC)
                 .map_err(|e| io_err("resetting log", &e))?;
             let file = io
@@ -340,10 +396,7 @@ pub fn open_log(
             };
             return Ok((Wal { file }, Vec::new(), report));
         }
-        return Err(StoreError::Corrupt(format!(
-            "{} is not a campaign log (bad magic)",
-            path.display()
-        )));
+        Header::Foreign => return Err(bad_magic(path)),
     }
 
     let body = &bytes[WAL_MAGIC.len()..];
@@ -352,9 +405,10 @@ pub fn open_log(
         quarantined_frames: scan.quarantined.len() as u64,
         quarantined_bytes: scan.quarantined_bytes(),
         tail_truncated_bytes: scan.tail_discarded as u64,
+        header_repaired: header == Header::OneBitOff,
     };
 
-    if !scan.quarantined.is_empty() {
+    if !scan.quarantined.is_empty() || report.header_repaired {
         // Sidecar first: if the rebuild below is interrupted the original
         // log is still in place and the next open re-quarantines (the
         // sidecar may then hold duplicate entries, which is acceptable

@@ -125,17 +125,17 @@ if [[ "${FAST}" == "0" ]]; then
 
     # Pool-sharing smoke: fig10 measures every benchmark's case-study pool
     # into a checkpoint; fig12 on the same checkpoint must replay all five
-    # 300-draw pools from the journal — no simulator evaluation, and no
-    # replay counted as a cache hit — and print exactly what a
-    # checkpoint-free fig12 prints.
+    # 300-draw pools from the journal — every slot counted once, as a
+    # replay, none measured or served by a peer — and print exactly what
+    # a checkpoint-free fig12 prints.
     echo "==> fig10/fig12 shared-pool smoke"
     cargo run -q --release -p optassign-bench --bin fig10 -- \
         --scale 0.01 --workers 2 --checkpoint "${METRICS_TMP}/ckpt-pools" >/dev/null
     cargo run -q --release -p optassign-bench --bin fig12 -- \
         --scale 0.01 --workers 2 --checkpoint "${METRICS_TMP}/ckpt-pools" \
         --metrics "${METRICS_TMP}/fig12.jsonl" >"${METRICS_TMP}/fig12-shared.out"
-    grep -qx 'exec_cache_misses_total 0' "${METRICS_TMP}/fig12.jsonl.prom"
-    grep -qx 'exec_cache_hits_total 0' "${METRICS_TMP}/fig12.jsonl.prom"
+    grep -qx 'exec_measured_total 0' "${METRICS_TMP}/fig12.jsonl.prom"
+    grep -qx 'exec_peer_hits_total 0' "${METRICS_TMP}/fig12.jsonl.prom"
     grep -qx 'exec_replayed_total 1500' "${METRICS_TMP}/fig12.jsonl.prom"
     target/release/fig12 --scale 0.01 --workers 2 >"${METRICS_TMP}/fig12-plain.out"
     diff "${METRICS_TMP}/fig12-plain.out" "${METRICS_TMP}/fig12-shared.out"
@@ -154,7 +154,7 @@ if [[ "${FAST}" == "0" ]]; then
         --bin ablation_predictor --bin ext_deep_pipeline --bin ext_scheduler_eval
     rc=0; target/release/ext_selection --workers 1 --metrics "${METRICS_TMP}/sel.jsonl" --scale 0.01 >/dev/null 2>&1 || rc=$?; [[ "${rc}" == 2 && ! -e "${METRICS_TMP}/sel.jsonl" ]]
     rc=0; target/release/ablation_predictor --checkpoint "${METRICS_TMP}/ckpt-abl" --scale 0.01 >/dev/null 2>&1 || rc=$?; [[ "${rc}" == 2 && ! -e "${METRICS_TMP}/ckpt-abl" ]]
-    target/release/ext_deep_pipeline --scale 0.01 --workers 2 --metrics "${METRICS_TMP}/deep.jsonl" --checkpoint "${METRICS_TMP}/ckpt-deep" >/dev/null; grep -qx 'exec_cache_misses_total 900' "${METRICS_TMP}/deep.jsonl.prom"; [[ -d "${METRICS_TMP}/ckpt-deep/deep-p3" ]]
+    target/release/ext_deep_pipeline --scale 0.01 --workers 2 --metrics "${METRICS_TMP}/deep.jsonl" --checkpoint "${METRICS_TMP}/ckpt-deep" >/dev/null; grep -qx 'exec_measured_total 900' "${METRICS_TMP}/deep.jsonl.prom"; [[ -d "${METRICS_TMP}/ckpt-deep/deep-p3" ]]
     # ext_scheduler_eval at a scale whose 300-draw pools may have no
     # bounded tail: it reports the tail unresolved and exits 0, after
     # running local search and best-of-n on SimModel::evaluate.
@@ -180,13 +180,19 @@ if [[ "${FAST}" == "0" ]]; then
     # injected storage faults plus a guaranteed quarantine round-trip;
     # the final resumed campaign must be bit-identical to a fault-free
     # run. Run twice: the seed alone fixes every fault and torn tail, so
-    # both runs print the same line.
-    echo "==> chaos_soak --scale smoke (twice, same stdout)"
+    # both runs print the same line. Seed 24 loses a record whose class
+    # survives in another slot (it must be measured again, not copied),
+    # and seed 29 flips one bit of a fresh log's magic (fsck must rewrite
+    # it and keep every frame).
+    echo "==> chaos_soak --scale smoke (twice, same stdout; seeds 24 and 29)"
     cargo build -q --release -p optassign-bench --bin chaos_soak
     target/release/chaos_soak --scale smoke 2>/dev/null >"${METRICS_TMP}/chaos1.out"
     target/release/chaos_soak --scale smoke 2>/dev/null >"${METRICS_TMP}/chaos2.out"
     grep -q '^chaos_soak: OK' "${METRICS_TMP}/chaos1.out"
     diff "${METRICS_TMP}/chaos1.out" "${METRICS_TMP}/chaos2.out"
+    for seed in 24 29; do
+        target/release/chaos_soak --scale smoke --seed "${seed}" 2>/dev/null | grep -q '^chaos_soak: OK'
+    done
 
     # Corrupt-then-fsck-then-resume smoke: flip one byte inside the clean
     # checkpoint's log, repair it with store_fsck (which must quarantine

@@ -5,11 +5,11 @@
 # fig4_5, fig6, fig7, fig10, fig11, fig12 and fig14 in turn and prints the
 # total wall time. The pool binaries (fig6, fig7, fig10-12, fig14) share
 # one checkpoint, so each benchmark's random-assignment pool is measured
-# once: every pool of a benchmark is a prefix of one seeded draw sequence,
-# and a later binary replays the journal or hits the evaluation cache for
-# the draws an earlier one measured (DESIGN.md §8). The checkpoint is
-# $OPTASSIGN_CHECKPOINT, or a fresh temporary directory (removed on exit)
-# when that is unset.
+# once: every pool of a benchmark is a prefix of one seeded draw sequence
+# journaled as one campaign, so a later binary replays the draws an
+# earlier one measured and measures only the rest (DESIGN.md §8). The
+# checkpoint is $OPTASSIGN_CHECKPOINT, or a fresh temporary directory
+# (removed on exit) when that is unset.
 #
 # Usage: scripts/repro_all.sh [--scale F] [--workers N] [...]
 #   The arguments go to the pool binaries (the flags of BenchArgs); the

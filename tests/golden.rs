@@ -25,7 +25,7 @@
 use optassign::fault::{FaultPlan, FaultyModel};
 use optassign::iterative::{
     measure_leased_slots, run_iterative, run_iterative_persistent, IterativeConfig, LeaseRequest,
-    LeaseResolution, PeerCache,
+    LeaseResolution, PeerSlots,
 };
 use optassign::model::SyntheticModel;
 use optassign::persist::CampaignStore;
@@ -152,12 +152,13 @@ fn flaky() -> FaultyModel<SyntheticModel> {
     )
 }
 
-/// Answers for exactly one canonical key.
-struct OnePeer(u64);
+/// Holds a record of exactly one slot: `(campaign, sequence, slot)` and
+/// the contexts it measured.
+struct OnePeer((u64, u64, u64), Vec<usize>);
 
-impl PeerCache for OnePeer {
-    fn lookup(&self, key: u64) -> Option<f64> {
-        (key == self.0).then_some(777_777.0)
+impl PeerSlots for OnePeer {
+    fn lookup(&self, campaign: u64, sequence: u64, slot: u64) -> Option<(Vec<usize>, f64)> {
+        ((campaign, sequence, slot) == self.0).then(|| (self.1.clone(), 777_777.0))
     }
 }
 
@@ -167,8 +168,8 @@ fn wal_bytes_of_every_measurement_path_match_goldens() {
     let par = Parallelism::new(2);
     let obs = Obs::disabled();
 
-    // Plain study, then a longer study on the same seed: its first 60
-    // slots are evaluation-cache hits journaled at zero attempts.
+    // Plain study, then a longer study on the same seed: the same
+    // campaign, whose first 60 slots replay and the other 30 measure.
     let dir = fresh_dir("study");
     let store = CampaignStore::open(&dir).unwrap();
     SampleStudy::run_with(&synthetic, 60, 7, par, &obs, Some(&store)).unwrap();
@@ -177,7 +178,8 @@ fn wal_bytes_of_every_measurement_path_match_goldens() {
     let study = wal_digest(&dir);
 
     // Resilient study with retries and redraws, then a longer one on the
-    // same seed whose first-draw primaries hit the cache.
+    // same seed: another campaign (its draw cap depends on n), measured
+    // in full.
     let dir_res = fresh_dir("resilient");
     let store = CampaignStore::open(&dir_res).unwrap();
     let model = flaky();
@@ -216,7 +218,7 @@ fn wal_bytes_of_every_measurement_path_match_goldens() {
         .iter()
         .map(|&s| primaries[s as usize].clone())
         .collect();
-    let peer = OnePeer(primaries[4].canonical_hash());
+    let peer = OnePeer((0xC0FFEE, 3, slots[4]), primaries[4].contexts().to_vec());
     let lease = LeaseRequest {
         campaign: 0xC0FFEE,
         sequence: 3,
@@ -237,8 +239,8 @@ fn wal_bytes_of_every_measurement_path_match_goldens() {
     assert_eq!(
         [study, resilient, iterative, leased],
         [
-            (14_032, 0xa3b2_9e42_8fdf_ddea),
-            (16_822, 0x9af1_16a7_ad15_7ca0),
+            (8_415, 0x752f_14d1_6df6_8650),
+            (16_822, 0x7efc_3f8b_d6f2_4f39),
             (9_345, 0x83e2_0d1c_5b27_efca),
             (1_254, 0xb175_abae_6ca1_6ec6),
         ],

@@ -94,9 +94,9 @@ fn pipeline_locality_is_visible() {
 /// The simulator is not invariant under the machine's symmetry: both
 /// engines seed every strand from a hash of the exact contexts, so moving
 /// a placement one core over gives an equivalent assignment (the same
-/// canonical class, the same evaluation-cache key) that measures
-/// differently. A cache hit therefore returns whichever equivalent
-/// placement was measured first (DESIGN.md §8).
+/// canonical class, the same `canonical_hash`) that measures
+/// differently. So a store resolves a slot only from its own record,
+/// never from an equivalent placement's (DESIGN.md §8).
 #[test]
 fn core_rotation_changes_the_measurement() {
     let m = model(Benchmark::IpFwdL1, 2, 8_000);
